@@ -41,16 +41,12 @@ def main():
     t = w.grid.nodes
     base = math.sqrt(N + 1.0) * np.cos(t)
     for s in (0.2, 0.1, 0.05):
-        u = base + s * np.sin(2.0 * t)
-        # normalize to zero mean, unit L2(m)
-        mean = np.trapezoid(w.h * u, t) / w.total_mass
-        u = u - mean
-        u /= math.sqrt(np.trapezoid(w.h * u * u, t) / w.total_mass)
+        u = w.standardize(base + s * np.sin(2.0 * t))
         delta = rayleigh(w, u) - N
         dec = cosine_decompose(w, u, N + delta)
         print(f"  s = {s:<5g} deficit = {delta:.6f}   "
-              f"W12 dist = {dec.dist_w12:.6f}   "
-              f"dist/sqrt(deficit) = {dec.dist_w12 / math.sqrt(delta):.4f}")
+              f"W12 dist = {dec.dist_W12:.6f}   "
+              f"dist/sqrt(deficit) = {dec.dist_W12 / math.sqrt(delta):.4f}")
     print("the ratio is flat: distance ~ C sqrt(delta), the 1-D stability rate")
 
 

@@ -102,16 +102,6 @@ class RayFamily:
         return max(r.w.grid.max_step for r in self.rays)
 
 
-def _ray_mean(ray):
-    t = ray.w.grid.nodes
-    return float(np.trapezoid(ray.w.h * ray.u, t) / ray.w.total_mass)
-
-
-def _ray_moment(ray, f):
-    t = ray.w.grid.nodes
-    return float(np.trapezoid(ray.w.h * f, t) / ray.w.total_mass)
-
-
 def normalize(f: RayFamily) -> RayFamily:
     """Recentre each u_i to zero m_i-mean and rescale u to unit global L2(m).
 
@@ -125,17 +115,13 @@ def normalize(f: RayFamily) -> RayFamily:
     umax = max((float(np.max(np.abs(r.u))) for r in f.rays), default=0.0)
     if umax == 0.0:
         raise NormalizationError("all ray functions are identically zero")
-    means = [_ray_mean(r) for r in f.rays]
-    norm2 = math.fsum(
-        r.weight * _ray_moment(r, r.u * r.u) for r in f.rays
-    )
+    means = [r.w.mean(r.u) for r in f.rays]
+    norm2 = math.fsum(r.weight * r.w.mean(r.u * r.u) for r in f.rays)
     if all(abs(mu) <= band * umax for mu in means) and abs(norm2 - 1.0) <= 1e-7:
         return f
 
     centred = [r.u - mu for r, mu in zip(f.rays, means)]
-    norm2 = math.fsum(
-        r.weight * _ray_moment(r, u * u) for r, u in zip(f.rays, centred)
-    )
+    norm2 = math.fsum(r.weight * r.w.mean(u * u) for r, u in zip(f.rays, centred))
     if norm2 <= 0.0:
         raise NormalizationError("family has no u mass after recentring")
     scale = 1.0 / math.sqrt(norm2)
@@ -171,7 +157,7 @@ def global_deficit(f: RayFamily) -> DeficitLedger:
     either beyond rounding means the input was not a CD disintegration.
     """
     N = f.N
-    c2 = np.array([_ray_moment(r, r.u * r.u) for r in f.rays])
+    c2 = np.array([r.w.mean(r.u * r.u) for r in f.rays])
     total = math.fsum(r.weight * v for r, v in zip(f.rays, c2))
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError("family is not normalized; run normalize first")
@@ -179,10 +165,9 @@ def global_deficit(f: RayFamily) -> DeficitLedger:
     grad2 = []
     emass = []
     for r in f.rays:
-        t = r.w.grid.nodes
-        du = np.gradient(r.u, t, edge_order=2)
-        grad2.append(_ray_moment(r, du * du))
-        emass.append(_ray_moment(r, r.e))
+        du = np.gradient(r.u, r.w.grid.nodes, edge_order=2)
+        grad2.append(r.w.mean(du * du))
+        emass.append(r.w.mean(r.e))
     grad2 = np.array(grad2)
     emass = np.array(emass)
     weights = f.weights
@@ -317,9 +302,8 @@ def bad_set_energy(f: RayFamily, ledger: DeficitLedger, Q_long=None) -> BadSetRe
     for i, r in enumerate(f.rays):
         if i in sel:
             continue
-        t = r.w.grid.nodes
-        du = np.gradient(r.u, t, edge_order=2)
-        value += r.weight * _ray_moment(r, du * du + r.e)
+        du = np.gradient(r.u, r.w.grid.nodes, edge_order=2)
+        value += r.weight * r.w.mean(du * du + r.e)
     delta_eff = max(ledger.delta, 0.0)
     if delta_eff > 1.0:
         # the (N+1) delta^{1-beta} bound is only claimed in the delta <= 1 regime
@@ -351,23 +335,16 @@ def per_ray_cosine(f: RayFamily, Q_long) -> PerRayCosineReport:
     if not Q_long:
         raise ParameterDomainError("Q_long is empty")
     amp = math.sqrt(f.N + 1.0)
-    c = np.array([math.sqrt(_ray_moment(r, r.u * r.u)) for r in f.rays])
+    c = np.array([math.sqrt(r.w.mean(r.u * r.u)) for r in f.rays])
     dist = np.full(len(f.rays), np.nan)
     for i in Q_long:
         r = f.rays[i]
         if c[i] == 0.0:
             raise UndefinedQuotientError(f"long ray {i} carries no u mass")
-        t = r.w.grid.nodes
-        v = r.u / c[i]
-        best = math.inf
-        best_sign = 1.0
-        for s in (1.0, -1.0):
-            d2 = _ray_moment(r, (v - s * amp * np.cos(t)) ** 2)
-            if d2 < best:
-                best = d2
-                best_sign = s
-        c[i] *= best_sign
-        dist[i] = math.sqrt(max(best, 0.0))
+        d_plus, d_minus = r.w.sign_distances(r.u / c[i], amp * np.cos(r.w.grid.nodes))
+        if d_minus < d_plus:
+            c[i] = -c[i]
+        dist[i] = math.sqrt(max(min(d_plus, d_minus), 0.0))
     longs = [dist[i] for i in Q_long]
     return PerRayCosineReport(
         Q_long=Q_long, c=c, dist=dist, max_dist=float(max(longs)),
@@ -539,10 +516,7 @@ class SuspensionGeometry:
         if np.any(a + D + b > math.pi + 1e-9):
             raise ParameterDomainError("ray extent a + D + b exceeds pi")
         n_ref = max(r.w.grid.n for r in f.rays)
-        m = model_density(f.N, Grid.uniform(math.pi, n_ref))
-        model = WeightedInterval(
-            grid=m.grid, h=m.h / m.total_mass, K=m.K, N=m.N
-        )
+        model = model_density(f.N, Grid.uniform(math.pi, n_ref)).normalized()
         return cls(
             N=f.N, weights=f.weights, a=a, b=b, D=D,
             unspanned_mass=f.unspanned_mass, rays=f.rays, model=model,
@@ -654,25 +628,14 @@ def assemble_main(f: RayFamily, geometry: SuspensionGeometry, ledger: DeficitLed
     if geometry is None:
         raise ParameterDomainError("geometry with start offsets is required")
     amp = math.sqrt(f.N + 1.0)
-    tm = geometry.model.grid.nodes
-    cos2_mass = float(
-        np.trapezoid(geometry.model.h * np.cos(tm) ** 2, tm)
-        / geometry.model.total_mass
-    )
-    off_ray = f.unspanned_mass * (f.N + 1.0) * cos2_mass
-
-    best = math.inf
-    best_sign = 1.0
-    for s in (1.0, -1.0):
-        acc = off_ray
-        for r, a in zip(f.rays, geometry.a):
-            t = r.w.grid.nodes
-            dev = s * r.u - amp * np.cos(t + a)
-            acc += r.weight * _ray_moment(r, dev * dev)
-        if acc < best:
-            best = acc
-            best_sign = s
-    final_sq = max(best, 0.0)
+    cos2_mass = geometry.model.mean(np.cos(geometry.model.grid.nodes) ** 2)
+    acc_plus = acc_minus = f.unspanned_mass * (f.N + 1.0) * cos2_mass
+    for r, a in zip(f.rays, geometry.a):
+        d_plus, d_minus = r.w.sign_distances(r.u, amp * np.cos(r.w.grid.nodes + a))
+        acc_plus += r.weight * d_plus
+        acc_minus += r.weight * d_minus
+    best_sign = 1.0 if acc_plus <= acc_minus else -1.0
+    final_sq = max(min(acc_plus, acc_minus), 0.0)
     final = math.sqrt(final_sq)
 
     delta = ledger.delta if ledger is not None else global_deficit(f).delta
@@ -716,7 +679,7 @@ def _build_density(kind, params, N, D, base):
             )
     else:
         raise ConfigError(f"unknown density kind {kind!r}")
-    return WeightedInterval(grid=w.grid, h=w.h / w.total_mass, K=w.K, N=w.N)
+    return w.normalized()
 
 
 def _build_u(kind, params, N, grid, base):

@@ -1,7 +1,8 @@
 """Weighted intervals and curvature-dimension densities.
 
 A weighted interval is ([0, D], |.|, h dt) with a node-sampled density h,
-interpolated piecewise-linearly between nodes. This module owns the
+interpolated piecewise-linearly between nodes. This module owns the L2(m)
+algebra on weighted intervals (moments, normalisation, sign fits), the
 distortion coefficients sigma/tau, the model density sin^{N-1}/omega_N,
 verification of the CD(K,N) concavity inequality (integral and differential
 forms), a seeded generator of CD densities, and the envelope estimates that
@@ -20,6 +21,7 @@ from .errors import (
     DegenerateDensityError,
     NormalizationError,
     ParameterDomainError,
+    UndefinedQuotientError,
 )
 
 # evaluation lattice size for cd_check: 33 evenly spaced node indices
@@ -65,7 +67,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class WeightedInterval:
-    """([0, D], |.|, h dt) with density samples h at grid nodes."""
+    """([0, D], |.|, h dt) with density samples h at grid nodes.
+
+    Owns the L2(m) algebra of node-sampled functions: every moment is the
+    trapezoid rule against h, normalised by total_mass.
+    """
 
     grid: Grid
     h: np.ndarray
@@ -86,6 +92,38 @@ class WeightedInterval:
             object.__setattr__(
                 self, "total_mass", float(np.trapezoid(h, self.grid.nodes))
             )
+
+    def mean(self, f):
+        """Normalised m-moment int f h dt / total_mass of node samples f."""
+        return float(np.trapezoid(self.h * f, self.grid.nodes) / self.total_mass)
+
+    def normalized(self):
+        """Unit-mass copy: h / total_mass on the same grid."""
+        return WeightedInterval(grid=self.grid, h=self.h / self.total_mass,
+                                K=self.K, N=self.N)
+
+    def standardize(self, u):
+        """u recentred to zero m-mean and scaled to unit L2(m) norm."""
+        u = np.asarray(u, dtype=float)
+        u = u - self.mean(u)
+        nrm2 = self.mean(u * u)
+        if nrm2 <= 0.0 or not math.isfinite(nrm2):
+            raise UndefinedQuotientError("function has zero variance against m")
+        return u / math.sqrt(nrm2)
+
+    def sign_distances(self, u, g):
+        """(||u - g||^2, ||u + g||^2) in L2(m), each by direct subtraction."""
+        return tuple(self.mean((u - s * g) ** 2) for s in (1.0, -1.0))
+
+
+def second_diff(t, u):
+    """3-point second difference at interior nodes (zero at the two ends);
+    reduces to (u+ - 2u + u-)/dt^2 on uniform grids."""
+    dl = np.diff(t)[:-1]
+    dr = np.diff(t)[1:]
+    out = np.zeros_like(u)
+    out[1:-1] = 2.0 * ((u[2:] - u[1:-1]) / dr - (u[1:-1] - u[:-2]) / dl) / (dl + dr)
+    return out
 
 
 def load_density_csv(path, K, N):
@@ -324,10 +362,7 @@ def cd_check_differential(w: WeightedInterval, tol=None) -> CdVerdict:
     if np.any(h[1:-1] <= 0):
         raise DegenerateDensityError("density vanishes at an interior node")
     phi = h ** (1.0 / (w.N - 1.0))
-    dl = np.diff(t)[:-1]
-    dr = np.diff(t)[1:]
-    phi2 = 2.0 * ((phi[2:] - phi[1:-1]) / dr - (phi[1:-1] - phi[:-2]) / dl) / (dl + dr)
-    lhs = (w.N - 1.0) * phi2 / phi[1:-1]
+    lhs = (w.N - 1.0) * second_diff(t, phi)[1:-1] / phi[1:-1]
     resid = lhs + w.K  # must be <= tol
     i = int(np.argmax(resid))
     worst = float(resid[i])
@@ -388,9 +423,8 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
                 "solution hit zero before D; try a smaller interval",
                 suggested_D=0.9 * D,
             )
-        h = w ** (N - 1.0)
-        h /= np.trapezoid(h, t)
-        return WeightedInterval(grid=grid, h=h, K=N - 1.0, N=float(N))
+        return WeightedInterval(grid=grid, h=w ** (N - 1.0), K=N - 1.0,
+                                N=float(N)).normalized()
 
     rng = np.random.default_rng(seed)
     margin = 0.02 * (math.pi - D) + 1e-3
@@ -412,9 +446,8 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
         aa[-1] = levels[-1]
         w = _rk4_cosine_flow(t, aa, math.sin(phase), math.cos(phase))
         if np.all(w > 0):
-            h = w ** (N - 1.0)
-            h /= np.trapezoid(h, t)
-            return WeightedInterval(grid=grid, h=h, K=N - 1.0, N=float(N))
+            return WeightedInterval(grid=grid, h=w ** (N - 1.0), K=N - 1.0,
+                                    N=float(N)).normalized()
         scale *= 0.7
     raise DegenerateDensityError(
         "no positive solution after 40 retries; try a smaller interval",

@@ -15,9 +15,9 @@ import numpy as np
 from .errors import ParameterDomainError
 from .measures import Grid, WeightedInterval, generate_cd_density, model_density
 from .spectral import (
-    _recenter_normalize,
     asymptotic_rate_constant,
     cosine_distance,
+    has_half_grid,
     neumann_eigs,
     rayleigh,
 )
@@ -74,8 +74,7 @@ def _run_jobs(fn, params):
 
 def truncated_model(N, D, n) -> WeightedInterval:
     """Model density restricted to [0, D] and renormalized to unit mass."""
-    w = model_density(N, Grid.uniform(D, n))
-    return WeightedInterval(grid=w.grid, h=w.h / w.total_mass, K=w.K, N=w.N)
+    return model_density(N, Grid.uniform(D, n)).normalized()
 
 
 def dilated_model(N, D, n) -> WeightedInterval:
@@ -83,19 +82,16 @@ def dilated_model(N, D, n) -> WeightedInterval:
     g = Grid.uniform(D, n)
     h = np.sin(math.pi * g.nodes / D) ** (N - 1.0)
     h[-1] = 0.0
-    w = WeightedInterval(grid=g, h=h, K=N - 1.0, N=N)
-    return WeightedInterval(grid=g, h=w.h / w.total_mass, K=N - 1.0, N=N)
+    return WeightedInterval(grid=g, h=h, K=N - 1.0, N=N).normalized()
 
 
-def _lam1(w):
-    return float(neumann_eigs(w, k=1).eigenvalues[0])
-
-
-def _lam1_richardson(build, n):
-    # the scheme is O(dt^2); one halving step removes the leading term
-    lam_n = _lam1(build(n))
-    lam_h = _lam1(build(n // 2))
-    return lam_n + (lam_n - lam_h) / 3.0
+def _check_half_grid(n):
+    # lambda_1 is Richardson-extrapolated against the half-grid solve that
+    # neumann_eigs makes, whose 1/3 factor assumes a step ratio of exactly 2
+    if not has_half_grid(n):
+        raise ParameterDomainError(
+            f"grid_n must be even with grid_n/2 >= 15 for Richardson, got {n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -159,16 +155,6 @@ class SweepResult:
         return hi / lo if lo > 0 else math.inf
 
 
-def _eigen_row(w, build, n):
-    res = neumann_eigs(w, k=1)
-    lam_n = float(res.eigenvalues[0])
-    lam_h = _lam1(build(n // 2))
-    lam = lam_n + (lam_n - lam_h) / 3.0
-    u = _recenter_normalize(w, res.eigenfunctions[:, 0])
-    _, d2, dw = cosine_distance(w, u)
-    return lam, d2, dw
-
-
 def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
     """Table of (param, delta, dist_L2, dist_W12, lambda1) plus power-law fits.
 
@@ -176,37 +162,36 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
     small-deficit theorem and carries an unspecified delta_0(N) guard.
     """
     N, n = spec.N, spec.grid_n
+    _check_half_grid(n)
     params = sorted(spec.sweep)
 
-    if spec.family == "truncated-model":
-        def job(D):
-            if not 0 < D <= math.pi:
-                raise ParameterDomainError("truncated-model wants 0 < D <= pi")
-            w = truncated_model(N, D, n)
-            lam, d2, dw = _eigen_row(w, lambda nn: truncated_model(N, D, nn), n)
-            return lam - N, d2, dw, lam
-    elif spec.family == "perturbed-cosine":
+    if spec.family == "perturbed-cosine":
         w_model = model_density(N, Grid.uniform(math.pi, n))
-        lam_model = _lam1_richardson(
-            lambda nn: model_density(N, Grid.uniform(math.pi, nn)), n)
+        lam_model = float(neumann_eigs(w_model, k=1).richardson[0])
 
         def job(s):
             t = w_model.grid.nodes
-            u = _recenter_normalize(w_model, np.cos(t) + s * np.sin(2 * t))
+            u = w_model.standardize(np.cos(t) + s * np.sin(2 * t))
             delta = rayleigh(w_model, u) - N
             _, d2, dw = cosine_distance(w_model, u)
             return delta, d2, dw, lam_model
     else:
-        seed_of = {eps: spec.seed + k for k, eps in enumerate(params)}
+        if spec.family == "truncated-model":
+            def density(D):
+                if not 0 < D <= math.pi:
+                    raise ParameterDomainError("truncated-model wants 0 < D <= pi")
+                return truncated_model(N, D, n)
+        else:
+            seed_of = {eps: spec.seed + k for k, eps in enumerate(params)}
 
-        def job(eps):
-            D = math.pi - eps
+            def density(eps):
+                return generate_cd_density(N, seed_of[eps], Grid.uniform(math.pi - eps, n))
 
-            def build(nn):
-                return generate_cd_density(N, seed_of[eps], Grid.uniform(D, nn))
-
-            w = build(n)
-            lam, d2, dw = _eigen_row(w, build, n)
+        def job(p):
+            w = density(p)
+            res = neumann_eigs(w, k=1)
+            lam = float(res.richardson[0])
+            _, d2, dw = cosine_distance(w, w.standardize(res.eigenfunctions[:, 0]))
             return lam - N, d2, dw, lam
 
     rows = _run_jobs(job, params)
@@ -253,9 +238,10 @@ def diameter_deficit_sweep(N, D_sweep=None, grid_n=4096) -> DiameterSweepResult:
     Ds = sorted(float(D) for D in D_sweep)
     if any(not 0 < D < math.pi for D in Ds):
         raise ParameterDomainError("diameter sweep wants 0 < D < pi")
+    _check_half_grid(grid_n)
 
     def job(D):
-        return _lam1_richardson(lambda nn: truncated_model(N, D, nn), grid_n)
+        return float(neumann_eigs(truncated_model(N, D, grid_n), k=1).richardson[0])
 
     lams = np.array(_run_jobs(job, Ds))
     eps = math.pi - np.array(Ds)
@@ -303,10 +289,11 @@ def upper_gap_check(N, D_sweep=None, grid_n=4096) -> UpperGapReport:
     Ds = [D for D in Ds if D < math.pi]  # exact pi is 0/0, excluded
     if not Ds:
         raise ParameterDomainError("no diameters strictly below pi")
+    _check_half_grid(grid_n)
 
     def job(D):
         w = dilated_model(N, D, grid_n)
-        lam = _lam1_richardson(lambda nn: dilated_model(N, D, nn), grid_n)
+        lam = float(neumann_eigs(w, k=1).richardson[0])
         t = w.grid.nodes
         cand = rayleigh(w, math.sqrt(N + 1.0) * np.cos(t)) - N
         return lam - N, cand
@@ -350,21 +337,17 @@ def eigen_comparison_check(w: WeightedInterval, v, guard=0.1) -> EigenComparison
     res = neumann_eigs(w, k=2)
     lam1 = float(res.eigenvalues[0])
     lam2 = float(res.eigenvalues[1])
-    u1 = _recenter_normalize(w, res.eigenfunctions[:, 0])
-    vn = _recenter_normalize(w, v)
+    u1 = w.standardize(res.eigenfunctions[:, 0])
+    vn = w.standardize(v)
 
     t = w.grid.nodes
-    mass = w.total_mass
-    rv = rayleigh(w, vn)
-    rhs = rv - lam1
-    overlap = float(np.trapezoid(w.h * vn * u1, t) / mass)
+    rhs = rayleigh(w, vn) - lam1
+    overlap = w.mean(vn * u1)
 
     du1 = np.gradient(u1, t, edge_order=2)
     dv = np.gradient(vn, t, edge_order=2)
-    lhs = math.inf
-    for s in (1.0, -1.0):
-        d = float(np.trapezoid(w.h * ((vn - s * u1) ** 2 + (dv - s * du1) ** 2), t) / mass)
-        lhs = min(lhs, d)
+    lhs = min(a + b for a, b in zip(w.sign_distances(vn, u1),
+                                    w.sign_distances(dv, du1)))
 
     if lhs <= 1e-20:
         ratio = 0.0

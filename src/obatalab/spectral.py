@@ -20,10 +20,9 @@ from .errors import (
     DisconnectedSupportError,
     ObataLabError,
     ParameterDomainError,
-    UndefinedQuotientError,
 )
 from .isoperimetry import bbg_constant, c_squared_minus_one
-from .measures import Grid, WeightedInterval, omega
+from .measures import WeightedInterval, integrate, omega, second_diff
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,18 @@ class SpectralResult:
     eigenfunctions: column j is the j-th eigenfunction, L2(m)-normalized in the
         discrete mass inner product, zero m-mean, sign fixed positive at the
         first significant node
-    rayleigh: discrete flux/mass Rayleigh quotients (equal eigenvalues to
-        rounding; the free-standing rayleigh() op uses the central-difference
-        definition instead and agrees only to O(grid^2))
+    rayleigh: discrete flux/mass Rayleigh quotients of the computed
+        eigenvectors. They differ from the eigenvalues by the eigensolver's
+        roundoff, which grows with the grid (about eps n^2); the free-standing
+        rayleigh() op uses the central-difference definition instead and
+        agrees only to O(grid^2)
     residuals: per pair, max over interior nodes of |h u'' + h' u' + lam h u|
-    err_bar: |lambda(n) - lambda(n/2)| per pair when the half grid exists
+    half_eigenvalues: lambda_1..lambda_k of the same density on the half grid
+        (every other node), signed; NaN unless has_half_grid(n) holds for the
+        n cells of the grid
+    err_bar: |lambda(n) - lambda(n/2)| per pair; NaN without the half grid
+    richardson: lambda(n) + (lambda(n) - lambda(n/2))/3, which removes the
+        O(dt^2) term of the scheme; NaN without the half grid
     """
 
     eigenvalues: np.ndarray
@@ -46,11 +52,24 @@ class SpectralResult:
     rayleigh: np.ndarray
     residuals: np.ndarray
     lam0: float
-    err_bar: np.ndarray
+    half_eigenvalues: np.ndarray
 
     @property
     def residual(self):
         return float(np.max(self.residuals))
+
+    @property
+    def err_bar(self):
+        return np.abs(self.eigenvalues - self.half_eigenvalues)
+
+    @property
+    def richardson(self):
+        return self.eigenvalues + (self.eigenvalues - self.half_eigenvalues) / 3.0
+
+
+def has_half_grid(n):
+    """Whether n cells halve exactly into a grid of at least 15 cells."""
+    return n % 2 == 0 and n // 2 >= 15
 
 
 def _assemble(t, h):
@@ -95,15 +114,6 @@ def _solve_tridiagonal(t, h, k):
     return vals, u, ray
 
 
-def _second_diff(t, u):
-    # 3-point second difference, interior only; reduces to (u+ - 2u + u-)/dt^2
-    dl = np.diff(t)[:-1]
-    dr = np.diff(t)[1:]
-    out = np.zeros_like(u)
-    out[1:-1] = 2.0 * ((u[2:] - u[1:-1]) / dr - (u[1:-1] - u[:-2]) / dl) / (dl + dr)
-    return out
-
-
 def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     """First k nonzero Neumann eigenpairs of -(h u')' = lambda h u on w."""
     if k < 1:
@@ -123,14 +133,13 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     for j in range(len(lams)):
         uu = funcs[:, j]
         du = np.gradient(uu, t, edge_order=2)
-        d2 = _second_diff(t, uu)
+        d2 = second_diff(t, uu)
         r = h * d2 + dh * du + lams[j] * h * uu
         residuals[j] = float(np.max(np.abs(r[1:-1])))
 
-    err_bar = np.full(len(lams), np.nan)
-    if (len(t) - 1) % 2 == 0 and (len(t) - 1) // 2 >= 15:
-        vals2, _, _ = _solve_tridiagonal(t[::2], h[::2], k)
-        err_bar = np.abs(lams - vals2[1:])
+    half = np.full(len(lams), np.nan)
+    if has_half_grid(len(t) - 1):
+        half = _solve_tridiagonal(t[::2], h[::2], k)[0][1:]
 
     return SpectralResult(
         eigenvalues=np.asarray(lams),
@@ -138,19 +147,8 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         rayleigh=rayq,
         residuals=residuals,
         lam0=lam0,
-        err_bar=err_bar,
+        half_eigenvalues=half,
     )
-
-
-def _recenter_normalize(w, u):
-    t = w.grid.nodes
-    mass = w.total_mass
-    u = np.asarray(u, dtype=float)
-    u = u - np.trapezoid(w.h * u, t) / mass
-    nrm2 = float(np.trapezoid(w.h * u * u, t) / mass)
-    if nrm2 <= 0.0 or not math.isfinite(nrm2):
-        raise UndefinedQuotientError("function has zero variance against m")
-    return u / math.sqrt(nrm2)
 
 
 def rayleigh(w: WeightedInterval, u):
@@ -159,10 +157,8 @@ def rayleigh(w: WeightedInterval, u):
     Central differences for u' (one-sided second order at the ends),
     trapezoid quadrature against h.
     """
-    t = w.grid.nodes
-    u = _recenter_normalize(w, u)
-    du = np.gradient(u, t, edge_order=2)
-    return float(np.trapezoid(w.h * du * du, t) / w.total_mass)
+    du = np.gradient(w.standardize(u), w.grid.nodes, edge_order=2)
+    return w.mean(du * du)
 
 
 def deficit(w: WeightedInterval, u, N=None):
@@ -217,10 +213,8 @@ def bochner_check(w: WeightedInterval, eigenpair) -> BochnerReport:
     h = w.h
     mask = h >= 1e-6 * np.max(h)
     mask[0] = mask[-1] = False
-    d2 = _second_diff(t, u)
-    z = d2 + u
-    nrm2 = float(np.trapezoid(np.where(mask, h * z * z, 0.0), t) / w.total_mass)
-    norm = math.sqrt(max(nrm2, 0.0))
+    z = second_diff(t, u) + u
+    norm = math.sqrt(max(w.mean(np.where(mask, z * z, 0.0)), 0.0))
     gap = float(lam - w.N)
     ratio = norm / math.sqrt(gap) if gap > 0 else math.inf
     return BochnerReport(norm=norm, gap=gap, ratio=ratio,
@@ -257,14 +251,13 @@ def green_apply(w: WeightedInterval, z, x0=None) -> GreenResult:
     sz = Is(t) - Is(x0)
     v0 = np.sin(t) * cz - np.cos(t) * sz
 
-    mass = w.total_mass
-    norm_v = math.sqrt(max(float(np.trapezoid(w.h * v0 * v0, t) / mass), 0.0))
-    norm_z = math.sqrt(max(float(np.trapezoid(w.h * z * z, t) / mass), 0.0))
+    norm_v = math.sqrt(max(w.mean(v0 * v0), 0.0))
+    norm_z = math.sqrt(max(w.mean(z * z), 0.0))
     if norm_v > math.pi * norm_z + 1e-8:
         raise ObataLabError(
             f"Green operator norm bound violated: {norm_v} > pi*{norm_z}"
         )
-    resid = float(np.max(np.abs((_second_diff(t, v0) + v0 - z)[1:-1])))
+    resid = float(np.max(np.abs((second_diff(t, v0) + v0 - z)[1:-1])))
     return GreenResult(v0=v0, residual=resid, norm_v0=norm_v, norm_z=norm_z,
                        boundary_max=boundary)
 
@@ -302,20 +295,18 @@ def _deriv2_4th(t, u):
 def cosine_distance(w: WeightedInterval, u, shift=0.0):
     """min over sign of (L2, W12) distances of u to +-sqrt(N+1) cos(. + shift).
 
-    Returns (sign, dist_L2, dist_W12). u is used as given (no renormalization).
+    The sign minimises the W12 distance, +1 on a tie. Returns (sign, dist_L2,
+    dist_W12). u is used as given (no renormalization).
     """
     t = w.grid.nodes
-    mass = w.total_mass
     c = math.sqrt(w.N + 1.0) * np.cos(t + shift)
     dc = -math.sqrt(w.N + 1.0) * np.sin(t + shift)
     du = np.gradient(u, t, edge_order=2)
-    best = (1.0, math.inf, math.inf)
-    for s in (1.0, -1.0):
-        d2 = float(np.trapezoid(w.h * (u - s * c) ** 2, t) / mass)
-        dd2 = float(np.trapezoid(w.h * (du - s * dc) ** 2, t) / mass)
-        if d2 + dd2 < best[1] ** 2 + best[2] ** 2:
-            best = (s, math.sqrt(d2), math.sqrt(d2 + dd2))
-    return best
+    l2_plus, l2_minus = w.sign_distances(u, c)
+    d_plus, d_minus = w.sign_distances(du, dc)
+    if l2_plus + d_plus <= l2_minus + d_minus:
+        return 1.0, math.sqrt(l2_plus), math.sqrt(l2_plus + d_plus)
+    return -1.0, math.sqrt(l2_minus), math.sqrt(l2_minus + d_minus)
 
 
 def cosine_decompose(w: WeightedInterval, u_star, lam, r=None, eta=None) -> CosineReport:
@@ -327,42 +318,38 @@ def cosine_decompose(w: WeightedInterval, u_star, lam, r=None, eta=None) -> Cosi
     windowed distances on [0, r] and [r - eta, r + eta].
     """
     t = w.grid.nodes
-    h = w.h
-    mass = w.total_mass
     u = np.asarray(u_star, dtype=float)
     z = _deriv2_4th(t, u) + u
     g = green_apply(w, z)
     u0 = g.v0
     rdiff = u - u0
     st, ct = np.sin(t), np.cos(t)
-    a11 = float(np.trapezoid(h * st * st, t))
-    a12 = float(np.trapezoid(h * st * ct, t))
-    a22 = float(np.trapezoid(h * ct * ct, t))
+    a11 = integrate(w, st * st)
+    a12 = integrate(w, st * ct)
+    a22 = integrate(w, ct * ct)
     gram = np.array([[a11, a12], [a12, a22]])
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise ConditioningError(f"sin/cos normal system condition {cond:.3e}")
-    rhs = np.array([float(np.trapezoid(h * st * rdiff, t)),
-                    float(np.trapezoid(h * ct * rdiff, t))])
+    rhs = np.array([integrate(w, st * rdiff), integrate(w, ct * rdiff)])
     alpha, beta = np.linalg.solve(gram, rhs)
     recon = u0 + alpha * st + beta * ct
     recon_err = float(np.max(np.abs(recon - u)))
     sign, dist_l2, dist_w12 = cosine_distance(w, u)
-    u0_norm = math.sqrt(max(float(np.trapezoid(h * u0 * u0, t) / mass), 0.0))
+    u0_norm = math.sqrt(max(w.mean(u0 * u0), 0.0))
 
     window_0r = math.nan
     window_band = math.nan
     if r is not None:
         if eta is None:
             eta = 0.5 * r
-        target = sign * math.sqrt(w.N + 1.0) * ct
-        dev2 = h * (u - target) ** 2
+        dev2 = (u - sign * math.sqrt(w.N + 1.0) * ct) ** 2
         m0 = t <= r
         mb = (t >= r - eta) & (t <= r + eta)
         if np.any(m0):
-            window_0r = math.sqrt(float(np.trapezoid(np.where(m0, dev2, 0.0), t) / mass))
+            window_0r = math.sqrt(w.mean(np.where(m0, dev2, 0.0)))
         if np.any(mb):
-            window_band = math.sqrt(float(np.trapezoid(np.where(mb, dev2, 0.0), t) / mass))
+            window_band = math.sqrt(w.mean(np.where(mb, dev2, 0.0)))
 
     return CosineReport(
         sign=float(sign),

@@ -29,7 +29,6 @@ from obatalab.localization import (
 from obatalab.measures import Grid, generate_cd_density, model_density
 from obatalab.obata1d import (
     ExperimentSpec,
-    _lam1_richardson,
     deficit_distance_sweep,
     diameter_deficit_sweep,
     loglog_fit,
@@ -161,7 +160,7 @@ def test_criterion_08_bochner_scaling():
                 return truncated_model(N, D, n)
 
             w = build(2048)
-            lam = _lam1_richardson(build, 2048)
+            lam = float(neumann_eigs(w).richardson[0])
             u = neumann_eigs(w, 1).eigenfunctions[:, 0]
             rep = bochner_check(w, (lam, u))
             assert rep.gap > 0.0

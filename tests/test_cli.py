@@ -170,6 +170,14 @@ def test_bad_usage_exits_1(run_cli, fixtures_dir):
         assert proc.stderr.strip().startswith("error:"), args
 
 
+def test_odd_grid_exits_1(run_cli):
+    for args in (("obata", "--dim", "2"),
+                 ("sweep", "--dim", "2", "--family", "truncated-model")):
+        proc, _ = run_cli(*args, "--grid", "4097")
+        assert proc.returncode == 1, args
+        assert "grid_n must be even" in proc.stderr, args
+
+
 def test_summary_structure(run_cli, fixtures_dir):
     proc, out = run_cli("localize", "--config",
                         str(fixtures_dir / "rigid.json"))

@@ -174,6 +174,18 @@ def test_diameter_sweep_validation():
         diameter_deficit_sweep(2.0, D_sweep=[3.0, math.pi])
 
 
+def test_sweeps_need_exact_half_grid():
+    # Richardson's 1/3 factor assumes the half grid is every other node
+    for n in (4097, 29):
+        with pytest.raises(ParameterDomainError):
+            diameter_deficit_sweep(2.0, grid_n=n)
+        with pytest.raises(ParameterDomainError):
+            upper_gap_check(2.0, grid_n=n)
+        for family in ("truncated-model", "perturbed-cosine", "seeded-generated"):
+            with pytest.raises(ParameterDomainError):
+                deficit_distance_sweep(ExperimentSpec(N=2.0, family=family, grid_n=n))
+
+
 def test_upper_gap_linear_bound():
     rep = upper_gap_check(3.0, grid_n=2048)
     # diameters are sorted ascending, so eps = pi - D comes out descending

@@ -10,7 +10,7 @@ from obatalab.errors import (
     UndefinedQuotientError,
 )
 from obatalab.measures import Grid, WeightedInterval, model_density, generate_cd_density
-from obatalab.obata1d import loglog_fit, truncated_model, _lam1_richardson
+from obatalab.obata1d import loglog_fit, truncated_model
 from obatalab.spectral import (
     bochner_check,
     cosine_decompose,
@@ -100,6 +100,28 @@ def test_neumann_validation():
         neumann_eigs(WeightedInterval(grid=g, h=h, K=0.0, N=2.0), k=1)
 
 
+def test_richardson_equals_two_build_formula_on_model():
+    # the model's h[::2] is the model rebuilt on the half grid, so the
+    # half-grid solve inside neumann_eigs reproduces a separate build exactly
+    for N, n in ((2.0, 4096), (3.0, 1000)):
+        lam_n = float(neumann_eigs(model_density(N, Grid.uniform(math.pi, n))).eigenvalues[0])
+        lam_h = float(neumann_eigs(model_density(N, Grid.uniform(math.pi, n // 2))).eigenvalues[0])
+        res = neumann_eigs(model_density(N, Grid.uniform(math.pi, n)))
+        assert float(res.half_eigenvalues[0]) == lam_h
+        assert float(res.richardson[0]) == lam_n + (lam_n - lam_h) / 3.0
+
+
+def test_half_grid_values_need_exact_half():
+    # an odd cell count or a half grid under 15 cells leaves them NaN
+    for n in (1023, 28):
+        res = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, n)), k=2)
+        assert np.isnan(res.half_eigenvalues).all()
+        assert np.isnan(res.err_bar).all() and np.isnan(res.richardson).all()
+    res = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 30)), k=2)
+    assert np.isfinite(res.half_eigenvalues).all()
+    assert np.array_equal(res.err_bar, np.abs(res.eigenvalues - res.half_eigenvalues))
+
+
 def test_shooting_cross_check():
     # independent oracle: solve -(h u')' = lam h u with h = cos^{N-1}(t - D/2)
     # by shooting (tests/oracles/derived_values.py); the tridiagonal solver
@@ -112,7 +134,7 @@ def test_shooting_cross_check():
             h /= np.trapezoid(h, g.nodes)
             return WeightedInterval(grid=g, h=h, K=0.0, N=N)
 
-        lam = _lam1_richardson(build, 4096)
+        lam = float(neumann_eigs(build(4096)).richardson[0])
         assert lam == pytest.approx(frozen, abs=5e-8)
 
 
@@ -151,7 +173,7 @@ def test_rayleigh_rejects_constant():
 
 def test_lichnerowicz_model_equality_case():
     w = model_density(2.0, Grid.uniform(math.pi, 4096))
-    lam = _lam1_richardson(lambda n: model_density(2.0, Grid.uniform(math.pi, n)), 4096)
+    lam = float(neumann_eigs(w).richardson[0])
     rep = lichnerowicz_check(w, lam)
     assert abs(rep.margin) <= 1e-5
     assert rep.c_squared == pytest.approx(1.0, abs=1e-12)
@@ -206,7 +228,7 @@ def test_bochner_truncated_sweep_stable():
             return truncated_model(2.0, D, n)
 
         w = build(2048)
-        lam = _lam1_richardson(build, 2048)
+        lam = float(neumann_eigs(w).richardson[0])
         rep = bochner_check(w, (lam, neumann_eigs(w, 1).eigenfunctions[:, 0]))
         assert rep.in_range
         assert math.isfinite(rep.ratio)
@@ -295,6 +317,19 @@ def test_cosine_distance_orders():
     assert d2 <= dw
 
 
+def test_cosine_distance_sign_minimises_w12():
+    # both signs are far off; +cos is the nearer one in W12 (5.0823 against
+    # 5.1990 for -cos), and the reported sign must be the one that wins
+    w = model_density(2.0, Grid.uniform(math.pi, 4096))
+    t = w.grid.nodes
+    u = 0.1 * math.sqrt(3.0) * np.cos(t) + 3.0 * np.cos(2.0 * t)
+    sign, _, dw = cosine_distance(w, u)
+    assert sign == 1.0
+    assert dw == pytest.approx(5.0823, abs=1e-4)
+    _, _, dw_flip = cosine_distance(w, -u)
+    assert dw_flip == dw
+
+
 def test_decompose_model_eigenfunction():
     w = model_density(2.0, Grid.uniform(math.pi, 8192))
     res = neumann_eigs(w, k=1)
@@ -328,7 +363,7 @@ def test_decompose_alpha_sweep_stable():
             return truncated_model(2.0, D, n)
 
         w = build(4096)
-        lam = _lam1_richardson(build, 4096)
+        lam = float(neumann_eigs(w).richardson[0])
         res = neumann_eigs(w, k=1)
         rep = cosine_decompose(w, res.eigenfunctions[:, 0], lam)
         delta = lam - 2.0
@@ -347,7 +382,7 @@ def test_decompose_beta_exponent():
             return truncated_model(2.0, D, n)
 
         w = build(4096)
-        lam = _lam1_richardson(build, 4096)
+        lam = float(neumann_eigs(w).richardson[0])
         res = neumann_eigs(w, k=1)
         rep = cosine_decompose(w, res.eigenfunctions[:, 0], lam)
         dev = min(abs(math.sqrt(3.0) - rep.beta), abs(math.sqrt(3.0) + rep.beta))

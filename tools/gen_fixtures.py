@@ -27,7 +27,6 @@ import numpy as np
 
 import obatalab as ol
 from obatalab import localization as loc
-from obatalab.localization import _ray_moment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "fixtures")
@@ -76,16 +75,9 @@ def _delta_q_of_s(N, w, s):
     # deficit of the recentred profile cos + s sin(2t) on the ray's measure
     t = w.grid.nodes
     u = np.cos(t) + s * np.sin(2.0 * t)
-
-    class _R:
-        pass
-
-    r = _R()
-    r.w = w
-    mean = _ray_moment(r, u) / w.total_mass
-    uc = u - mean
+    uc = u - w.mean(u)
     du = np.gradient(uc, t, edge_order=2)
-    return _ray_moment(r, du * du) / _ray_moment(r, uc * uc) - N
+    return w.mean(du * du) / w.mean(uc * uc) - N
 
 
 def _solve_s(N, w, target):
@@ -109,8 +101,7 @@ def sweep_family(N, delta0, amp_draws, deficit_draws):
     unspanned = 0.3 * delta0 ** (2.0 * eta)
     q = (1.0 - unspanned) / 8.0
 
-    w = ol.model_density(N, ol.Grid.uniform(D, SWEEP_GRID))
-    w = ol.WeightedInterval(grid=w.grid, h=w.h / w.total_mass, K=w.K, N=w.N)
+    w = ol.model_density(N, ol.Grid.uniform(D, SWEEP_GRID)).normalized()
 
     theta_v = 3.0 / (4.0 * N + 2.0)
     sigma_c = 0.4 * delta0 ** (0.5 * theta_v)
