@@ -10,11 +10,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .errors import ParameterDomainError
 from .measures import omega, sinpow_cum
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun, table 25.4),
+# tabulated so that importing makes no LAPACK call. On a window no longer than
+# a quarter of its distance to the poles it is exact to rounding.
+_GL_X = np.array([0.14887433898163121, 0.43339539412924719, 0.67940956829902441,
+                  0.86506336668898451, 0.97390652851717172])
+_GL_W = np.array([0.29552422471475287, 0.26926671930999636, 0.21908636251598204,
+                  0.14945134915058059, 0.066671344308688138])
+_GL_NODES = np.concatenate([-_GL_X[::-1], _GL_X])
+_GL_WEIGHTS = np.concatenate([_GL_W[::-1], _GL_W])
 
 
 @dataclass(frozen=True)
@@ -40,48 +50,88 @@ class ProfileResult:
     iterations: int  # total g evaluations spent
 
 
-def _sinpow_int(N, a, b):
-    return sinpow_cum(N, b) - sinpow_cum(N, a)
+def _sinpow_inv(N, S):
+    """Seed for the x in [0, pi] with sinpow_cum(N, x) = S: the inverse
+    incomplete beta on the branch `sinpow_cum` evaluates there, and the
+    leading term x^N/N of its series near the poles, where sin^2 x would
+    underflow."""
+    half = 0.5 * omega(N)
+    near = np.clip(np.minimum(S, 2.0 * half - S), 0.0, half)  # mass to the nearer pole
+    c = np.sqrt(betaincinv(0.5, N / 2.0, np.minimum(np.abs(half - S) / half, 1.0)))
+    s = np.sqrt(betaincinv(N / 2.0, 0.5, near / half))
+    x = np.where(N * near < 1e-5 ** N, (N * near) ** (1.0 / N), np.arcsin(s))
+    edge = np.where(S <= half, x, np.pi - x)
+    return np.where(c * c < 1.0 / (N + 1.0), np.arccos(np.copysign(c, half - S)), edge)
+
+
+def _solve_R(N, b, v, D):
+    """R(b, v) and the window mass int_b^{b+D} sin^{N-1}, vectorized over b and v.
+
+    Integrals over [b, x] are differences of S_N taken from the nearer pole
+    (from pi when b + x > pi), or a Gauss-Legendre sum where [b, x] is short
+    against its distance to the poles and the difference would cancel; both
+    keep their relative accuracy. R is seeded by `_sinpow_inv` and polished
+    by at most four Newton steps clipped to [b, b + D], stopping once every
+    step is within two ulps of R.
+    """
+    b = np.asarray(b, dtype=float)
+    v = np.asarray(v, dtype=float)
+    Sb, Sb_far = sinpow_cum(N, np.stack([b, np.pi - b]))
+
+    def integral(x):  # int_b^x sin^{N-1}
+        Sx, Sx_far = sinpow_cum(N, np.stack([x, np.pi - x]))
+        diff = np.where(b + x <= np.pi, Sx - Sb, Sb_far - Sx_far)
+        mid, half = 0.5 * (x + b), 0.5 * (x - b)
+        nodes = mid[..., None] + half[..., None] * _GL_NODES
+        gauss = half * (np.abs(np.sin(nodes)) ** (N - 1) @ _GL_WEIGHTS)
+        return np.where(x - b <= 0.25 * np.minimum(b, np.pi - x), gauss, diff)
+
+    mass = integral(b + D)
+    rhs = v * mass
+    left = 2.0 * b + D <= np.pi
+    x = _sinpow_inv(N, np.where(left, Sb + rhs, Sb_far - rhs))
+    R = np.clip(np.where(left, x, np.pi - x), b, b + D)
+    for _ in range(4):
+        df = np.abs(np.sin(R)) ** (N - 1)
+        step = (integral(R) - rhs) / np.where(df > 0.0, df, np.inf)
+        R = np.clip(R - step, b, b + D)
+        if np.all(np.abs(step) <= 2.0 * np.spacing(R)):
+            break
+    R = np.where(v <= 0.0, b, np.where(v >= 1.0, b + D, R))
+    return R, mass
+
+
+def _g(N, b, v, D):
+    """(g(b, v), R(b, v)), vectorized over b and v."""
+    R, mass = _solve_R(N, b, v, D)
+    return np.abs(np.sin(R)) ** (N - 1) / mass, R  # |sin|: R may pass 0 or pi by 1e-9
+
+
+def _check_split(N, b, v, D):
+    if not N > 1:
+        raise ParameterDomainError("N must exceed 1")
+    if not 0.0 <= v <= 1.0:
+        raise ParameterDomainError("volume fraction v must lie in [0, 1]")
+    if not (D > 0.0 and b >= -1e-12 and b + D <= math.pi + 1e-9):
+        raise ParameterDomainError("window [b, b+D] must have D > 0 and sit inside [0, pi]")
 
 
 def solve_R(N, b, v, D):
     """The unique R in [b, b+D] with int_b^R sin^{N-1} = v * int_b^{b+D} sin^{N-1}.
 
-    Monotone bisection bracketing followed by a Newton polish; residual is
-    driven below 1e-12 of the right-hand side.
+    Seeded by the inverse incomplete beta (`scipy.special.betaincinv`) and
+    polished by Newton steps (see `_solve_R`). The residual is below 1e-12
+    of the right-hand side, or below the rounding of R and of the right-hand
+    side to doubles where that is larger (R within one ulp of the root).
     """
-    if not 0.0 <= v <= 1.0:
-        raise ParameterDomainError("volume fraction v must lie in [0, 1]")
-    if b < -1e-12 or b + D > math.pi + 1e-9:
-        raise ParameterDomainError("window [b, b+D] must sit inside [0, pi]")
-    if v == 0.0:
-        return float(b)
-    if v == 1.0:
-        return float(b + D)
-    rhs = v * float(_sinpow_int(N, b, b + D))
-    lo, hi = b, b + D
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if float(_sinpow_int(N, b, mid)) < rhs:
-            lo = mid
-        else:
-            hi = mid
-    R = 0.5 * (lo + hi)
-    for _ in range(8):
-        f = float(_sinpow_int(N, b, R)) - rhs
-        df = math.sin(R) ** (N - 1)
-        if df <= 0:
-            break
-        R = min(max(R - f / df, b), b + D)
-        if abs(f) <= 1e-12 * max(rhs, 1e-300):
-            break
-    return float(R)
+    _check_split(N, b, v, D)
+    return float(_solve_R(N, b, v, D)[0])
 
 
 def g_eval(N, b, v, D):
     """g(b, v) = sin^{N-1}(R(b,v)) / int_b^{b+D} sin^{N-1}."""
-    R = solve_R(N, b, v, D)
-    return math.sin(R) ** (N - 1) / float(_sinpow_int(N, b, b + D))
+    _check_split(N, b, v, D)
+    return float(_g(N, b, v, D)[0])
 
 
 def profile(q: ProfileQuery, n_scan=129, tol=1e-9) -> ProfileResult:
@@ -93,11 +143,11 @@ def profile(q: ProfileQuery, n_scan=129, tol=1e-9) -> ProfileResult:
     """
     N, D, v = q.N, q.D, q.v
     if D >= math.pi:
-        val = g_eval(N, 0.0, v, math.pi)
-        return ProfileResult(val, 0.0, solve_R(N, 0.0, v, math.pi), 1)
+        val, R = _g(N, 0.0, v, math.pi)
+        return ProfileResult(float(val), 0.0, float(R), 1)
     evals = 0
     bs = np.linspace(0.0, math.pi - D, n_scan)
-    gs = np.array([g_eval(N, b, v, D) for b in bs])
+    gs = _g(N, bs, v, D)[0]
     evals += n_scan
     i = int(np.argmin(gs))
     a_ = bs[max(i - 1, 0)]
@@ -117,8 +167,8 @@ def profile(q: ProfileQuery, n_scan=129, tol=1e-9) -> ProfileResult:
             fd = g_eval(N, d_, v, D)
         evals += 1
     bstar = 0.5 * (a_ + b_)
-    return ProfileResult(g_eval(N, bstar, v, D), float(bstar),
-                         solve_R(N, bstar, v, D), evals + 1)
+    val, R = _g(N, bstar, v, D)
+    return ProfileResult(float(val), float(bstar), float(R), evals + 1)
 
 
 @dataclass(frozen=True)
@@ -129,26 +179,31 @@ class OdeResidualReport:
 
 def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
     """Finite-difference check of (I_N^{N/(N-1)})'' I_N^{(N-2)/(N-1)} = -N."""
+    if not N > 1:
+        raise ParameterDomainError("N must exceed 1")
+    if not step > 0.0:
+        raise ParameterDomainError("step must be positive")
+    vs = np.asarray(v_grid, dtype=float)
+    inside = (vs - step > 0.0) & (vs + step < 1.0)
+    kept = vs[inside]
+    Im, I0, Ip = (_g(N, 0.0, kept + d, math.pi)[0] for d in (-step, 0.0, step))
     p = N / (N - 1.0)
-    worst = 0.0
-    excluded = []
-    for v in np.asarray(v_grid, dtype=float):
-        if v - step <= 0.0 or v + step >= 1.0:
-            excluded.append(float(v))
-            continue
-        Im = g_eval(N, 0.0, v - step, math.pi)
-        I0 = g_eval(N, 0.0, v, math.pi)
-        Ip = g_eval(N, 0.0, v + step, math.pi)
-        phi2 = (Im ** p - 2.0 * I0 ** p + Ip ** p) / step ** 2
-        res = phi2 * I0 ** ((N - 2.0) / (N - 1.0))
-        worst = max(worst, abs(res + N) / N)
-    return OdeResidualReport(worst, tuple(excluded))
+    phi2 = (Im ** p - 2.0 * I0 ** p + Ip ** p) / step ** 2
+    res = phi2 * I0 ** ((N - 2.0) / (N - 1.0))
+    worst = float(np.max(np.abs(res + N) / N, initial=0.0))
+    return OdeResidualReport(worst, tuple(float(v) for v in vs[~inside]))
+
+
+def _check_constant(N, D):
+    if not N > 1:
+        raise ParameterDomainError("N must exceed 1")
+    if not 0.0 < D <= math.pi:
+        raise ParameterDomainError("need 0 < D <= pi")
 
 
 def bbg_constant(N, D):
     """C_{N,D} = (int_0^{pi/2} cos^{N-1} / int_0^{D/2} cos^{N-1})^{1/N} >= 1."""
-    if not 0.0 < D <= math.pi:
-        raise ParameterDomainError("need 0 < D <= pi")
+    _check_constant(N, D)
     half = float(sinpow_cum(N, math.pi / 2))
     tail = float(sinpow_cum(N, (math.pi - D) / 2))  # int_{D/2}^{pi/2} cos^{N-1}
     return ((half) / (half - tail)) ** (1.0 / N)
@@ -156,6 +211,7 @@ def bbg_constant(N, D):
 
 def c_squared_minus_one(N, D):
     """C_{N,D}^2 - 1 without cancellation (log1p/expm1 route)."""
+    _check_constant(N, D)
     half = float(sinpow_cum(N, math.pi / 2))
     tail = float(sinpow_cum(N, (math.pi - D) / 2))
     x = tail / (half - tail)
@@ -164,13 +220,13 @@ def c_squared_minus_one(N, D):
 
 def bbg_ratio_check(N, D, v_grid):
     """min over v of I_{N,D}(v)/I_N(v) - C_{N,D}; >= -1e-7 certifies the bound."""
+    vs = np.asarray(v_grid, dtype=float)
+    if vs.size == 0:
+        raise ParameterDomainError("v_grid is empty")
     C = bbg_constant(N, D)
-    worst = math.inf
-    for v in np.asarray(v_grid, dtype=float):
-        num = profile(ProfileQuery(N, D, float(v))).value
-        den = g_eval(N, 0.0, float(v), math.pi)
-        worst = min(worst, num / den - C)
-    return float(worst)
+    num = np.array([profile(ProfileQuery(N, D, float(v))).value for v in vs])
+    den = _g(N, 0.0, vs, math.pi)[0]
+    return float(np.min(num / den - C))
 
 
 @dataclass(frozen=True)
@@ -183,6 +239,8 @@ class AsymptoticResult:
 def asymptotic_constant(N, D_sweep) -> AsymptoticResult:
     """Ratios (pi-D)^N/(C^2_{N,D}-1) along a sweep D -> pi, with extrapolation."""
     Ds = np.asarray(D_sweep, dtype=float)
+    if Ds.size == 0:
+        raise ParameterDomainError("D_sweep is empty")
     if np.any(Ds >= math.pi) or np.any(np.diff(Ds) <= 0):
         raise ParameterDomainError("D_sweep must increase strictly toward pi")
     eps = math.pi - Ds

@@ -185,7 +185,7 @@ def asymptotic_rate_constant(N):
 
 def lichnerowicz_check(w: WeightedInterval, lam1) -> LichnerowiczReport:
     """Margins of the improved spectral gap lambda_1 >= N C^2_{N,D}."""
-    N, D = w.N, w.grid.D
+    N, D = w.N, min(w.grid.D, math.pi)  # Grid admits D up to pi + 1e-12
     c2 = 1.0 + c_squared_minus_one(N, D)
     dfc = lam1 - N
     lower = asymptotic_rate_constant(N) * (math.pi - D) ** N

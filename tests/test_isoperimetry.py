@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obatalab.errors import ParameterDomainError
 from obatalab.isoperimetry import (
@@ -36,6 +38,64 @@ def test_solve_R_half_mass_closed_form():
     assert solve_R(2.0, 0.0, 0.5, math.pi / 2) == pytest.approx(math.pi / 3, abs=1e-10)
 
 
+def _sinpow_integral(N, a, x):
+    """int_a^x |sin|^{N-1} in mpmath, integrand scaled to O(1) so quad's
+    tolerance is relative even for tiny windows."""
+    a, x = mp.mpf(a), mp.mpf(x)
+    if x == a:
+        return mp.mpf(0)
+    f = lambda t: abs(mp.sin(t)) ** (N - 1)  # noqa: E731
+    ref = max(f(a), f(x), f((a + x) / 2))
+    return mp.quad(lambda u: f(a + (x - a) * u) / ref, [0, 1]) * (x - a) * ref
+
+
+def _split_error(N, b, v, D, R):
+    """(|int_b^R - v int_b^{b+D}|, v int_b^{b+D}) at 40 digits."""
+    with mp.workdps(40):
+        rhs = mp.mpf(v) * _sinpow_integral(N, b, mp.mpf(b) + mp.mpf(D))
+        return float(abs(_sinpow_integral(N, b, R) - rhs)), float(rhs)
+
+
+def test_gauss_legendre_table():
+    from obatalab.isoperimetry import _GL_NODES, _GL_WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.abs(_GL_NODES - nodes).max() <= 4e-16
+    assert np.abs(_GL_WEIGHTS - weights).max() <= 4e-16
+
+
+def test_solve_R_residual_contract_over_scan():
+    # R ~ pi/2 on this scan, where the direct beta ratio was ill-conditioned
+    N, D, v = 1.5, 1.0, 0.5
+    for b in np.linspace(0.0, math.pi - D, 129):
+        err, rhs = _split_error(N, b, v, D, solve_R(N, b, v, D))
+        assert err <= 1e-12 * rhs, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(N=st.floats(1.0, 8.0, exclude_min=True),
+       D=st.floats(0.0, math.pi, exclude_min=True),
+       b_frac=st.floats(0.0, 1.0), v1=st.floats(0.0, 1.0), v2=st.floats(0.0, 1.0))
+def test_solve_R_contract_property(N, D, b_frac, v1, v2):
+    b = (math.pi - D) * b_frac
+    v1, v2 = sorted((v1, v2))
+    R1, R2 = solve_R(N, b, v1, D), solve_R(N, b, v2, D)
+    assert b <= R1 <= R2 <= b + D
+    err, rhs = _split_error(N, b, v1, D, R1)
+    # below 1e-12 * rhs the contract is the rounding of R and of rhs to doubles
+    floor = math.sin(R1) ** (N - 1) * np.spacing(R1) + np.spacing(rhs)
+    assert err <= 1e-12 * rhs + floor
+
+
+def test_solve_R_domain():
+    # N <= 1, a NaN b and D <= 0 used to return a value (R = -1 for D = -1)
+    for args in ((1.0, 0.0, 0.5, 2.0), (0.5, 0.0, 0.5, 2.0), (2.0, math.nan, 0.5, 1.0),
+                 (2.0, 0.0, 0.5, -1.0), (2.0, 0.0, 0.5, 0.0), (2.0, 0.0, 1.5, 1.0)):
+        for fn in (solve_R, g_eval):
+            with pytest.raises(ParameterDomainError):
+                fn(*args)
+
+
 def test_solve_R_monotone_in_v():
     vs = np.linspace(0.05, 0.95, 19)
     Rs = [solve_R(3.0, 0.2, v, 2.5) for v in vs]
@@ -50,6 +110,12 @@ def test_solve_R_monotone_in_v():
 def test_g_closed_forms():
     assert g_eval(2.0, 0.0, 0.5, math.pi / 2) == pytest.approx(math.sin(math.pi / 3), abs=1e-10)
     assert g_eval(2.0, 0.0, 0.5, math.pi) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_g_window_edge_tolerance():
+    # the window may pass pi by 1e-9; g used to come back complex there
+    val = g_eval(2.5, 0.0, 1.0, math.pi + 1e-10)
+    assert isinstance(val, float) and 0.0 <= val < 1e-15
 
 
 def test_g_symmetry_pair():
@@ -129,6 +195,30 @@ def test_profile_ode_excluded_band():
     assert rep.excluded == (0.0005, 0.9995)
 
 
+def test_profile_ode_residual_matches_scalar_loop():
+    # reference: the per-v loop over g_eval; the batched solve may differ in
+    # the last bits of I, which the 1/step^2 difference quotient amplifies
+    N, step = 3.0, 1e-3
+    vs = np.linspace(0.1, 0.9, 9)
+    p = N / (N - 1.0)
+    worst = 0.0
+    for v in vs:
+        Im, I0, Ip = (g_eval(N, 0.0, v + d, math.pi) for d in (-step, 0.0, step))
+        res = (Im ** p - 2.0 * I0 ** p + Ip ** p) / step ** 2 * I0 ** ((N - 2.0) / (N - 1.0))
+        worst = max(worst, abs(res + N) / N)
+    got = profile_ode_residual(N, vs, step).max_residual
+    assert got == pytest.approx(worst, abs=64 * np.finfo(float).eps / step ** 2)
+
+
+def test_profile_ode_residual_domain():
+    for step in (0.0, -1e-3):
+        with pytest.raises(ParameterDomainError):
+            profile_ode_residual(2.0, [0.5], step=step)
+    for N in (1.0, 0.5):
+        with pytest.raises(ParameterDomainError):
+            profile_ode_residual(N, [0.5])
+
+
 def test_profile_power_midpoint_concave():
     # I_N^{N/(N-1)} is concave on (0,1); test midpoint concavity on triples
     for N in (2.0, 3.0):
@@ -177,8 +267,33 @@ def test_c_squared_minus_one_no_cancellation():
     assert 0.0 < val < 1e-15
 
 
+def test_c_squared_minus_one_domain():
+    # used to return 0.0, NaN with a RuntimeWarning, and ZeroDivisionError
+    for D in (4.0, -1.0, 0.0):
+        with pytest.raises(ParameterDomainError):
+            c_squared_minus_one(2.0, D)
+    for N in (1.0, -1.0):  # -1 used to raise ZeroDivisionError
+        for fn in (c_squared_minus_one, bbg_constant):
+            with pytest.raises(ParameterDomainError):
+                fn(N, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # ratio check and asymptotics
+
+
+def test_bbg_ratio_empty_grid_raises():
+    # an empty grid used to return +inf, which reads as a certified margin
+    with pytest.raises(ParameterDomainError):
+        bbg_ratio_check(2.0, 2.0, [])
+
+
+def test_bbg_ratio_matches_scalar_loop():
+    N, D, vs = 3.0, 2.5, [0.2, 0.5, 0.8]
+    C = bbg_constant(N, D)
+    ref = min(profile(ProfileQuery(N, D, v)).value / g_eval(N, 0.0, v, math.pi) - C
+              for v in vs)
+    assert bbg_ratio_check(N, D, vs) == pytest.approx(ref, abs=1e-14)
 
 
 def test_bbg_ratio_identity_at_pi():
@@ -217,3 +332,9 @@ def test_asymptotic_sweep_validation():
         asymptotic_constant(2.0, [3.0, 2.9, 3.1])
     with pytest.raises(ParameterDomainError):
         asymptotic_constant(2.0, [3.0, 3.1, math.pi])
+
+
+def test_asymptotic_empty_sweep_raises():
+    # used to raise IndexError
+    with pytest.raises(ParameterDomainError):
+        asymptotic_constant(2.0, [])

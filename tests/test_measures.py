@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -175,6 +176,22 @@ def test_sinpow_cum_endpoints():
     assert sinpow_cum(2.0, math.pi) == pytest.approx(omega(2.0), abs=1e-12)
     assert sinpow_cum(3.0, math.pi / 2) == pytest.approx(omega(3.0) / 2, abs=1e-12)
     assert sinpow_cum(2.5, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("N", [1.5, 2.0, 3.0, 5.0])
+def test_sinpow_cum_matches_mpmath(N):
+    # around pi/2 the direct beta ratio I_{sin^2 x}(N/2, 1/2) loses up to
+    # 1e-8 relative; the complement branch keeps a few ulps
+    h = math.pi / 2
+    switch = math.asin(math.sqrt(N / (N + 1.0)))  # where sinpow_cum changes branch
+    xs = [1e-3, 0.3, math.pi / 4, 1.0, switch - 1e-9, switch + 1e-9,
+          h - 1e-6, h + 1e-6, h - 1e-8, h + 1e-8, h, 2.0, 2.5, 3.0, math.pi - 1e-3]
+    got = sinpow_cum(N, np.array(xs))
+    with mp.workdps(40):
+        for x, val in zip(xs, got):
+            x_mp = mp.mpf(x)
+            ref = mp.quad(lambda t: mp.sin(t) ** (N - 1), [0, min(x_mp, mp.pi / 2), x_mp])
+            assert abs(val - ref) <= 1e-14 * ref, x
 
 
 def test_model_density_midpoint_value():

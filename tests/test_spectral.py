@@ -180,6 +180,14 @@ def test_lichnerowicz_model_equality_case():
     assert rep.diam_ok
 
 
+def test_lichnerowicz_grid_just_past_pi():
+    # Grid admits D up to pi + 1e-12; (pi - D)^N used to turn complex there
+    g = Grid.uniform(math.pi + 5e-13, 1024)
+    w = WeightedInterval(grid=g, h=np.abs(np.sin(g.nodes)) ** 1.5, K=1.5, N=2.5)
+    rep = lichnerowicz_check(w, 2.5)
+    assert rep.c_squared == 1.0 and rep.diam_lower == 0.0 and rep.margin == 0.0
+
+
 def test_lichnerowicz_truncated_positive_margin():
     w = truncated_model(2.0, 3.0, 2048)
     lam = float(neumann_eigs(w, 1).eigenvalues[0])
