@@ -31,7 +31,6 @@ from .measures import (
     cd_check_differential,
     envelope_check,
     generate_cd_density,
-    integrate,
     load_density_csv,
     model_density,
     omega,

@@ -145,12 +145,13 @@ def _build_interval(config: RunConfig):
         if kappa is None:
             kappa = N - 1.0
         return load_density_csv(p["density"], K=kappa, N=N)
-    D = p.get("diam") or math.pi
+    D = math.pi if p.get("diam") is None else p["diam"]
     return model_density(N, Grid.uniform(D, config.grid))
 
 
 def _run_spectrum(config: RunConfig) -> _Artifact:
-    k = int(config.params.get("k") or 1)
+    k = config.params.get("k")
+    k = 1 if k is None else int(k)
     w = _build_interval(config)
     res = neumann_eigs(w, k=k)
     rows = []

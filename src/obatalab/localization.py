@@ -23,7 +23,7 @@ from .errors import (
     ParameterDomainError,
     UndefinedQuotientError,
 )
-from .measures import Grid, WeightedInterval, load_density_csv, model_density
+from .measures import Grid, WeightedInterval, first_diff, load_density_csv, model_density
 from .spectral import asymptotic_rate_constant
 
 SCHEMA = "rayfam-v1"
@@ -165,7 +165,7 @@ def global_deficit(f: RayFamily) -> DeficitLedger:
     grad2 = []
     emass = []
     for r in f.rays:
-        du = np.gradient(r.u, r.w.grid.nodes, edge_order=2)
+        du = first_diff(r.w.grid.nodes, r.u)
         grad2.append(r.w.mean(du * du))
         emass.append(r.w.mean(r.e))
     grad2 = np.array(grad2)
@@ -302,7 +302,7 @@ def bad_set_energy(f: RayFamily, ledger: DeficitLedger, Q_long=None) -> BadSetRe
     for i, r in enumerate(f.rays):
         if i in sel:
             continue
-        du = np.gradient(r.u, r.w.grid.nodes, edge_order=2)
+        du = first_diff(r.w.grid.nodes, r.u)
         value += r.weight * r.w.mean(du * du + r.e)
     delta_eff = max(ledger.delta, 0.0)
     if delta_eff > 1.0:
@@ -693,13 +693,7 @@ def _build_u(kind, params, N, grid, base):
         s = float(params.get("s", 0.0))
         return scale * amp * (np.cos(t) + s * np.sin(2.0 * t))
     if kind == "csv":
-        path = params.get("path")
-        if not path:
-            raise ConfigError("csv u needs a path")
-        tt, uu = _load_samples_csv(os.path.join(base, path))
-        if len(tt) != len(t) or np.max(np.abs(tt - t)) > 1e-9:
-            raise ConfigError(f"{path}: samples do not match the ray grid")
-        return uu
+        return _load_on_grid("u", params, grid, base)
     raise ConfigError(f"unknown u kind {kind!r}")
 
 
@@ -712,24 +706,28 @@ def _build_e(kind, params, grid, base):
             raise ConfigError("constant orthogonal energy must be >= 0")
         return np.full(len(grid.nodes), value)
     if kind == "csv":
-        path = params.get("path")
-        if not path:
-            raise ConfigError("csv e needs a path")
-        tt, ee = _load_samples_csv(os.path.join(base, path))
-        if len(tt) != len(grid.nodes) or np.max(np.abs(tt - grid.nodes)) > 1e-9:
-            raise ConfigError(f"{path}: samples do not match the ray grid")
-        return ee
+        return _load_on_grid("e", params, grid, base)
     raise ConfigError(f"unknown e kind {kind!r}")
 
 
-def _load_samples_csv(path):
+def _load_on_grid(what, params, grid, base):
+    # second column of a `t,<what>` CSV whose first column is the ray grid
+    path = params.get("path")
+    if not path:
+        raise ConfigError(f"csv {what} needs a path")
+    full = os.path.join(base, path)
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float)
+        data = np.loadtxt(full, delimiter=",", skiprows=1, dtype=float)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: unreadable samples file ({exc})") from exc
+        raise ConfigError(f"{full}: unreadable samples file ({exc})") from exc
     if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError(f"{path}: expected two columns")
-    return data[:, 0], data[:, 1]
+        raise ConfigError(f"{full}: expected two columns")
+    if not np.all(np.isfinite(data[:, :2])):
+        raise ConfigError(f"{path}: non-finite sample")
+    tt = data[:, 0]
+    if len(tt) != len(grid.nodes) or np.max(np.abs(tt - grid.nodes)) > 1e-9:
+        raise ConfigError(f"{path}: samples do not match the ray grid")
+    return data[:, 1]
 
 
 def load_family(path) -> RayFamily:

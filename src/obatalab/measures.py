@@ -2,18 +2,19 @@
 
 A weighted interval is ([0, D], |.|, h dt) with a node-sampled density h,
 interpolated piecewise-linearly between nodes. This module owns the L2(m)
-algebra on weighted intervals (moments, normalisation, sign fits), the
-distortion coefficients sigma/tau, the model density sin^{N-1}/omega_N,
-verification of the CD(K,N) concavity inequality (integral and differential
-forms), a seeded generator of CD densities, and the envelope estimates that
-compare a density of diameter D to the model as D -> pi.
+algebra on weighted intervals (moments, normalisation, sign fits), the two
+derivative stencils every other module uses, the distortion coefficients
+sigma/tau, the model density sin^{N-1}/omega_N, verification of the CD(K,N)
+concavity inequality (integral and differential forms), a seeded generator
+of CD densities, and the envelope estimates that compare a density of
+diameter D to the model as D -> pi.
 """
 import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 from scipy.special import betainc, beta as beta_fn
 
 from .errors import (
@@ -43,6 +44,8 @@ class Grid:
     def __post_init__(self):
         t = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", t)
+        if not 0.0 < self.D <= math.pi + 1e-12:
+            raise ParameterDomainError("need 0 < D <= pi")
         if t.ndim != 1 or len(t) < 16:
             raise ParameterDomainError("grid needs at least 16 nodes")
         if abs(t[0]) > 1e-12:
@@ -51,8 +54,6 @@ class Grid:
             raise ParameterDomainError("grid nodes must be strictly increasing")
         if abs(t[-1] - self.D) > 1e-12:
             raise ParameterDomainError("last node must equal D")
-        if not 0.0 < self.D <= math.pi + 1e-12:
-            raise ParameterDomainError("need 0 < D <= pi")
         if self.n != len(t) - 1:
             raise ParameterDomainError("n must equal len(nodes) - 1")
 
@@ -116,6 +117,11 @@ class WeightedInterval:
         return tuple(self.mean((u - s * g) ** 2) for s in (1.0, -1.0))
 
 
+def first_diff(t, u):
+    """Central first difference, one-sided second order at the two ends."""
+    return np.gradient(u, t, edge_order=2)
+
+
 def second_diff(t, u):
     """3-point second difference at interior nodes (zero at the two ends);
     reduces to (u+ - 2u + u-)/dt^2 on uniform grids."""
@@ -141,6 +147,8 @@ def load_density_csv(path, K, N):
         raise ConfigError(f"{path}: need at least 16 rows, got {len(rows)}")
     t = np.array([r[0] for r in rows])
     h = np.array([r[1] for r in rows])
+    if not (np.isfinite(t).all() and np.isfinite(h).all()):
+        raise ConfigError(f"{path}: non-finite value")
     if np.any(np.diff(t) <= 0):
         raise ConfigError(f"{path}: t column must be strictly increasing")
     if np.any(h < 0):
@@ -461,7 +469,7 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
 
 
 # ---------------------------------------------------------------------------
-# envelope and quadrature
+# envelope
 
 
 @dataclass(frozen=True)
@@ -512,14 +520,3 @@ def envelope_check(w: WeightedInterval, r=None) -> EnvelopeReport:
         eps=eps,
     )
 
-
-def integrate(w: WeightedInterval, f, rule="trapezoid"):
-    """int f h dt over the grid; rule is 'trapezoid' (default) or 'simpson'."""
-    f = np.asarray(f, dtype=float)
-    if len(f) != len(w.grid.nodes):
-        raise ValueError("sample count mismatch between f and grid")
-    if rule == "trapezoid":
-        return float(np.trapezoid(f * w.h, w.grid.nodes))
-    if rule == "simpson":
-        return float(simpson(f * w.h, x=w.grid.nodes))
-    raise ValueError(f"unknown quadrature rule {rule!r}")

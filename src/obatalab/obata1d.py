@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .measures import Grid, WeightedInterval, generate_cd_density, model_density
+from .measures import Grid, WeightedInterval, first_diff, generate_cd_density, model_density
 from .spectral import (
     asymptotic_rate_constant,
     cosine_distance,
@@ -344,8 +344,8 @@ def eigen_comparison_check(w: WeightedInterval, v, guard=0.1) -> EigenComparison
     rhs = rayleigh(w, vn) - lam1
     overlap = w.mean(vn * u1)
 
-    du1 = np.gradient(u1, t, edge_order=2)
-    dv = np.gradient(vn, t, edge_order=2)
+    du1 = first_diff(t, u1)
+    dv = first_diff(t, vn)
     lhs = min(a + b for a, b in zip(w.sign_distances(vn, u1),
                                     w.sign_distances(dv, du1)))
 

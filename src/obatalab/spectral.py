@@ -22,7 +22,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .isoperimetry import bbg_constant, c_squared_minus_one
-from .measures import WeightedInterval, integrate, omega, second_diff
+from .measures import WeightedInterval, first_diff, omega, second_diff
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,11 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     rayq = ray[1:]
 
     # residual of the strong form at interior nodes, independent stencils
-    dh = np.gradient(h, t, edge_order=2)
+    dh = first_diff(t, h)
     residuals = np.empty(len(lams))
     for j in range(len(lams)):
         uu = funcs[:, j]
-        du = np.gradient(uu, t, edge_order=2)
+        du = first_diff(t, uu)
         d2 = second_diff(t, uu)
         r = h * d2 + dh * du + lams[j] * h * uu
         residuals[j] = float(np.max(np.abs(r[1:-1])))
@@ -157,7 +157,7 @@ def rayleigh(w: WeightedInterval, u):
     Central differences for u' (one-sided second order at the ends),
     trapezoid quadrature against h.
     """
-    du = np.gradient(w.standardize(u), w.grid.nodes, edge_order=2)
+    du = first_diff(w.grid.nodes, w.standardize(u))
     return w.mean(du * du)
 
 
@@ -275,23 +275,6 @@ class CosineReport:
     window_band: float   # same on [r - eta, r + eta]
 
 
-def _deriv2_4th(t, u):
-    # 4th-order stencils on uniform grids; falls back to gradient pairs otherwise
-    dt0 = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt0, rtol=1e-9, atol=0.0):
-        return np.gradient(np.gradient(u, t, edge_order=2), t, edge_order=2)
-    n = len(t)
-    d2 = np.zeros(n)
-    d2[2:-2] = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * dt0 ** 2)
-    cl = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12 * dt0 ** 2)
-    cr = cl[::-1].copy()
-    d2[0] = cl @ u[0:6]
-    d2[1] = cl @ u[1:7]
-    d2[-1] = cr @ u[-6:]
-    d2[-2] = cr @ u[-7:-1]
-    return d2
-
-
 def cosine_distance(w: WeightedInterval, u, shift=0.0):
     """min over sign of (L2, W12) distances of u to +-sqrt(N+1) cos(. + shift).
 
@@ -301,7 +284,7 @@ def cosine_distance(w: WeightedInterval, u, shift=0.0):
     t = w.grid.nodes
     c = math.sqrt(w.N + 1.0) * np.cos(t + shift)
     dc = -math.sqrt(w.N + 1.0) * np.sin(t + shift)
-    du = np.gradient(u, t, edge_order=2)
+    du = first_diff(t, u)
     l2_plus, l2_minus = w.sign_distances(u, c)
     d_plus, d_minus = w.sign_distances(du, dc)
     if l2_plus + d_plus <= l2_minus + d_minus:
@@ -312,26 +295,24 @@ def cosine_distance(w: WeightedInterval, u, shift=0.0):
 def cosine_decompose(w: WeightedInterval, u_star, lam, r=None, eta=None) -> CosineReport:
     """Split an eigenfunction as u = u0 + alpha sin + beta cos.
 
-    z = u'' + u by 4th-order differences, u0 = green_apply(z), then (alpha,
-    beta) solve the 2x2 least-squares system of u - u0 against (sin, cos) in
-    L2(m). Reports distances to +-sqrt(N+1) cos and, when r is supplied, the
-    windowed distances on [0, r] and [r - eta, r + eta].
+    z = u'' + u by first differences applied twice, u0 = green_apply(z),
+    then (alpha, beta) solve the 2x2 least-squares system of u - u0 against
+    (sin, cos) in L2(m). Reports distances to +-sqrt(N+1) cos and, when r is
+    supplied, the windowed distances on [0, r] and [r - eta, r + eta].
     """
     t = w.grid.nodes
     u = np.asarray(u_star, dtype=float)
-    z = _deriv2_4th(t, u) + u
+    z = first_diff(t, first_diff(t, u)) + u
     g = green_apply(w, z)
     u0 = g.v0
     rdiff = u - u0
     st, ct = np.sin(t), np.cos(t)
-    a11 = integrate(w, st * st)
-    a12 = integrate(w, st * ct)
-    a22 = integrate(w, ct * ct)
-    gram = np.array([[a11, a12], [a12, a22]])
+    a12 = w.mean(st * ct)
+    gram = np.array([[w.mean(st * st), a12], [a12, w.mean(ct * ct)]])
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise ConditioningError(f"sin/cos normal system condition {cond:.3e}")
-    rhs = np.array([integrate(w, st * rdiff), integrate(w, ct * rdiff)])
+    rhs = np.array([w.mean(st * rdiff), w.mean(ct * rdiff)])
     alpha, beta = np.linalg.solve(gram, rhs)
     recon = u0 + alpha * st + beta * ct
     recon_err = float(np.max(np.abs(recon - u)))
@@ -436,7 +417,7 @@ def poincare_check(w: WeightedInterval, u, x, r, p=2) -> PoincareReport:
     pts = _breakpoints(t, a, b, extra)
     lhs = _segmented_simpson(lambda q: hf(q) * np.abs(uf(q) - ubar) ** p, pts) / den
 
-    du = np.gradient(u, t, edge_order=2)
+    du = first_diff(t, u)
 
     def df(q):
         return np.interp(q, t, du)

@@ -2,6 +2,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from obatalab.errors import ConfigError
@@ -163,11 +164,44 @@ def test_bad_usage_exits_1(run_cli, fixtures_dir):
         ("check-density", str(fixtures_dir / "nosuch.csv"), "--dim", "2"),
         ("sweep", "--dim", "2", "--family", "perturbed-cosine",
          "--points", "0.1,oops"),
+        ("spectrum", "--model", "--dim", "3", "--diam", "0"),
+        ("spectrum", "--model", "--dim", "3", "--k", "0"),
     ]
     for args in cases:
         proc, _ = run_cli(*args)
         assert proc.returncode == 1, args
         assert proc.stderr.strip().startswith("error:"), args
+
+
+def _write_samples(path, header, t, v):
+    path.write_text(header + "\n" + "".join(
+        f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, v)))
+    return path
+
+
+def test_non_finite_input_exits_1(run_cli, tmp_path):
+    # nan in an input file is invalid input, never a mathematical verdict
+    t = np.linspace(0.0, math.pi, 257)
+    h = np.sin(t)
+    h[100] = math.nan
+    dens = _write_samples(tmp_path / "nan_h.csv", "t,h", t, h)
+    u = math.sqrt(3.0) * np.cos(t)
+    u[100] = math.nan
+    _write_samples(tmp_path / "nan_u.csv", "t,u", t, u)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({
+        "schema": "rayfam-v1", "N": 2.0, "unspanned_mass": 0.0,
+        "rays": [{"weight": 1.0, "D": math.pi,
+                  "density": {"kind": "model", "n": 256},
+                  "u": {"kind": "csv", "path": "nan_u.csv"}}],
+    }))
+    for args in (("check-density", dens, "--dim", "2"),
+                 ("spectrum", "--density", dens, "--dim", "2"),
+                 ("localize", "--config", fam)):
+        proc, _ = run_cli(*args)
+        assert proc.returncode == 1, args
+        assert proc.stderr.strip().startswith("error:"), args
+        assert "non-finite" in proc.stderr, args
 
 
 def test_odd_grid_exits_1(run_cli):

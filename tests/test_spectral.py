@@ -349,17 +349,24 @@ def test_decompose_model_eigenfunction():
     assert rep.dist_L2 <= rep.dist_W12
 
 
+def _stretched_grid(n):
+    # smooth non-uniform nodes on [0, pi]: t = s - 0.1 sin 2s, s uniform
+    s = np.linspace(0.0, math.pi, n + 1)
+    return Grid(D=math.pi, n=n, nodes=s - 0.1 * np.sin(2.0 * s))
+
+
 def test_decompose_reconstruction_second_order():
     # recon error is pure discretization and shrinks ~4x per halving,
     # so the node-level identity u = u0 + alpha sin + beta cos holds
-    # to any tolerance in the grid limit
-    errs = []
-    for n in (2048, 4096):
-        w = model_density(2.0, Grid.uniform(math.pi, n))
-        res = neumann_eigs(w, k=1)
-        rep = cosine_decompose(w, res.eigenfunctions[:, 0], float(res.eigenvalues[0]))
-        errs.append(rep.recon_error)
-    assert 2.0 <= errs[0] / errs[1] <= 8.0
+    # to any tolerance in the grid limit, on uniform and stretched grids
+    for make_grid in (lambda n: Grid.uniform(math.pi, n), _stretched_grid):
+        errs = []
+        for n in (2048, 4096):
+            w = model_density(2.0, make_grid(n))
+            res = neumann_eigs(w, k=1)
+            rep = cosine_decompose(w, res.eigenfunctions[:, 0], float(res.eigenvalues[0]))
+            errs.append(rep.recon_error)
+        assert 2.0 <= errs[0] / errs[1] <= 8.0
 
 
 def test_decompose_alpha_sweep_stable():

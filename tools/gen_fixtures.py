@@ -27,6 +27,7 @@ import numpy as np
 
 import obatalab as ol
 from obatalab import localization as loc
+from obatalab.measures import first_diff
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "fixtures")
@@ -76,7 +77,7 @@ def _delta_q_of_s(N, w, s):
     t = w.grid.nodes
     u = np.cos(t) + s * np.sin(2.0 * t)
     uc = u - w.mean(u)
-    du = np.gradient(uc, t, edge_order=2)
+    du = first_diff(t, uc)
     return w.mean(du * du) / w.mean(uc * uc) - N
 
 
