@@ -43,7 +43,7 @@ def main():
     for s in (0.2, 0.1, 0.05):
         u = w.standardize(base + s * np.sin(2.0 * t))
         delta = rayleigh(w, u) - N
-        dec = cosine_decompose(w, u, N + delta)
+        dec = cosine_decompose(w, u)
         print(f"  s = {s:<5g} deficit = {delta:.6f}   "
               f"W12 dist = {dec.dist_W12:.6f}   "
               f"dist/sqrt(deficit) = {dec.dist_W12 / math.sqrt(delta):.4f}")

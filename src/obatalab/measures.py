@@ -87,8 +87,10 @@ class WeightedInterval:
             raise ParameterDomainError("density sample count must match grid nodes")
         if np.any(h < 0):
             raise ParameterDomainError("density must be non-negative")
-        if not self.N > 1:
-            raise ParameterDomainError("dimension parameter N must exceed 1")
+        if not 1 < self.N < math.inf:
+            raise ParameterDomainError("dimension parameter N must exceed 1 and be finite")
+        if not math.isfinite(self.K):
+            raise ParameterDomainError("curvature parameter K must be finite")
         if self.total_mass is None:
             object.__setattr__(
                 self, "total_mass", float(np.trapezoid(h, self.grid.nodes))

@@ -5,7 +5,14 @@ midpoint fluxes with a mass-lumped right side. Fluxes and masses are both
 assembled from cell-midpoint densities, so nothing ever divides by a nodal
 h value and densities vanishing at the endpoints (the model) need no special
 casing. A diagonal similarity turns the pencil into a symmetric tridiagonal
-standard problem solved by bisection + inverse iteration.
+standard problem. Grids of at most 4096 cells (or with an odd cell count) are
+solved directly by bisection + inverse iteration. A larger even grid is solved
+on its half grid first, recursively, and each half-grid eigenvector is
+interpolated linearly and polished by two steps of inverse iteration shifted
+by its half-grid eigenvalue; no bisection runs at that size. At every level
+the reported eigenvalue is the flux-form Rayleigh quotient of the computed
+eigenvector, a sum of positive terms that converges cleanly as O(grid^2),
+where bisection eigenvalues carry an absolute error of about eps n^2.
 """
 import math
 from dataclasses import dataclass
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     ConditioningError,
@@ -29,18 +37,20 @@ from .measures import WeightedInterval, first_diff, omega, second_diff
 class SpectralResult:
     """Lowest Neumann eigenpairs of a weighted interval.
 
-    eigenvalues: lambda_1 <= ... <= lambda_k (lambda_0 ~ 0 dropped, kept in lam0)
+    eigenvalues: lambda_1 <= ... <= lambda_k, each the discrete flux/mass
+        Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of its computed
+        eigenvector (lambda_0 ~ 0 dropped, kept in lam0; exactly 0 on a
+        refined grid, whose lambda_0 vector is the constant)
     eigenfunctions: column j is the j-th eigenfunction, L2(m)-normalized in the
         discrete mass inner product, zero m-mean, sign fixed positive at the
         first significant node
-    rayleigh: discrete flux/mass Rayleigh quotients of the computed
-        eigenvectors. They differ from the eigenvalues by the eigensolver's
-        roundoff, which grows with the grid (about eps n^2); the free-standing
-        rayleigh() op uses the central-difference definition instead and
-        agrees only to O(grid^2)
+    rayleigh: the same array as eigenvalues, kept as its own field (and CSV
+        column); the free-standing rayleigh() op uses the central-difference
+        definition instead and agrees only to O(grid^2)
     residuals: per pair, max over interior nodes of |h u'' + h' u' + lam h u|
     half_eigenvalues: lambda_1..lambda_k of the same density on the half grid
-        (every other node), signed; NaN unless has_half_grid(n) holds for the
+        (every other node), signed; on a refined grid they are the values the
+        refinement started from. NaN unless has_half_grid(n) holds for the
         n cells of the grid
     err_bar: |lambda(n) - lambda(n/2)| per pair; NaN without the half grid
     richardson: lambda(n) + (lambda(n) - lambda(n/2))/3, which removes the
@@ -65,6 +75,10 @@ class SpectralResult:
     @property
     def richardson(self):
         return self.eigenvalues + (self.eigenvalues - self.half_eigenvalues) / 3.0
+
+
+# grids above this many cells (with an even count) are refined from their half grid
+_DIRECT_CELLS = 4096
 
 
 def has_half_grid(n):
@@ -93,25 +107,108 @@ def _support_checks(h):
     hmid = 0.5 * (h[:-1] + h[1:])
     if np.any(hmid[span] == 0.0):
         raise DisconnectedSupportError("density vanishes on an interior subinterval")
+    if hmid[0] == 0.0 or hmid[-1] == 0.0:
+        raise DegenerateDensityError(
+            "density vanishes on a whole end cell, leaving an end node without mass")
+
+
+def _scaled(t, h):
+    """Flux, mass, 1/sqrt(mass) and the symmetric matrix diag s^2, -f s s."""
+    f, M, diag = _assemble(t, h)
+    s = 1.0 / np.sqrt(M)
+    return f, M, s, diag * s * s, -f * s[:-1] * s[1:]
+
+
+def _finish(u, f, M):
+    """M-normalise and sign-fix the columns of u in place; return their flux
+    Rayleigh quotients sum f (u_{i+1} - u_i)^2 / sum M u_i^2."""
+    ray = np.empty(u.shape[1])
+    for j in range(u.shape[1]):
+        uj = u[:, j]
+        du = np.diff(uj)
+        mass = float(np.sum(M * uj ** 2))
+        ray[j] = float(np.sum(f * du * du)) / mass
+        uj /= math.sqrt(mass)
+        a = np.abs(uj)
+        if uj[np.argmax(a > 1e-12 * np.max(a))] < 0:
+            uj *= -1.0
+    return ray
 
 
 def _solve_tridiagonal(t, h, k):
-    f, M, diag = _assemble(t, h)
-    s = 1.0 / np.sqrt(M)
-    vals, vecs = eigh_tridiagonal(diag * s * s, -f * s[:-1] * s[1:],
-                                  select="i", select_range=(0, k))
+    f, M, s, d, e = _scaled(t, h)
+    vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
     u = vecs * s[:, None]
-    for j in range(u.shape[1]):
-        u[:, j] /= math.sqrt(float(np.sum(M * u[:, j] ** 2)))
-        i0 = int(np.argmax(np.abs(u[:, j]) > 1e-12 * np.max(np.abs(u[:, j]))))
-        if u[i0, j] < 0:
-            u[:, j] *= -1.0
-    # discrete Rayleigh quotients in the same flux/mass forms as the solve
-    ray = np.empty(u.shape[1])
-    for j in range(u.shape[1]):
-        du = np.diff(u[:, j])
-        ray[j] = float(np.sum(f * du * du) / np.sum(M * u[:, j] ** 2))
-    return vals, u, ray
+    return _finish(u, f, M), u
+
+
+def _sign_changes(u):
+    sg = np.sign(u)
+    sg = sg[sg != 0.0]
+    return int(np.count_nonzero(sg[1:] != sg[:-1]))
+
+
+def _prolong(t, v):
+    """Columns of v, given on the half grid t[::2], interpolated linearly to t."""
+    theta = ((t[1::2] - t[:-1:2]) / (t[2::2] - t[:-1:2]))[:, None]
+    u = np.empty((len(t), v.shape[1]), order="F")
+    u[::2] = v
+    u[1::2] = v[:-1] + theta * (v[1:] - v[:-1])
+    return u
+
+
+def _inverse_iterate(d, e, y, shift):
+    """Two steps of inverse iteration on the symmetric tridiagonal (d, e)."""
+    dl, dd, du, du2, ipiv, info = dgttrf(e, d - shift, e, overwrite_d=1)
+    if info == 0:
+        for _ in range(2):
+            y = dgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=1)[0]
+    if info != 0 or not np.all(np.isfinite(y)):
+        raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
+    return y
+
+
+def _refine(t, h, u, shifts):
+    """Polish prolonged eigenvectors u (columns 0..k) on the grid t in place;
+    return their flux Rayleigh quotients.
+
+    Column j takes two steps of inverse iteration shifted by shifts[j], its
+    half-grid eigenvalue, in the symmetric form y = u/s of the direct solve;
+    column 0 becomes the constant. Pair j must change sign exactly j times
+    (Sturm oscillation: the off-diagonals are negative on the support), else
+    ConditioningError.
+    """
+    f, M, s, d, e = _scaled(t, h)
+    u[:, 0] = 1.0
+    for j in range(1, u.shape[1]):
+        y = u[:, j]
+        y /= s
+        y = _inverse_iterate(d, e, y, shifts[j])
+        np.multiply(y, s, out=u[:, j])
+    ray = _finish(u, f, M)
+    for j in range(1, u.shape[1]):
+        changes = _sign_changes(u[:, j])
+        if changes != j:
+            raise ConditioningError(
+                f"refined pair {j} changes sign {changes} times, not {j}")
+    return ray
+
+
+def _eigenpairs(t, h, k):
+    """Flux Rayleigh eigenvalues lambda_0..lambda_k, their eigenvectors, and the
+    half-grid eigenvalues when the pairs were refined from the half grid.
+
+    A grid of more than _DIRECT_CELLS cells with an even count is refined from
+    its half grid, recursively; smaller or odd grids are solved directly.
+    """
+    _support_checks(h)
+    n = len(t) - 1
+    if n > _DIRECT_CELLS and n % 2 == 0:
+        half, u = _eigenpairs(t[::2], h[::2], k)[:2]
+        u = _prolong(t, u)
+        return _refine(t, h, u, half), u, half
+    ray, u = _solve_tridiagonal(t, h, k)
+    return ray, u, None
 
 
 def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
@@ -120,12 +217,11 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         raise ParameterDomainError("need k >= 1")
     t = w.grid.nodes
     h = w.h
-    _support_checks(h)
-    vals, u, ray = _solve_tridiagonal(t, h, k)
-    lam0 = float(vals[0])
+    vals, u, half = _eigenpairs(t, h, k)
+    if half is None and has_half_grid(len(t) - 1):
+        half = _eigenpairs(t[::2], h[::2], k)[0]
     lams = vals[1:]
     funcs = u[:, 1:]
-    rayq = ray[1:]
 
     # residual of the strong form at interior nodes, independent stencils
     dh = first_diff(t, h)
@@ -137,17 +233,13 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         r = h * d2 + dh * du + lams[j] * h * uu
         residuals[j] = float(np.max(np.abs(r[1:-1])))
 
-    half = np.full(len(lams), np.nan)
-    if has_half_grid(len(t) - 1):
-        half = _solve_tridiagonal(t[::2], h[::2], k)[0][1:]
-
     return SpectralResult(
-        eigenvalues=np.asarray(lams),
+        eigenvalues=lams,
         eigenfunctions=funcs,
-        rayleigh=rayq,
+        rayleigh=lams,
         residuals=residuals,
-        lam0=lam0,
-        half_eigenvalues=half,
+        lam0=float(vals[0]),
+        half_eigenvalues=np.full(len(lams), np.nan) if half is None else half[1:],
     )
 
 
@@ -292,7 +384,7 @@ def cosine_distance(w: WeightedInterval, u, shift=0.0):
     return -1.0, math.sqrt(l2_minus), math.sqrt(l2_minus + d_minus)
 
 
-def cosine_decompose(w: WeightedInterval, u_star, lam, r=None, eta=None) -> CosineReport:
+def cosine_decompose(w: WeightedInterval, u_star, r=None, eta=None) -> CosineReport:
     """Split an eigenfunction as u = u0 + alpha sin + beta cos.
 
     z = u'' + u by first differences applied twice, u0 = green_apply(z),

@@ -166,6 +166,8 @@ def test_bad_usage_exits_1(run_cli, fixtures_dir):
          "--points", "0.1,oops"),
         ("spectrum", "--model", "--dim", "3", "--diam", "0"),
         ("spectrum", "--model", "--dim", "3", "--k", "0"),
+        ("check-density", str(fixtures_dir / "model_n2.csv"), "--dim", "2",
+         "--kappa", "nan"),
     ]
     for args in cases:
         proc, _ = run_cli(*args)
@@ -202,6 +204,18 @@ def test_non_finite_input_exits_1(run_cli, tmp_path):
         assert proc.returncode == 1, args
         assert proc.stderr.strip().startswith("error:"), args
         assert "non-finite" in proc.stderr, args
+
+
+def test_zero_mass_end_node_exits_1(run_cli, tmp_path):
+    # h vanishing on a whole end cell leaves a node without lumped mass
+    t = np.linspace(0.0, 2.0, 65)
+    h = 1.0 + t
+    h[-3:] = 0.0
+    dens = _write_samples(tmp_path / "end_zero.csv", "t,h", t, h)
+    proc, _ = run_cli("spectrum", "--density", dens, "--dim", "2")
+    assert proc.returncode == 1
+    assert proc.stderr.strip().startswith("error:")
+    assert "end cell" in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_odd_grid_exits_1(run_cli):

@@ -68,6 +68,15 @@ def test_weighted_interval_rejects_small_N():
         WeightedInterval(grid=g, h=np.ones(33), K=0.0, N=1.0)
 
 
+def test_weighted_interval_rejects_non_finite_parameters():
+    # a nan K slipped through every K > 0 branch and passed cd_check
+    g = Grid.uniform(1.0, 32)
+    for K, N in ((math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
+                 (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ParameterDomainError):
+            WeightedInterval(grid=g, h=np.ones(33), K=K, N=N)
+
+
 def test_load_density_csv_roundtrip(tmp_path):
     g = Grid.uniform(2.0, 64)
     h = 1.0 + 0.1 * np.cos(g.nodes)

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from obatalab import spectral
 from obatalab.errors import (
+    ConditioningError,
     DegenerateDensityError,
     DisconnectedSupportError,
     ParameterDomainError,
@@ -120,6 +123,77 @@ def test_half_grid_values_need_exact_half():
     res = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 30)), k=2)
     assert np.isfinite(res.half_eigenvalues).all()
     assert np.array_equal(res.err_bar, np.abs(res.eigenvalues - res.half_eigenvalues))
+
+
+def test_zero_mass_end_node_raises():
+    # h vanishing on a whole end cell leaves that end node without lumped
+    # mass; this used to warn and then fail inside the eigensolver
+    g = Grid.uniform(1.0, 64)
+    for end in (slice(None, 3), slice(-3, None)):
+        h = 1.0 + g.nodes
+        h[end] = 0.0
+        w = WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDensityError, match="end cell"):
+                neumann_eigs(w, k=1)
+
+
+def test_richardson_gap_grid_independent():
+    # ROADMAP item 1: the gap lambda_1 - N of the truncated model no longer
+    # drifts with n (bisection's eps n^2 floor moved it 13% at N=3, 2^-7)
+    for N in (2.0, 3.0):
+        for k in range(3, 8):
+            D = math.pi - 2.0 ** -k
+            gaps = np.array([float(neumann_eigs(truncated_model(N, D, n)).richardson[0]) - N
+                             for n in (4096, 2 ** 14, 2 ** 16, 2 ** 18)])
+            assert np.max(np.abs(gaps / gaps[-1] - 1.0)) <= 1e-5, (N, k, gaps)
+
+
+def test_model_error_monotone_to_2_20():
+    for N in (2.0, 3.0):
+        errs = [abs(float(neumann_eigs(model_density(N, Grid.uniform(math.pi, 2 ** p)))
+                          .eigenvalues[0]) - N) for p in range(12, 21)]
+        assert all(b <= a for a, b in zip(errs, errs[1:])), (N, errs)
+
+
+def test_nested_matches_direct_solve():
+    # grids above 4096 cells are refined from their half grid; a direct
+    # bisection solve of the same grid gives the same pairs
+    cases = [model_density(3.0, Grid.uniform(math.pi, n)) for n in (8192, 2 ** 16)]
+    cases.append(generate_cd_density(2.5, 4, Grid.uniform(2.9, 8192)))
+    for w in cases:
+        res = neumann_eigs(w, k=2)
+        vals, vecs = spectral._solve_tridiagonal(w.grid.nodes, w.h, 2)
+        assert np.max(np.abs(res.eigenvalues / vals[1:] - 1.0)) <= 1e-10
+        assert np.max(np.abs(res.eigenfunctions - vecs[:, 1:])) <= 1e-8
+        assert np.array_equal(res.rayleigh, res.eigenvalues)
+
+
+def test_nested_half_grid_values_are_the_half_grid_solve():
+    lam_h = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 4096)), k=2).eigenvalues
+    res = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 8192)), k=2)
+    assert np.array_equal(res.half_eigenvalues, lam_h)
+    assert res.lam0 == 0.0  # lambda_0's refined vector is the constant
+
+
+def test_nested_pairs_have_sturm_sign_changes():
+    w = generate_cd_density(3.0, 2, Grid.uniform(2.8, 2 ** 16))
+    res = neumann_eigs(w, k=3)
+    assert [spectral._sign_changes(res.eigenfunctions[:, j]) for j in range(3)] == [1, 2, 3]
+
+
+def test_refine_rejects_wrong_index():
+    # shifting pair 1 by lambda_2 converges it onto the second eigenvector,
+    # which the sign-change count catches
+    t = Grid.uniform(1.0, 8192).nodes
+    h = np.exp(t)
+    half, u_half, _ = spectral._eigenpairs(t[::2], h[::2], 2)
+    spectral._refine(t, h, spectral._prolong(t, u_half), half)
+    wrong = half.copy()
+    wrong[1] = half[2]
+    with pytest.raises(ConditioningError, match="pair 1 changes sign 2 times"):
+        spectral._refine(t, h, spectral._prolong(t, u_half), wrong)
 
 
 def test_shooting_cross_check():
@@ -341,7 +415,7 @@ def test_cosine_distance_sign_minimises_w12():
 def test_decompose_model_eigenfunction():
     w = model_density(2.0, Grid.uniform(math.pi, 8192))
     res = neumann_eigs(w, k=1)
-    rep = cosine_decompose(w, res.eigenfunctions[:, 0], float(res.eigenvalues[0]))
+    rep = cosine_decompose(w, res.eigenfunctions[:, 0])
     assert abs(rep.alpha) <= 1e-6
     assert abs(rep.beta) == pytest.approx(math.sqrt(3.0), abs=1e-6)
     assert rep.u0_norm <= 1e-6
@@ -364,7 +438,7 @@ def test_decompose_reconstruction_second_order():
         for n in (2048, 4096):
             w = model_density(2.0, make_grid(n))
             res = neumann_eigs(w, k=1)
-            rep = cosine_decompose(w, res.eigenfunctions[:, 0], float(res.eigenvalues[0]))
+            rep = cosine_decompose(w, res.eigenfunctions[:, 0])
             errs.append(rep.recon_error)
         assert 2.0 <= errs[0] / errs[1] <= 8.0
 
@@ -380,7 +454,7 @@ def test_decompose_alpha_sweep_stable():
         w = build(4096)
         lam = float(neumann_eigs(w).richardson[0])
         res = neumann_eigs(w, k=1)
-        rep = cosine_decompose(w, res.eigenfunctions[:, 0], lam)
+        rep = cosine_decompose(w, res.eigenfunctions[:, 0])
         delta = lam - 2.0
         consts.append(abs(rep.alpha) / math.sqrt(delta))
     assert max(consts) / min(consts) <= 10.0
@@ -399,7 +473,7 @@ def test_decompose_beta_exponent():
         w = build(4096)
         lam = float(neumann_eigs(w).richardson[0])
         res = neumann_eigs(w, k=1)
-        rep = cosine_decompose(w, res.eigenfunctions[:, 0], lam)
+        rep = cosine_decompose(w, res.eigenfunctions[:, 0])
         dev = min(abs(math.sqrt(3.0) - rep.beta), abs(math.sqrt(3.0) + rep.beta))
         devs.append(dev)
         deltas.append(lam - 2.0)
@@ -410,7 +484,7 @@ def test_decompose_beta_exponent():
 def test_decompose_windows():
     w = model_density(2.0, Grid.uniform(math.pi, 4096))
     res = neumann_eigs(w, k=1)
-    rep = cosine_decompose(w, res.eigenfunctions[:, 0], float(res.eigenvalues[0]), r=0.4, eta=0.1)
+    rep = cosine_decompose(w, res.eigenfunctions[:, 0], r=0.4, eta=0.1)
     assert rep.window_0r <= 1e-6
     assert rep.window_band <= 1e-6
 
