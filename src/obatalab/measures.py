@@ -8,6 +8,10 @@ sigma/tau, the model density sin^{N-1}/omega_N, verification of the CD(K,N)
 concavity inequality (integral and differential forms), a seeded generator
 of CD densities, and the envelope estimates that compare a density of
 diameter D to the model as D -> pi.
+
+The generator builds exact CD(N-1, N) densities h = w^{N-1} from
+w'' = -(1 + a) w with a piecewise-constant excess a >= 0: on each piece w is
+a closed-form rotation, so the samples do not depend on the grid.
 """
 import csv
 import math
@@ -229,30 +233,35 @@ def _validate_query(q):
 
 
 def _sigma_raw(K, dim, t, theta):
-    # sigma^{(t)}_{K,dim}(theta) for any dim > 0; K <= 0 by sinh/linear extension
-    if theta == 0.0:
-        return t
-    if K > 0.0:
-        s = math.sqrt(K / dim)
-        if theta * s >= math.pi:
-            return math.inf
-        return math.sin(t * theta * s) / math.sin(theta * s)
-    if K == 0.0:
-        return t
-    s = math.sqrt(-K / dim)
-    return math.sinh(t * theta * s) / math.sinh(theta * s)
+    # sigma^{(t)}_{K,dim}(theta) for any dim > 0, elementwise over arrays t and
+    # theta; K <= 0 by the sinh/linear extension
+    t = np.asarray(t, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    out = t
+    if K != 0.0:
+        s = math.sqrt(abs(K) / dim)
+        b = theta * s
+        with np.errstate(all="ignore"):
+            if K > 0.0:
+                out = np.where(b >= math.pi, math.inf, np.sin(t * theta * s) / np.sin(b))
+            else:
+                # past b = 700 sinh overflows; there sinh(a)/sinh(b) is
+                # e^{a-b}(1 - e^{-2a}) to within e^{-1400}
+                out = np.where(b < 700.0, np.sinh(t * theta * s) / np.sinh(b),
+                               np.exp(t * b - b) * -np.expm1(-2.0 * t * b))
+    return np.where(theta == 0.0, t, out)
 
 
 def sigma_coeff(q: CoefficientQuery):
     """sigma^{(t)}_{K,N}(theta); +inf on the K > 0, theta >= pi sqrt(N/K) branch."""
     _validate_query(q)
-    return _sigma_raw(q.K, q.N, q.t, q.theta)
+    return float(_sigma_raw(q.K, q.N, q.t, q.theta))
 
 
 def tau_coeff(q: CoefficientQuery):
     """tau^{(t)}_{K,N}(theta) = t^{1/N} sigma^{(t)}_{K,N-1}(theta)^{1-1/N}."""
     _validate_query(q)
-    sig = _sigma_raw(q.K, q.N - 1.0, q.t, q.theta)
+    sig = float(_sigma_raw(q.K, q.N - 1.0, q.t, q.theta))
     if math.isinf(sig):
         return math.inf
     if sig == 0.0 or q.t == 0.0:
@@ -286,11 +295,34 @@ class CdVerdict:
         return self.passed
 
 
-def _cd_term(sig, hp):
-    # h = 0 kills the term even when sigma blows up
-    if hp == 0.0:
-        return 0.0
-    return sig * hp
+def _lattice_triples(ncell):
+    """Index triples (i0, i1, j) of the cd_check lattice, pair by pair.
+
+    Lattice nodes a < b at least two cells apart; j runs over the lattice
+    nodes strictly between them, then their midpoint if it is not one.
+    """
+    lattice = np.unique(np.round(np.linspace(0, ncell, CD_LATTICE)).astype(int))
+    a, b = np.triu_indices(len(lattice), 1)
+    keep = lattice[b] - lattice[a] >= 2
+    a, b = a[keep], b[keep]
+    mid = (lattice[a] + lattice[b]) // 2
+    inner = b - a - 1 + ~np.isin(mid, lattice)
+    pair = np.repeat(np.arange(len(a)), inner)
+    pos = np.arange(len(pair)) - np.repeat(np.cumsum(inner) - inner, inner)
+    # position b - a - 1 of a pair, past its lattice nodes, is the midpoint
+    j = np.where(pos < (b - a - 1)[pair], lattice[a[pair] + 1 + pos], mid[pair])
+    return lattice[a][pair], lattice[b][pair], j
+
+
+def _kronecker_triples(ncell, count):
+    """Quasi-random index triples from the Kronecker sequence in sqrt 2, 3, 5."""
+    k = np.arange(1, int(count) + 1)
+    f0, f1, f2 = ((0.5 + k * math.sqrt(r)) % 1.0 for r in (2.0, 3.0, 5.0))
+    i0 = (f0 * (ncell - 1)).astype(int)
+    i1 = np.minimum(i0 + 2 + (f1 * (ncell - i0 - 1)).astype(int), ncell)
+    keep = i1 - i0 >= 2
+    i0, i1, f2 = i0[keep], i1[keep], f2[keep]
+    return i0, i1, i0 + 1 + (f2 * (i1 - i0 - 1)).astype(int)
 
 
 def cd_check(w: WeightedInterval, sample_pairs=0, tol=1e-8) -> CdVerdict:
@@ -299,7 +331,8 @@ def cd_check(w: WeightedInterval, sample_pairs=0, tol=1e-8) -> CdVerdict:
     Checks h(x_t)^{1/(N-1)} >= sigma^{(t)}(|x1-x0|) h(x1)^{1/(N-1)}
                              + sigma^{(1-t)}(|x1-x0|) h(x0)^{1/(N-1)}
     on a deterministic lattice of node triples plus `sample_pairs`
-    quasi-random node triples. All evaluation points are grid nodes: the
+    quasi-random node triples, all evaluated in one array pass; the witness
+    is the first worst triple. All evaluation points are grid nodes: the
     interpolation parameter t is rationalized so that x_t lands on a node,
     because the piecewise-linear interpolant overshoots the concave
     h^{1/(N-1)} inside degenerate end cells and would produce spurious
@@ -311,55 +344,26 @@ def cd_check(w: WeightedInterval, sample_pairs=0, tol=1e-8) -> CdVerdict:
         dmax = math.pi * math.sqrt((N - 1) / K)
         if w.grid.D - dmax > 1e-9:
             return CdVerdict(False, (0.0, w.grid.D, 1.0), math.inf, 0)
-    p = 1.0 / (N - 1.0)
-    hp = np.asarray(w.h, dtype=float) ** p
+    hp = np.asarray(w.h, dtype=float) ** (1.0 / (N - 1.0))
     ncell = len(t_nodes) - 1
-    lattice = np.unique(np.round(np.linspace(0, ncell, CD_LATTICE)).astype(int))
+    i0, i1, j = (np.concatenate(c) for c in zip(
+        _lattice_triples(ncell), _kronecker_triples(ncell, sample_pairs)))
+    x0, x1 = t_nodes[i0], t_nodes[i1]
+    theta = x1 - x0
+    lam = (t_nodes[j] - x0) / theta
 
-    worst = (-math.inf, None)
-    checked = 0
+    def term(tt, hpi):
+        # h = 0 kills the term even when sigma blows up
+        with np.errstate(invalid="ignore"):
+            return np.where(hpi == 0.0, 0.0, _sigma_raw(K, N - 1.0, tt, theta) * hpi)
 
-    def probe(i0, i1, j):
-        nonlocal worst, checked
-        x0, x1, xt = t_nodes[i0], t_nodes[i1], t_nodes[j]
-        theta = x1 - x0
-        lam = (xt - x0) / theta
-        s1 = _sigma_raw(K, N - 1.0, lam, theta)
-        s0 = _sigma_raw(K, N - 1.0, 1.0 - lam, theta)
-        rhs = _cd_term(s1, hp[i1]) + _cd_term(s0, hp[i0])
-        violation = rhs - hp[j]
-        checked += 1
-        if violation > worst[0]:
-            worst = (violation, (x0, x1, lam))
-
-    for a in range(len(lattice)):
-        for b in range(a + 1, len(lattice)):
-            i0, i1 = int(lattice[a]), int(lattice[b])
-            if i1 - i0 < 2:
-                continue
-            inner = [int(j) for j in lattice if i0 < j < i1]
-            mid = (i0 + i1) // 2
-            if mid not in inner and i0 < mid < i1:
-                inner.append(mid)
-            for j in inner:
-                probe(i0, i1, j)
-
-    # quasi-random extras: Kronecker sequence on (i0, i1, j) index triples
-    for k in range(int(sample_pairs)):
-        f0 = (0.5 + (k + 1) * math.sqrt(2.0)) % 1.0
-        f1 = (0.5 + (k + 1) * math.sqrt(3.0)) % 1.0
-        f2 = (0.5 + (k + 1) * math.sqrt(5.0)) % 1.0
-        i0 = int(f0 * (ncell - 1))
-        i1 = min(i0 + 2 + int(f1 * (ncell - i0 - 1)), ncell)
-        if i1 - i0 < 2:
-            continue
-        j = i0 + 1 + int(f2 * (i1 - i0 - 1))
-        probe(i0, i1, j)
-
-    violation, witness = worst
+    violations = term(lam, hp[i1]) + term(1.0 - lam, hp[i0]) - hp[j]
+    worst = int(np.argmax(violations))
+    violation = violations[worst]
     if violation > tol:
-        return CdVerdict(False, witness, float(violation), checked)
-    return CdVerdict(True, None, float(max(violation, 0.0)), checked)
+        return CdVerdict(False, (x0[worst], x1[worst], lam[worst]), float(violation),
+                         len(violations))
+    return CdVerdict(True, None, float(max(violation, 0.0)), len(violations))
 
 
 def cd_check_differential(w: WeightedInterval, tol=None) -> CdVerdict:
@@ -390,36 +394,59 @@ def cd_check_differential(w: WeightedInterval, tol=None) -> CdVerdict:
 # generation
 
 
-def _rk4_cosine_flow(t, aa, w0, wp0, substeps=4):
-    # integrates w'' = -(1 + a) w with a frozen per cell (aa holds left values)
-    n = len(t) - 1
-    w = np.empty(n + 1)
-    wp = np.empty(n + 1)
-    w[0], wp[0] = w0, wp0
-    for i in range(n):
-        dt = (t[i + 1] - t[i]) / substeps
-        y, yp = w[i], wp[i]
-        c = -(1.0 + aa[i])
-        for _ in range(substeps):
-            k1y, k1p = yp, c * y
-            k2y, k2p = yp + 0.5 * dt * k1p, c * (y + 0.5 * dt * k1y)
-            k3y, k3p = yp + 0.5 * dt * k2p, c * (y + 0.5 * dt * k2y)
-            k4y, k4p = yp + dt * k3p, c * (y + dt * k3y)
-            y = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            yp = yp + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        w[i + 1] = y
-        wp[i + 1] = yp
-    return w
+def _rotation_flow(t, edges, levels, w0, wp0):
+    """Nodes t of the exact solution of w'' = -(1 + a) w, (w, w')(0) = (w0, wp0),
+    for a = levels[j] on [edges[j], edges[j+1]) (the last piece closed).
+
+    On piece j, with k = sqrt(1 + levels[j]) and s = t - edges[j], the solution
+    is the rotation w_j cos(k s) + (w'_j / k) sin(k s); the state (w_j, w'_j)
+    is carried across the edges in closed form.
+    """
+    k = np.sqrt(1.0 + levels)
+    kL = k * np.diff(edges)
+    cs, sn = np.cos(kL), np.sin(kL)
+    ws = np.empty(len(levels))
+    wps = np.empty(len(levels))
+    y, yp = w0, wp0
+    for j in range(len(levels)):
+        ws[j], wps[j] = y, yp
+        y, yp = y * cs[j] + yp / k[j] * sn[j], yp * cs[j] - y * k[j] * sn[j]
+    j = np.minimum(np.searchsorted(edges, t, side="right") - 1, len(levels) - 1)
+    ks = k[j] * (t - edges[j])
+    return ws[j] * np.cos(ks) + wps[j] / k[j] * np.sin(ks)
+
+
+def _piecewise_excess(excess, D):
+    try:
+        edges, levels = excess
+    except (TypeError, ValueError) as exc:
+        raise ParameterDomainError("excess must be a pair (edges, levels)") from exc
+    edges = np.asarray(edges, dtype=float)
+    levels = np.asarray(levels, dtype=float)
+    if edges.ndim != 1 or levels.shape != (len(edges) - 1,) or len(levels) < 1:
+        raise ParameterDomainError("excess needs edges 0 < ... < D and one level per piece")
+    if edges[0] != 0.0 or abs(edges[-1] - D) > 1e-12 or np.any(np.diff(edges) <= 0):
+        raise ParameterDomainError("excess edges must increase strictly from 0 to D")
+    if not np.all(np.isfinite(levels)) or np.any(levels < 0):
+        raise ParameterDomainError("excess must be non-negative and finite")
+    return edges, levels
 
 
 def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
-    """Seeded CD(N-1, N) density on grid via w'' = -(1 + a(t)) w, h = w^{N-1}.
+    """Seeded CD(N-1, N) density on grid: h = w^{N-1} with w'' = -(1 + a(t)) w.
 
-    With excess=None, a(t) is a seeded piecewise-constant excess whose levels
-    are capped so the solution stays positive; if it still hits zero the
-    levels shrink by 0.7 per retry. An explicit node-sampled `excess` array
-    integrates from the sine-matching start (w, w') = (0, 1) with no retry.
-    Deterministic per seed.
+    The excess a >= 0 is piecewise constant, so on each piece w is an exact
+    rotation (see _rotation_flow) and (N-1) w''/w = -(N-1)(1 + a) <= -K holds
+    exactly wherever w > 0: the density is an exact CD(N-1, N) density sampled
+    at the nodes, and does not depend on the grid beyond the sampling.
+
+    With excess=None, a has 6 pieces with seeded edges and levels, w starts
+    at a seeded phase, and each sqrt(1 + a) is capped so that the phase can
+    advance by at most the budget left below pi; the cap does not bound the
+    phase jumps at the piece edges, so if w is not positive at every node the
+    levels shrink by 0.7 per retry (at most 40). An explicit excess=(edges, levels), edges increasing from 0
+    to D with one non-negative level per piece, starts from the sine-matching
+    (w, w') = (0, 1) with no retry. Deterministic per seed.
     """
     if grid.D >= math.pi:
         raise ParameterDomainError("generator needs D < pi")
@@ -427,12 +454,8 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
     D = grid.D
 
     if excess is not None:
-        aa = np.asarray(excess, dtype=float)
-        if len(aa) != len(t):
-            raise ParameterDomainError("excess must be sampled on grid nodes")
-        if np.any(aa < 0):
-            raise ParameterDomainError("excess must be non-negative")
-        w = _rk4_cosine_flow(t, aa, 0.0, 1.0)
+        edges, levels = _piecewise_excess(excess, D)
+        w = _rotation_flow(t, edges, levels, 0.0, 1.0)
         if np.any(w[1:] <= 0):
             raise DegenerateDensityError(
                 "solution hit zero before D; try a smaller interval",
@@ -454,12 +477,7 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
 
     scale = 1.0
     for _ in range(40):
-        levels = levels0 * scale
-        aa = np.zeros(len(t))
-        for j in range(pieces):
-            aa[(t >= edges[j]) & (t < edges[j + 1])] = levels[j]
-        aa[-1] = levels[-1]
-        w = _rk4_cosine_flow(t, aa, math.sin(phase), math.cos(phase))
+        w = _rotation_flow(t, edges, levels0 * scale, math.sin(phase), math.cos(phase))
         if np.all(w > 0):
             return WeightedInterval(grid=grid, h=w ** (N - 1.0), K=N - 1.0,
                                     N=float(N)).normalized()

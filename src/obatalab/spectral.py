@@ -47,7 +47,11 @@ class SpectralResult:
     rayleigh: the same array as eigenvalues, kept as its own field (and CSV
         column); the free-standing rayleigh() op uses the central-difference
         definition instead and agrees only to O(grid^2)
-    residuals: per pair, max over interior nodes of |h u'' + h' u' + lam h u|
+    residuals: per pair, the backward error ||(T - lam) y||_inf /
+        (||T||_inf ||y||_inf) of the eigenvalue and its eigenvector y = u/s in
+        the symmetric scaled form T of the discrete problem: rounding level
+        (~1e-16 to 1e-13) at every grid size for a converged pair. It
+        measures the solve, not the discretisation error (see err_bar)
     half_eigenvalues: lambda_1..lambda_k of the same density on the half grid
         (every other node), signed; on a refined grid they are the values the
         refinement started from. NaN unless has_half_grid(n) holds for the
@@ -135,8 +139,8 @@ def _finish(u, f, M):
     return ray
 
 
-def _solve_tridiagonal(t, h, k):
-    f, M, s, d, e = _scaled(t, h)
+def _solve_tridiagonal(scaled, k):
+    f, M, s, d, e = scaled
     vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
     u = vecs * s[:, None]
     return _finish(u, f, M), u
@@ -168,9 +172,9 @@ def _inverse_iterate(d, e, y, shift):
     return y
 
 
-def _refine(t, h, u, shifts):
-    """Polish prolonged eigenvectors u (columns 0..k) on the grid t in place;
-    return their flux Rayleigh quotients.
+def _refine(scaled, u, shifts):
+    """Polish prolonged eigenvectors u (columns 0..k) in place, given the
+    _scaled matrix of their grid; return their flux Rayleigh quotients.
 
     Column j takes two steps of inverse iteration shifted by shifts[j], its
     half-grid eigenvalue, in the symmetric form y = u/s of the direct solve;
@@ -178,7 +182,7 @@ def _refine(t, h, u, shifts):
     (Sturm oscillation: the off-diagonals are negative on the support), else
     ConditioningError.
     """
-    f, M, s, d, e = _scaled(t, h)
+    f, M, s, d, e = scaled
     u[:, 0] = 1.0
     for j in range(1, u.shape[1]):
         y = u[:, j]
@@ -195,8 +199,9 @@ def _refine(t, h, u, shifts):
 
 
 def _eigenpairs(t, h, k):
-    """Flux Rayleigh eigenvalues lambda_0..lambda_k, their eigenvectors, and the
-    half-grid eigenvalues when the pairs were refined from the half grid.
+    """Flux Rayleigh eigenvalues lambda_0..lambda_k, their eigenvectors, the
+    half-grid eigenvalues when the pairs were refined from the half grid, and
+    the _scaled matrix of the grid.
 
     A grid of more than _DIRECT_CELLS cells with an even count is refined from
     its half grid, recursively; smaller or odd grids are solved directly.
@@ -206,9 +211,29 @@ def _eigenpairs(t, h, k):
     if n > _DIRECT_CELLS and n % 2 == 0:
         half, u = _eigenpairs(t[::2], h[::2], k)[:2]
         u = _prolong(t, u)
-        return _refine(t, h, u, half), u, half
-    ray, u = _solve_tridiagonal(t, h, k)
-    return ray, u, None
+        scaled = _scaled(t, h)
+        return _refine(scaled, u, half), u, half, scaled
+    scaled = _scaled(t, h)
+    ray, u = _solve_tridiagonal(scaled, k)
+    return ray, u, None, scaled
+
+
+def _backward_errors(scaled, u, lams):
+    """||(T - lam) y||_inf / (||T||_inf ||y||_inf) per column, for T the
+    symmetric matrix (d, e) of _scaled and y = u/s its form of the column."""
+    s, d, e = scaled[2:]
+    absum = np.abs(d)
+    absum[:-1] += np.abs(e)
+    absum[1:] += np.abs(e)
+    tnorm = float(np.max(absum))
+    out = np.empty(len(lams))
+    for j, lam in enumerate(lams):
+        y = u[:, j] / s
+        r = (d - lam) * y
+        r[:-1] += e * y[1:]
+        r[1:] += e * y[:-1]
+        out[j] = float(np.max(np.abs(r))) / (tnorm * float(np.max(np.abs(y))))
+    return out
 
 
 def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
@@ -217,21 +242,12 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         raise ParameterDomainError("need k >= 1")
     t = w.grid.nodes
     h = w.h
-    vals, u, half = _eigenpairs(t, h, k)
+    vals, u, half, scaled = _eigenpairs(t, h, k)
     if half is None and has_half_grid(len(t) - 1):
         half = _eigenpairs(t[::2], h[::2], k)[0]
     lams = vals[1:]
     funcs = u[:, 1:]
-
-    # residual of the strong form at interior nodes, independent stencils
-    dh = first_diff(t, h)
-    residuals = np.empty(len(lams))
-    for j in range(len(lams)):
-        uu = funcs[:, j]
-        du = first_diff(t, uu)
-        d2 = second_diff(t, uu)
-        r = h * d2 + dh * du + lams[j] * h * uu
-        residuals[j] = float(np.max(np.abs(r[1:-1])))
+    residuals = _backward_errors(scaled, funcs, lams)
 
     return SpectralResult(
         eigenvalues=lams,

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obatalab.errors import (
     ConfigError,
@@ -11,6 +12,7 @@ from obatalab.errors import (
     ParameterDomainError,
 )
 from obatalab.measures import (
+    CdVerdict,
     CoefficientQuery,
     Grid,
     WeightedInterval,
@@ -277,6 +279,98 @@ def test_cd_check_sample_pairs_deterministic():
     assert v1.checked == v2.checked > cd_check(w).checked
 
 
+def _sigma_scalar(K, dim, t, theta):
+    # reference: the scalar distortion coefficient in math-module arithmetic
+    if theta == 0.0:
+        return t
+    if K > 0.0:
+        s = math.sqrt(K / dim)
+        if theta * s >= math.pi:
+            return math.inf
+        return math.sin(t * theta * s) / math.sin(theta * s)
+    if K == 0.0:
+        return t
+    s = math.sqrt(-K / dim)
+    return math.sinh(t * theta * s) / math.sinh(theta * s)
+
+
+def _cd_check_loop(w, sample_pairs=0, tol=1e-8):
+    # reference: cd_check as a per-triple loop, the form it had before it was
+    # vectorised; the array version must reproduce its verdicts bit for bit
+    t_nodes = w.grid.nodes
+    N, K = w.N, w.K
+    if K > 0 and w.grid.D - math.pi * math.sqrt((N - 1) / K) > 1e-9:
+        return CdVerdict(False, (0.0, w.grid.D, 1.0), math.inf, 0)
+    hp = np.asarray(w.h, dtype=float) ** (1.0 / (N - 1.0))
+    ncell = len(t_nodes) - 1
+    lattice = np.unique(np.round(np.linspace(0, ncell, 33)).astype(int))
+    triples = []
+    for a in range(len(lattice)):
+        for b in range(a + 1, len(lattice)):
+            i0, i1 = int(lattice[a]), int(lattice[b])
+            if i1 - i0 < 2:
+                continue
+            inner = [int(j) for j in lattice if i0 < j < i1]
+            mid = (i0 + i1) // 2
+            if mid not in inner and i0 < mid < i1:
+                inner.append(mid)
+            triples += [(i0, i1, j) for j in inner]
+    for k in range(int(sample_pairs)):
+        f0 = (0.5 + (k + 1) * math.sqrt(2.0)) % 1.0
+        f1 = (0.5 + (k + 1) * math.sqrt(3.0)) % 1.0
+        f2 = (0.5 + (k + 1) * math.sqrt(5.0)) % 1.0
+        i0 = int(f0 * (ncell - 1))
+        i1 = min(i0 + 2 + int(f1 * (ncell - i0 - 1)), ncell)
+        if i1 - i0 >= 2:
+            triples.append((i0, i1, i0 + 1 + int(f2 * (i1 - i0 - 1))))
+    worst = (-math.inf, None)
+    for i0, i1, j in triples:
+        x0, x1, xt = t_nodes[i0], t_nodes[i1], t_nodes[j]
+        theta = x1 - x0
+        lam = (xt - x0) / theta
+        rhs = 0.0
+        for sig, hpi in ((_sigma_scalar(K, N - 1.0, lam, theta), hp[i1]),
+                         (_sigma_scalar(K, N - 1.0, 1.0 - lam, theta), hp[i0])):
+            rhs += 0.0 if hpi == 0.0 else sig * hpi
+        if rhs - hp[j] > worst[0]:
+            worst = (rhs - hp[j], (x0, x1, lam))
+    violation, witness = worst
+    if violation > tol:
+        return CdVerdict(False, witness, float(violation), len(triples))
+    return CdVerdict(True, None, float(max(violation, 0.0)), len(triples))
+
+
+def test_cd_check_matches_reference_loop(fixtures_dir):
+    cases = [load_density_csv(fixtures_dir / name, K=1.0, N=2.0)
+             for name in ("model_n2.csv", "noncd_density.csv", "slowgap_density_n2.csv")]
+    cases.append(model_density(3.0, Grid.uniform(math.pi, 1000)))  # inf branch, h = 0
+    g = Grid.uniform(1.0, 256)
+    cases.append(WeightedInterval(grid=g, h=np.exp(g.nodes ** 2), K=0.0, N=2.0))
+    for w in cases:
+        for pairs in (0, 2000):
+            assert cd_check(w, sample_pairs=pairs) == _cd_check_loop(w, pairs)
+
+
+def test_cd_check_negative_K_matches_reference_loop(fixtures_dir):
+    # np.sinh and math.sinh may differ in the last bit, so the violation is
+    # compared to rounding; the triple and its count are exact
+    w = load_density_csv(fixtures_dir / "noncd_density.csv", K=-0.5, N=2.0)
+    for pairs in (0, 2000):
+        got, ref = cd_check(w, sample_pairs=pairs), _cd_check_loop(w, pairs)
+        assert (got.passed, got.witness, got.checked) == (ref.passed, ref.witness, ref.checked)
+        assert got.violation == pytest.approx(ref.violation, rel=1e-14)
+
+
+def test_cd_check_large_negative_K_has_no_overflow():
+    # sinh(theta sqrt(-K/(N-1))) overflows past 710; the ratio is taken in
+    # exponential form there, so a CD(1, 2) density passes CD(-1e6, 2)
+    g = Grid.uniform(math.pi, 512)
+    w = WeightedInterval(grid=g, h=model_density(2.0, g).h, K=-1e6, N=2.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        v = cd_check(w, sample_pairs=200)
+    assert v.passed and v.violation == 0.0
+
+
 # ---------------------------------------------------------------------------
 # cd_check_differential
 
@@ -329,7 +423,7 @@ def test_generator_self_certifies():
 def test_generator_zero_excess_recovers_model():
     D = math.pi - 1e-3
     g = Grid.uniform(D, 2048)
-    w = generate_cd_density(2.0, 0, g, excess=np.zeros(len(g.nodes)))
+    w = generate_cd_density(2.0, 0, g, excess=([0.0, D], [0.0]))
     ref = truncated_model(2.0, D, 2048)
     assert np.max(np.abs(w.h - ref.h)) <= 1e-12
 
@@ -337,10 +431,20 @@ def test_generator_zero_excess_recovers_model():
 def test_generator_piecewise_excess_route():
     # a = 3 on the first half keeps the flow positive on [0, 1.5]
     g = Grid.uniform(1.5, 1024)
-    aa = np.where(g.nodes < 0.75, 3.0, 0.0)
-    w = generate_cd_density(2.0, 0, g, excess=aa)
+    w = generate_cd_density(2.0, 0, g, excess=([0.0, 0.75, 1.5], [3.0, 0.0]))
     assert np.all(w.h[1:-1] > 0)
     assert cd_check(w).passed
+
+
+def test_generator_excess_is_exact_rotation():
+    # a = 3 on [0, 0.75]: w = sin(2t)/2 there, then w(0.75) cos s + w'(0.75) sin s
+    g = Grid.uniform(1.5, 1024)
+    w = generate_cd_density(2.0, 0, g, excess=([0.0, 0.75, 1.5], [3.0, 0.0]))
+    t = g.nodes
+    s = np.maximum(t - 0.75, 0.0)
+    exact = np.where(t < 0.75, 0.5 * np.sin(2.0 * t),
+                     0.5 * math.sin(1.5) * np.cos(s) + math.cos(1.5) * np.sin(s))
+    assert np.max(np.abs(w.h * np.trapezoid(exact, t) - exact)) <= 1e-15
 
 
 def test_generator_rejects_full_circle():
@@ -352,16 +456,43 @@ def test_generator_excess_conjugate_point():
     # constant excess 0.3 pushes the conjugate point below D = 2.9
     g = Grid.uniform(2.9, 512)
     with pytest.raises(DegenerateDensityError) as ei:
-        generate_cd_density(2.0, 0, g, excess=0.3 * np.ones(len(g.nodes)))
+        generate_cd_density(2.0, 0, g, excess=([0.0, 2.9], [0.3]))
     assert ei.value.suggested_D == pytest.approx(0.9 * 2.9)
 
 
 def test_generator_excess_validation():
     g = Grid.uniform(2.0, 256)
     with pytest.raises(ParameterDomainError):
-        generate_cd_density(2.0, 0, g, excess=np.zeros(10))
+        generate_cd_density(2.0, 0, g, excess=([0.0, 1.0, 2.0], [0.0]))
     with pytest.raises(ParameterDomainError):
-        generate_cd_density(2.0, 0, g, excess=-np.ones(len(g.nodes)))
+        generate_cd_density(2.0, 0, g, excess=([0.0, 2.0], [-1.0]))
+    for bad in (np.zeros(10), ([0.0, 1.5], [0.0]), ([0.0, 1.0, 1.0, 2.0], [0.0] * 3),
+                ([0.0, 2.0], [math.nan]), ([0.0, 2.0], []), 3.0):
+        with pytest.raises(ParameterDomainError):
+            generate_cd_density(2.0, 0, g, excess=bad)
+
+
+def test_generator_density_grid_independent():
+    # exact rotations: the nodes of the n-cell grid carry the same density
+    # (up to the mass normalisation) as every other node of the 2n-cell grid
+    for N, seed, D in ((2.0, 1, 2.9), (3.0, 2, math.pi - 0.192), (2.5, 7, 1.3)):
+        coarse = generate_cd_density(N, seed, Grid.uniform(D, 1000)).h
+        fine = generate_cd_density(N, seed, Grid.uniform(D, 2000)).h[::2]
+        ratio = fine / coarse
+        assert np.max(np.abs(ratio / ratio[500] - 1.0)) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(N=st.floats(1.5, 5.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1),
+       D=st.floats(1.0, math.pi - 0.01, exclude_max=True), n=st.integers(256, 2048))
+def test_generator_output_is_certified_cd(N, seed, D, n):
+    g = Grid.uniform(D, n)
+    w = generate_cd_density(N, seed, g)
+    assert w.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert np.all(w.h[1:-1] > 0)
+    assert cd_check(w).passed
+    assert cd_check_differential(w).passed
+    assert np.array_equal(generate_cd_density(N, seed, g).h, w.h)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,35 @@ def test_model_error_monotone_to_2_20():
         assert all(b <= a for a, b in zip(errs, errs[1:])), (N, errs)
 
 
+def test_residual_is_backward_error_at_every_grid():
+    # the residual column is the backward error of the computed pair; it stays
+    # at rounding level instead of growing with the grid
+    for N in (2.0, 3.0):
+        for p in (12, 14, 16, 18, 20):
+            res = neumann_eigs(model_density(N, Grid.uniform(math.pi, 2 ** p)), k=2)
+            assert np.all(res.residuals <= 1e-12), (N, p, res.residuals)
+
+
+def test_residual_flags_a_perturbed_eigenvalue():
+    w = model_density(2.0, Grid.uniform(math.pi, 4096))
+    scaled = spectral._scaled(w.grid.nodes, w.h)
+    d, e = scaled[3:]
+    ray, u = spectral._solve_tridiagonal(scaled, 1)
+    good = spectral._backward_errors(scaled, u[:, 1:], ray[1:])
+    bad = spectral._backward_errors(scaled, u[:, 1:], ray[1:] + 1e-6)
+    tnorm = np.max(np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)])
+    assert good[0] <= 1e-13
+    assert bad[0] == pytest.approx(1e-6 / tnorm, rel=1e-3)
+
+
+def test_seeded_richardson_grid_independent():
+    # the seeded densities are exact CD densities, so their Richardson
+    # eigenvalue no longer moves with the grid
+    lams = [float(neumann_eigs(generate_cd_density(3.0, 2, Grid.uniform(math.pi - 0.192, n)))
+                  .richardson[0]) for n in (2048, 4096, 8192, 16384, 32768, 65536)]
+    assert max(lams) / min(lams) - 1.0 <= 1e-8, lams
+
+
 def test_nested_matches_direct_solve():
     # grids above 4096 cells are refined from their half grid; a direct
     # bisection solve of the same grid gives the same pairs
@@ -164,7 +193,7 @@ def test_nested_matches_direct_solve():
     cases.append(generate_cd_density(2.5, 4, Grid.uniform(2.9, 8192)))
     for w in cases:
         res = neumann_eigs(w, k=2)
-        vals, vecs = spectral._solve_tridiagonal(w.grid.nodes, w.h, 2)
+        vals, vecs = spectral._solve_tridiagonal(spectral._scaled(w.grid.nodes, w.h), 2)
         assert np.max(np.abs(res.eigenvalues / vals[1:] - 1.0)) <= 1e-10
         assert np.max(np.abs(res.eigenfunctions - vecs[:, 1:])) <= 1e-8
         assert np.array_equal(res.rayleigh, res.eigenvalues)
@@ -188,12 +217,12 @@ def test_refine_rejects_wrong_index():
     # which the sign-change count catches
     t = Grid.uniform(1.0, 8192).nodes
     h = np.exp(t)
-    half, u_half, _ = spectral._eigenpairs(t[::2], h[::2], 2)
-    spectral._refine(t, h, spectral._prolong(t, u_half), half)
+    half, u_half = spectral._eigenpairs(t[::2], h[::2], 2)[:2]
+    spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half), half)
     wrong = half.copy()
     wrong[1] = half[2]
     with pytest.raises(ConditioningError, match="pair 1 changes sign 2 times"):
-        spectral._refine(t, h, spectral._prolong(t, u_half), wrong)
+        spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half), wrong)
 
 
 def test_shooting_cross_check():

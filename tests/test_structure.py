@@ -1,5 +1,6 @@
 """One implementation per idea: the derivative stencils and the m-integral
-live in measures, and every other module calls them from there."""
+live in measures, and every other module calls them from there; the CD
+density generator has one solution path, the exact piecewise rotation."""
 import pathlib
 import re
 
@@ -17,3 +18,9 @@ def test_stencils_and_quadrature_only_in_measures():
         if pattern.search(line)
     ]
     assert hits == []
+
+
+def test_generator_has_no_step_integrator():
+    text = (SRC / "measures.py").read_text()
+    assert "_rk4" not in text
+    assert "def _rotation_flow(" in text
