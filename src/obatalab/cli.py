@@ -37,6 +37,8 @@ from .localization import (
 from .measures import Grid, cd_check, load_density_csv, model_density
 from .obata1d import (
     FAMILIES,
+    GROWTH_LIMIT,
+    SLOPE_SLACK,
     ExperimentSpec,
     deficit_distance_sweep,
     diameter_deficit_sweep,
@@ -229,10 +231,9 @@ def _run_sweep(config: RunConfig) -> _Artifact:
     )
     res = deficit_distance_sweep(spec)
     rows = list(zip(res.param, res.delta, res.dist_l2, res.dist_w12, res.lambda1))
-    stable = res.constant_spread <= 10.0
     print(
         f"{spec.family} N={spec.N:g}: exponent {res.fit.slope:.4f} "
-        f"(target {res.target:g}), constant spread {res.constant_spread:.3f}"
+        f"(target {res.target:g}), constant growth {res.constant_growth:.3f}"
     )
     return _Artifact(
         header=("param", "delta", "dist_l2", "dist_w12", "lambda1"),
@@ -244,12 +245,14 @@ def _run_sweep(config: RunConfig) -> _Artifact:
             "intercept": res.fit.intercept,
             "r_squared": res.fit.r_squared,
             "constant_range": list(res.constant_range),
+            "constant_growth": res.constant_growth,
             "excluded": res.excluded,
             "slope_l2": res.fit_l2.slope,
         },
-        tolerances={"deficit_guard": 0.5, "stable_constant_spread": 10.0},
+        tolerances={"deficit_guard": 0.5, "constant_growth_limit": GROWTH_LIMIT,
+                    "slope_slack": SLOPE_SLACK, "fit_flag_r2": 0.98},
         plot={"x": "delta", "y": "dist_w12", "loglog": True, "annotate": True},
-        exit_code=0 if stable else 2,
+        exit_code=2 if res.rate_violated else 0,
     )
 
 
@@ -487,10 +490,7 @@ def main(argv=None):
     except NonCDInputError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ObataLabError as exc:
+    except (ObataLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

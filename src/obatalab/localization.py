@@ -41,6 +41,13 @@ def final_exponent(N):
     return 1.0 / (8.0 * N + 4.0)
 
 
+def _envelope_ratio(value, envelope, floor):
+    """value/envelope; 0 for a value at or below floor, inf over a zero envelope."""
+    if value <= floor:
+        return 0.0
+    return math.inf if envelope == 0.0 else value / envelope
+
+
 @dataclass(frozen=True, eq=False)
 class Ray:
     """One needle: weight, unit-mass CD density, function and energy samples.
@@ -162,14 +169,8 @@ def global_deficit(f: RayFamily) -> DeficitLedger:
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError("family is not normalized; run normalize first")
 
-    grad2 = []
-    emass = []
-    for r in f.rays:
-        du = first_diff(r.w.grid.nodes, r.u)
-        grad2.append(r.w.mean(du * du))
-        emass.append(r.w.mean(r.e))
-    grad2 = np.array(grad2)
-    emass = np.array(emass)
+    grad2 = np.array([r.w.mean(first_diff(r.w.grid.nodes, r.u) ** 2) for r in f.rays])
+    emass = np.array([r.w.mean(r.e) for r in f.rays])
     weights = f.weights
 
     delta = math.fsum(q * (g + e) for q, g, e in zip(weights, grad2, emass)) - N
@@ -395,12 +396,7 @@ def variance_bound(f: RayFamily, ledger: DeficitLedger, beta=None, gamma=None) -
         + d ** (1.0 - beta - gamma + gamma / N)
         + d ** ((beta - gamma) * min(2.0 / N, 1.0))
     )
-    if var <= 1e-25:
-        ratio = 0.0
-    elif envelope == 0.0:
-        ratio = math.inf
-    else:
-        ratio = var / envelope
+    ratio = _envelope_ratio(var, envelope, 1e-25)
     flagged = var > 10.0 * envelope + 1e-10
     ledger.cbar = float(cbar)
     ledger.variance = float(var)
@@ -451,12 +447,7 @@ def long_mass_bound(f: RayFamily, ledger: DeficitLedger, beta=None, gamma=None) 
         + d ** ((beta - gamma) / N)
         + d ** (1.0 - beta - gamma)
     )
-    if lhs <= 1e-25:
-        ratio = 0.0
-    elif envelope == 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / envelope
+    ratio = _envelope_ratio(lhs, envelope, 1e-25)
     flagged = lhs > 10.0 * envelope + 1e-10
 
     unsp_env = (
@@ -640,13 +631,7 @@ def assemble_main(f: RayFamily, geometry: SuspensionGeometry, ledger: DeficitLed
 
     delta = ledger.delta if ledger is not None else global_deficit(f).delta
     eta = final_exponent(f.N)
-    d = max(delta, 0.0)
-    if final <= 1e-12:
-        ratio = 0.0
-    elif d == 0.0:
-        ratio = math.inf
-    else:
-        ratio = final / d ** eta
+    ratio = _envelope_ratio(final, max(delta, 0.0) ** eta, 1e-12)
     if ledger is not None:
         ledger.final_dist = float(final)
     return AssembleReport(

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, beta as beta_fn
 
 from .errors import (
@@ -177,13 +176,6 @@ def omega(N):
     return float(beta_fn(N / 2.0, 0.5))
 
 
-def omega_quad(N):
-    """omega_N by adaptive quadrature (relative tolerance 1e-12)."""
-    val, _ = quad(lambda t: math.sin(t) ** (N - 1), 0.0, math.pi,
-                  epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
 def sinpow_cum(N, x):
     """S_N(x) = int_0^x sin^{N-1} t dt on [0, pi], via the incomplete beta.
 
@@ -275,7 +267,7 @@ def tau_coeff(q: CoefficientQuery):
 
 def model_density(N, grid: Grid) -> WeightedInterval:
     """h_N(t) = sin^{N-1}(t)/omega_N sampled on grid (grid.D <= pi)."""
-    wN = omega_quad(N)
+    wN = omega(N)
     s = np.sin(grid.nodes)
     # sin(pi) evaluates to ~1.2e-16; the density really vanishes at the pole,
     # and a spurious positive value there trips the theta = pi coefficient.

@@ -24,6 +24,13 @@ from .spectral import (
 
 FAMILIES = ("truncated-model", "perturbed-cosine", "seeded-generated")
 
+# The rate dist_W12 <= C delta^target is one-sided: a sweep breaks it only when
+# C = dist_W12/delta^target grows as delta shrinks, or a power law that fits
+# (r_squared >= 0.98) has a slower rate. A seeded family scatters around its
+# constant, and the slope of a poor fit through that scatter is no rate.
+GROWTH_LIMIT = 10.0
+SLOPE_SLACK = 0.1
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -153,6 +160,18 @@ class SweepResult:
     def constant_spread(self):
         lo, hi = self.constant_range
         return hi / lo if lo > 0 else math.inf
+
+    @property
+    def constant_growth(self):
+        """max over the rows of C(delta)/C(delta_max); 1 when C never rises."""
+        consts = self.dist_w12 / self.delta ** self.target
+        growth = float(np.max(consts) / consts[np.argmax(self.delta)])
+        return growth if growth >= 0 else math.inf  # nan when some delta <= 0
+
+    @property
+    def rate_violated(self):
+        slow = not self.fit.flagged and self.fit.slope < self.target - SLOPE_SLACK
+        return self.constant_growth > GROWTH_LIMIT or slow
 
 
 def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -349,6 +348,9 @@ def green_apply(w: WeightedInterval, z, x0=None) -> GreenResult:
     z = np.asarray(z, dtype=float)
     if len(z) != len(t):
         raise ParameterDomainError("z must be sampled on the grid")
+    # no CLI command calls this op, so scipy.interpolate stays off the start-up path
+    from scipy.interpolate import CubicSpline
+
     imax = int(np.argmax(w.h))  # ties resolve to the smaller t
     boundary = imax in (0, len(t) - 1)
     if x0 is None:

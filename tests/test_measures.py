@@ -24,7 +24,6 @@ from obatalab.measures import (
     load_density_csv,
     model_density,
     omega,
-    omega_quad,
     sigma_coeff,
     sinpow_cum,
     tau_coeff,
@@ -185,8 +184,13 @@ def test_omega_closed_forms():
 
 def test_omega_fractional_matches_dense_riemann():
     assert omega(2.5) == pytest.approx(OMEGA_2_5, abs=1e-9)
-    assert omega_quad(2.5) == pytest.approx(OMEGA_2_5, abs=1e-9)
-    assert omega(2.5) == pytest.approx(omega_quad(2.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("N", [1.5, 2.0, 2.5, 3.0, 5.0, 8.0])
+def test_omega_matches_mpmath(N):
+    with mp.workdps(40):
+        ref = mp.quad(lambda t: mp.sin(t) ** (N - 1), [0, mp.pi / 2, mp.pi])
+    assert abs(omega(N) - float(ref)) <= 1e-14 * float(ref)
 
 
 def test_sinpow_cum_endpoints():

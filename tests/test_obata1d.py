@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -6,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from obatalab import cli
 from obatalab.errors import ParameterDomainError
 from obatalab.measures import Grid, model_density
 from obatalab.obata1d import (
+    FAMILIES,
     ExperimentSpec,
+    SweepResult,
     deficit_distance_sweep,
     diameter_deficit_sweep,
     dilated_model,
@@ -154,6 +158,84 @@ def test_sweep_grid_stable_slope():
     s_lo = deficit_distance_sweep(spec_lo).fit.slope
     s_hi = deficit_distance_sweep(spec_hi).fit.slope
     assert abs(s_hi - s_lo) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# sweep verdict: one-sided in the constant
+
+
+def _synthetic_sweep(power, target=0.5):
+    # dist = 0.3 delta^power on the default deficit ladder, in sweep order
+    delta = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
+    dist = 0.3 * delta**power
+    consts = dist / delta**target
+    return SweepResult(
+        family="truncated-model", N=2.0, target=target, param=np.pi - delta,
+        delta=delta, dist_l2=dist, dist_w12=dist, lambda1=2.0 + delta,
+        fit=loglog_fit(delta, dist), fit_l2=loglog_fit(delta, dist),
+        constant_range=(float(consts.min()), float(consts.max())), excluded=0,
+    )
+
+
+def test_sweep_verdict_flags_slow_rate():
+    res = _synthetic_sweep(power=0.25)  # delta^(target/2)
+    assert res.fit.slope == pytest.approx(0.25, abs=1e-12)
+    assert res.constant_growth == pytest.approx(16.0**0.25, rel=1e-12)
+    assert res.rate_violated
+
+
+def test_sweep_verdict_flags_growing_constant():
+    res = _synthetic_sweep(power=0.5)
+    dist = res.dist_w12.copy()
+    dist[2] *= 20.0  # one mid-sweep row with a 20x constant
+    res = SweepResult(**{**res.__dict__, "dist_w12": dist})
+    assert res.fit.slope >= res.target - 0.1
+    assert res.constant_growth == pytest.approx(20.0, rel=1e-12)
+    assert res.rate_violated
+
+
+def test_sweep_verdict_is_one_sided():
+    # dist = delta^(3 target) beats the rate: the constant falls 16x, which the
+    # two-sided spread would call unstable
+    res = _synthetic_sweep(power=1.5)
+    assert res.constant_spread == pytest.approx(16.0, rel=1e-12)
+    assert res.constant_growth == 1.0
+    assert not res.rate_violated
+
+
+def test_sweep_verdict_ignores_slope_of_a_poor_fit():
+    # seeded densities scatter: this seed fits slope 0.30 < target - 0.1 with
+    # r^2 0.55, while C = dist/delta^target stays within 0.48-0.71
+    res = deficit_distance_sweep(
+        ExperimentSpec(N=2.0, family="seeded-generated", seed=1755883897)
+    )
+    assert res.fit.flagged
+    assert res.fit.slope < res.target - 0.1
+    assert res.constant_growth < 1.5
+    assert not res.rate_violated
+
+
+def test_sweep_cli_exits_2_on_slow_rate(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "deficit_distance_sweep", lambda spec: _synthetic_sweep(0.25))
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--dim", "2", "--family", "truncated-model", "--out", str(out)])
+    assert code == 2
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["tolerances"]["constant_growth_limit"] == 10.0
+    assert summary["tolerances"]["slope_slack"] == 0.1
+    assert summary["results"]["constant_growth"] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [2.0, 3.0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_default_sweeps_keep_the_rate(family, N):
+    # the default truncated-model sweep used to fail the two-sided spread test
+    # (11.1 at N=2) although its constant only falls as delta shrinks
+    res = deficit_distance_sweep(ExperimentSpec(N=N, family=family, seed=3))
+    assert res.constant_growth <= 1.05
+    assert res.fit.slope >= res.target - 0.01  # perturbed-cosine at N=2 fits 0.499995
+    assert not res.rate_violated
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 """One implementation per idea: the derivative stencils and the m-integral
 live in measures, and every other module calls them from there; the CD
-density generator has one solution path, the exact piecewise rotation."""
+density generator has one solution path, the exact piecewise rotation.
+The CLI starts without the SciPy submodules that none of its commands use."""
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "obatalab"
+
+# Importing any of these costs 0.1-0.4 s per CLI start, and no command needs them
+LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
 
 
 def test_stencils_and_quadrature_only_in_measures():
@@ -24,3 +32,26 @@ def test_generator_has_no_step_integrator():
     text = (SRC / "measures.py").read_text()
     assert "_rk4" not in text
     assert "def _rotation_flow(" in text
+
+
+def test_cli_import_skips_unused_scipy_submodules():
+    # a fresh interpreter, because the test session itself imports SciPy freely;
+    # green_apply then loads scipy.interpolate on first use and still works
+    script = f"""
+import json, sys
+import numpy as np
+import obatalab.cli
+loaded = [m for m in {LAZY_SCIPY!r} if m in sys.modules]
+from obatalab.measures import Grid, model_density
+from obatalab.spectral import green_apply
+w = model_density(2.0, Grid.uniform(np.pi, 512))
+res = green_apply(w, np.cos(2.0 * w.grid.nodes))
+print(json.dumps({{"loaded": loaded, "residual": res.residual}}))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["residual"] < 1e-4
