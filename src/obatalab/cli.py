@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonCDInputError, ObataLabError
-from .isoperimetry import ProfileQuery, profile
+from .isoperimetry import BRACKET_TOL, RESIDUAL_TOL, ProfileQuery, profile
 from .localization import (
     SuspensionGeometry,
     assemble_main,
@@ -135,7 +135,7 @@ def _run_profile(config: RunConfig) -> _Artifact:
             "R": res.R_at_argmin,
             "evals": res.iterations,
         },
-        tolerances={"bracket_tol": 1e-9, "residual_tol": 1e-12},
+        tolerances={"bracket_tol": BRACKET_TOL, "residual_tol": RESIDUAL_TOL},
     )
 
 
@@ -231,9 +231,10 @@ def _run_sweep(config: RunConfig) -> _Artifact:
     )
     res = deficit_distance_sweep(spec)
     rows = list(zip(res.param, res.delta, res.dist_l2, res.dist_w12, res.lambda1))
+    flag = f" (fit flagged, r\u00b2 {res.fit.r_squared:.3f})" if res.fit.flagged else ""
     print(
         f"{spec.family} N={spec.N:g}: exponent {res.fit.slope:.4f} "
-        f"(target {res.target:g}), constant growth {res.constant_growth:.3f}"
+        f"(target {res.target:g}), constant growth {res.constant_growth:.3f}{flag}"
     )
     return _Artifact(
         header=("param", "delta", "dist_l2", "dist_w12", "lambda1"),
@@ -244,6 +245,7 @@ def _run_sweep(config: RunConfig) -> _Artifact:
             "slope": res.fit.slope,
             "intercept": res.fit.intercept,
             "r_squared": res.fit.r_squared,
+            "fit_flagged": res.fit.flagged,
             "constant_range": list(res.constant_range),
             "constant_growth": res.constant_growth,
             "excluded": res.excluded,

@@ -15,7 +15,9 @@ from scipy.special import betaincinv
 from .errors import ParameterDomainError
 from .measures import omega, sinpow_cum
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+BRACKET_TOL = 1e-9  # default width in b of profile's final bracket
+RESIDUAL_TOL = 1e-12  # relative split residual that solve_R guarantees
+_REFINE_POINTS = 16  # interior points per bracket in each refinement step
 # 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun, table 25.4),
 # tabulated so that importing makes no LAPACK call. On a window no longer than
 # a quarter of its distance to the poles it is exact to rounding.
@@ -134,41 +136,59 @@ def g_eval(N, b, v, D):
     return float(_g(N, b, v, D)[0])
 
 
-def profile(q: ProfileQuery, n_scan=129, tol=1e-9) -> ProfileResult:
-    """Minimize g(., v) over b in [0, pi - D]: coarse scan then golden section.
+def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
+    """Minimize g(., v) over b in [0, pi - D] for every v of `vs` at once.
 
-    g is smooth in b but not proven unimodal, so the scan guards the
-    golden-section stage against secondary minima. D = pi has the single
-    candidate b = 0.
+    Each v is one lane. A scan of `n_scan` points of [0, pi - D] brackets
+    each lane's lowest point between its two scan neighbours; every
+    refinement step then evaluates `_REFINE_POINTS` evenly spaced interior
+    points of each bracket in one `_g` call, reuses the bracket-end values,
+    and keeps the two neighbours of the lowest point. All lanes take the
+    same steps, until every bracket is no wider than `tol` (or than a few
+    ulps of b, where rounding stalls it). Returns (values, argmin_b, R at
+    argmin_b, g evaluations per lane); D = pi has the single candidate b = 0.
     """
-    N, D, v = q.N, q.D, q.v
+    if isinstance(n_scan, bool) or not isinstance(n_scan, (int, np.integer)) or n_scan < 2:
+        raise ParameterDomainError("n_scan must be an integer >= 2")
+    if not 0.0 < tol < math.inf:
+        raise ParameterDomainError("tol must be finite and positive")
+    vs = np.asarray(vs, dtype=float)
     if D >= math.pi:
-        val, R = _g(N, 0.0, v, math.pi)
-        return ProfileResult(float(val), 0.0, float(R), 1)
-    evals = 0
+        val, R = _g(N, 0.0, vs, math.pi)
+        return val, np.zeros_like(val), R, 1
+    v = vs[:, None]
+    lanes = np.arange(vs.size)
     bs = np.linspace(0.0, math.pi - D, n_scan)
     gs = _g(N, bs, v, D)[0]
-    evals += n_scan
-    i = int(np.argmin(gs))
-    a_ = bs[max(i - 1, 0)]
-    b_ = bs[min(i + 1, n_scan - 1)]
-    c_ = b_ - INV_PHI * (b_ - a_)
-    d_ = a_ + INV_PHI * (b_ - a_)
-    fc, fd = g_eval(N, c_, v, D), g_eval(N, d_, v, D)
-    evals += 2
-    while abs(b_ - a_) > tol:
-        if fc < fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - INV_PHI * (b_ - a_)
-            fc = g_eval(N, c_, v, D)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + INV_PHI * (b_ - a_)
-            fd = g_eval(N, d_, v, D)
-        evals += 1
-    bstar = 0.5 * (a_ + b_)
-    val, R = _g(N, bstar, v, D)
-    return ProfileResult(float(val), float(bstar), float(R), evals + 1)
+    pts = np.broadcast_to(bs, gs.shape)
+    evals = n_scan
+    frac = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1.0)
+    while True:
+        i = np.argmin(gs, axis=1)
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.shape[1] - 1)
+        a, b = pts[lanes, lo], pts[lanes, hi]
+        if np.all(b - a <= np.maximum(tol, 4.0 * np.spacing(b))):
+            break
+        inner = a[:, None] + (b - a)[:, None] * frac
+        gs = np.concatenate([gs[lanes, lo][:, None], _g(N, inner, v, D)[0],
+                             gs[lanes, hi][:, None]], axis=1)
+        pts = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
+        evals += _REFINE_POINTS
+    bstar = 0.5 * (a + b)
+    val, R = _g(N, bstar, vs, D)
+    return val, bstar, R, evals + 1
+
+
+def profile(q: ProfileQuery, n_scan=129, tol=BRACKET_TOL) -> ProfileResult:
+    """Minimize g(., v) over b in [0, pi - D]: a coarse scan, then bracket
+    refinement by batches of evenly spaced points (one lane of `_profile_lanes`).
+
+    g is smooth in b but not proven unimodal, so the scan guards the
+    refinement against secondary minima. `n_scan` must be an integer >= 2
+    and `tol`, the final bracket width in b, finite and positive.
+    """
+    val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan, tol)
+    return ProfileResult(float(val[0]), float(b[0]), float(R[0]), evals)
 
 
 @dataclass(frozen=True)
@@ -224,7 +244,9 @@ def bbg_ratio_check(N, D, v_grid):
     if vs.size == 0:
         raise ParameterDomainError("v_grid is empty")
     C = bbg_constant(N, D)
-    num = np.array([profile(ProfileQuery(N, D, float(v))).value for v in vs])
+    if not np.all((vs > 0.0) & (vs < 1.0)):
+        raise ParameterDomainError("need 0 < v < 1 for every v")
+    num = _profile_lanes(N, D, vs)[0]
     den = _g(N, 0.0, vs, math.pi)[0]
     return float(np.min(num / den - C))
 

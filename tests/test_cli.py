@@ -31,6 +31,7 @@ def test_profile_command(run_cli):
     s = _summary(out)
     assert s["command"] == "profile"
     assert math.isclose(s["results"]["value"], PROFILE_3_30_037, rel_tol=1e-9)
+    assert s["tolerances"] == {"bracket_tol": 1e-9, "residual_tol": 1e-12}
     assert _results_header(out) == "v,value,argmin_b,R,evals"
     assert (out / "run_info.json").exists()
 
@@ -70,12 +71,31 @@ def test_sweep_command(run_cli):
     assert "perturbed-cosine N=2: exponent" in proc.stdout
     s = _summary(out)
     assert abs(s["results"]["slope"] - 0.5) <= 0.1
+    assert s["results"]["fit_flagged"] is False
+    assert "fit flagged" not in proc.stdout
     assert s["results"]["excluded"] == 0
     with open(out / "results.csv") as fh:
         lines = fh.read().strip().splitlines()
     assert lines[0] == "param,delta,dist_l2,dist_w12,lambda1"
     assert len(lines) == 6
     assert (out / "plot.svg").exists()
+
+
+def test_sweep_flagged_fit_is_marked(tmp_path, capsys):
+    # per-point seeds scatter delta, so this fit has r^2 0.549 and its
+    # slope is no rate; the line used to print it without a warning
+    from obatalab import cli
+
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--dim", "2", "--family", "seeded-generated",
+                     "--seed", "1755883897", "--out", str(out)])
+    assert code == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("seeded-generated N=2: exponent 0.2954 (target 0.5)")
+    assert line.endswith("(fit flagged, r\u00b2 0.549)")
+    s = _summary(out)
+    assert s["results"]["fit_flagged"] is True
+    assert s["results"]["r_squared"] < s["tolerances"]["fit_flag_r2"]
 
 
 def test_localize_rigid(run_cli, fixtures_dir):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obatalab import isoperimetry as iso
 from obatalab.errors import ParameterDomainError
 from obatalab.isoperimetry import (
+    RESIDUAL_TOL,
     AsymptoticResult,
     ProfileQuery,
     asymptotic_constant,
@@ -69,7 +71,7 @@ def test_solve_R_residual_contract_over_scan():
     N, D, v = 1.5, 1.0, 0.5
     for b in np.linspace(0.0, math.pi - D, 129):
         err, rhs = _split_error(N, b, v, D, solve_R(N, b, v, D))
-        assert err <= 1e-12 * rhs, b
+        assert err <= RESIDUAL_TOL * rhs, b
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -82,9 +84,9 @@ def test_solve_R_contract_property(N, D, b_frac, v1, v2):
     R1, R2 = solve_R(N, b, v1, D), solve_R(N, b, v2, D)
     assert b <= R1 <= R2 <= b + D
     err, rhs = _split_error(N, b, v1, D, R1)
-    # below 1e-12 * rhs the contract is the rounding of R and of rhs to doubles
+    # below RESIDUAL_TOL * rhs the contract is the rounding of R and of rhs to doubles
     floor = math.sin(R1) ** (N - 1) * np.spacing(R1) + np.spacing(rhs)
-    assert err <= 1e-12 * rhs + floor
+    assert err <= RESIDUAL_TOL * rhs + floor
 
 
 def test_solve_R_domain():
@@ -152,7 +154,7 @@ def test_profile_model_half_volume():
 
 def test_profile_frozen_value():
     r = profile(ProfileQuery(N=3.0, D=3.0, v=0.37))
-    assert r.value == pytest.approx(PROFILE_3_30_037, abs=1e-7)
+    assert r.value == pytest.approx(PROFILE_3_30_037, abs=1e-15)  # the bench oracle's bound
     assert r.argmin_b == pytest.approx(0.059284844, abs=1e-6)
     assert 0.0 <= r.argmin_b <= math.pi - 3.0
     assert r.argmin_b <= r.R_at_argmin <= r.argmin_b + 3.0
@@ -164,6 +166,101 @@ def test_profile_model_symmetry():
         a = profile(ProfileQuery(N=2.5, D=math.pi, v=v)).value
         b = profile(ProfileQuery(N=2.5, D=math.pi, v=1.0 - v)).value
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def _golden_profile(N, D, v, n_scan=129, tol=1e-9):
+    """Reference: the scalar scan plus golden-section search that `profile`
+    ran before its brackets were refined in lanes; returns the value."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    bs = np.linspace(0.0, math.pi - D, n_scan)
+    i = int(np.argmin(iso._g(N, bs, v, D)[0]))
+    a_, b_ = bs[max(i - 1, 0)], bs[min(i + 1, n_scan - 1)]
+    c_ = b_ - inv_phi * (b_ - a_)
+    d_ = a_ + inv_phi * (b_ - a_)
+    fc, fd = g_eval(N, c_, v, D), g_eval(N, d_, v, D)
+    while abs(b_ - a_) > tol:
+        if fc < fd:
+            b_, d_, fd = d_, c_, fc
+            c_ = b_ - inv_phi * (b_ - a_)
+            fc = g_eval(N, c_, v, D)
+        else:
+            a_, c_, fc = c_, d_, fd
+            d_ = a_ + inv_phi * (b_ - a_)
+            fd = g_eval(N, d_, v, D)
+    return g_eval(N, 0.5 * (a_ + b_), v, D)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(N=st.floats(1.5, 5.0), D=st.floats(0.5, math.pi, exclude_max=True),
+       v=st.floats(0.05, 0.95))
+def test_profile_matches_golden_section(N, D, v):
+    r = profile(ProfileQuery(N, D, v))
+    ref = _golden_profile(N, D, v)
+    # near its minimum g is flat up to a rounding noise of a few ulps, so the
+    # two searches stop at different points of that noise
+    assert r.value <= ref + 8 * np.spacing(ref)
+    assert r.value == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert 0.0 <= r.argmin_b <= math.pi - D
+
+
+def test_profile_lanes_match_profile():
+    vs = np.array([0.03, 0.2, 0.37, 0.5, 0.81, 0.97])
+    for N, D in ((3.0, 3.0), (2.0, 0.6), (4.5, 2.0), (2.5, math.pi)):
+        vals, bs, Rs, evals = iso._profile_lanes(N, D, vs)
+        for v, val, b, R in zip(vs, vals, bs, Rs):
+            r = profile(ProfileQuery(N, D, float(v)))
+            assert val == pytest.approx(r.value, rel=1e-15, abs=0.0)
+            assert r.iterations <= evals  # the batch runs its slowest lane's steps
+            assert 0.0 <= b <= max(math.pi - D, 0.0) and b <= R <= b + D
+
+
+def _count_g(monkeypatch):
+    """Patch `_g` to count g evaluations (points of b times v) per call."""
+    calls = []
+    real = iso._g
+
+    def counted(N, b, v, D):
+        calls.append(np.broadcast(np.asarray(b), np.asarray(v)).size)
+        return real(N, b, v, D)
+
+    monkeypatch.setattr(iso, "_g", counted)
+    return calls
+
+
+def test_profile_iterations_count_g_evaluations(monkeypatch):
+    calls = _count_g(monkeypatch)
+    for n_scan in (2, 17, 129):
+        calls.clear()
+        r = profile(ProfileQuery(3.0, 2.5, 0.4), n_scan=n_scan)
+        assert r.iterations == sum(calls)
+        steps, rest = divmod(r.iterations - n_scan - 1, iso._REFINE_POINTS)
+        assert rest == 0 and len(calls) == steps + 2
+    calls.clear()
+    assert profile(ProfileQuery(3.0, math.pi, 0.4)).iterations == sum(calls) == 1
+    calls.clear()
+    vs = np.linspace(0.1, 0.9, 5)
+    evals = iso._profile_lanes(2.0, 1.5, vs)[3]
+    assert sum(calls) == vs.size * evals
+
+
+def test_profile_rejects_bad_search_settings():
+    # tol 0 or -1 used to loop forever, nan to stop at the scan bracket,
+    # n_scan 1 to return g at b = 0, and n_scan 0 to raise numpy's ValueError
+    q = ProfileQuery(3.0, 3.0, 0.37)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterDomainError):
+            profile(q, tol=tol)
+    for n_scan in (1, 0, -5, 2.5, 129.0, True):
+        with pytest.raises(ParameterDomainError):
+            profile(q, n_scan=n_scan)
+    assert profile(q, n_scan=np.int64(2)).value == pytest.approx(PROFILE_3_30_037, abs=1e-12)
+
+
+def test_profile_tol_below_rounding_terminates():
+    # a bracket cannot shrink below a few ulps of b; the search stops there
+    r = profile(ProfileQuery(3.0, 3.0, 0.37), tol=1e-300)
+    assert r.value == pytest.approx(PROFILE_3_30_037, abs=1e-15)
+    assert r.iterations < 129 + 20 * iso._REFINE_POINTS
 
 
 def test_profile_query_validation():
@@ -288,6 +385,14 @@ def test_bbg_ratio_empty_grid_raises():
         bbg_ratio_check(2.0, 2.0, [])
 
 
+def test_bbg_ratio_rejects_bad_v_before_solving(monkeypatch):
+    calls = _count_g(monkeypatch)
+    for vs in ([0.5, 1.0], [math.nan], [0.0, 0.5]):
+        with pytest.raises(ParameterDomainError):
+            bbg_ratio_check(3.0, 2.5, vs)
+    assert calls == []
+
+
 def test_bbg_ratio_matches_scalar_loop():
     N, D, vs = 3.0, 2.5, [0.2, 0.5, 0.8]
     C = bbg_constant(N, D)
@@ -301,7 +406,9 @@ def test_bbg_ratio_identity_at_pi():
 
 
 def test_bbg_ratio_positive_margin():
-    assert bbg_ratio_check(3.0, 2.5, np.linspace(0.01, 0.99, 99)) >= -1e-7
+    margin = bbg_ratio_check(3.0, 2.5, np.linspace(0.01, 0.99, 99))
+    assert margin >= -1e-7
+    assert margin == pytest.approx(0.009299155019137695, abs=1e-14)  # the per-v golden section
     assert bbg_ratio_check(2.0, 1.5, [0.5]) >= -1e-7
 
 

@@ -1,6 +1,7 @@
 """One implementation per idea: the derivative stencils and the m-integral
 live in measures, and every other module calls them from there; the CD
-density generator has one solution path, the exact piecewise rotation.
+density generator has one solution path, the exact piecewise rotation, and
+the isoperimetric profile one search, the lane-batched bracket refinement.
 The CLI starts without the SciPy submodules that none of its commands use."""
 import json
 import os
@@ -55,3 +56,9 @@ print(json.dumps({{"loaded": loaded, "residual": res.residual}}))
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
     assert out["residual"] < 1e-4
+
+
+def test_profile_has_one_search_path():
+    text = (SRC / "isoperimetry.py").read_text()
+    assert "INV_PHI" not in text
+    assert "def _profile_lanes(" in text
