@@ -5,7 +5,7 @@ Modules:
   isoperimetry  diameter-constrained model profiles and comparison constants
   spectral      Neumann eigenproblems, Green operator, cosine decomposition
   obata1d       deficit/distance and diameter/deficit experiment sweeps
-  localization  discrete ray-family pipeline up to the final assembly
+  localization  discrete ray-family pipeline up to the final assembly (localize)
   plotting      deterministic SVG rendering of sweep tables
   cli           batch front-end (entry point: obatalab)
 """
@@ -68,6 +68,7 @@ from .obata1d import (
 )
 from .localization import (
     DeficitLedger,
+    Localization,
     Ray,
     RayFamily,
     SuspensionGeometry,
@@ -75,6 +76,7 @@ from .localization import (
     bad_set_energy,
     global_deficit,
     load_family,
+    localize,
     long_mass_bound,
     normalize,
     per_ray_cosine,

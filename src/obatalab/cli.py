@@ -20,20 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NonCDInputError, ObataLabError
 from .isoperimetry import BRACKET_TOL, RESIDUAL_TOL, ProfileQuery, profile
-from .localization import (
-    SuspensionGeometry,
-    assemble_main,
-    bad_set_energy,
-    global_deficit,
-    load_family,
-    long_mass_bound,
-    normalize,
-    per_ray_cosine,
-    pole_concentration,
-    select_long_rays,
-    variance_bound,
-    volume_control,
-)
+from .localization import load_family, localize
 from .measures import Grid, cd_check, load_density_csv, model_density
 from .obata1d import (
     FAMILIES,
@@ -260,64 +247,26 @@ def _run_sweep(config: RunConfig) -> _Artifact:
 
 def _run_localize(config: RunConfig) -> _Artifact:
     p = config.params
-    beta = p.get("beta")
-    gamma = p.get("gamma")
-    fam = load_family(p["config"])
-    fam = normalize(fam)
-    ledger = global_deficit(fam)
-    sel = select_long_rays(fam, ledger, beta)
-    bad = bad_set_energy(fam, ledger)
-    prc = per_ray_cosine(fam, sel.Q_long)
-    ledger.c = prc.c
-    var = variance_bound(fam, ledger, beta, gamma)
-    mass = long_mass_bound(fam, ledger, beta, gamma)
-    geo = SuspensionGeometry.from_family(fam)
-    pole = pole_concentration(geo, sel.Q_long, delta=ledger.delta, beta=var.beta)
-
-    # spot-check the ball-volume sandwich away from the pole-distance edge;
-    # the sandwich is only claimed for suspension-complete families (no
-    # unspanned mass, every ray starting at the pole)
-    volume_checked = 0
-    suspension_complete = fam.unspanned_mass == 0.0 and all(
-        ray.a == 0.0 for ray in fam.rays
-    )
-    if suspension_complete and geo.pole_distance > 0.4:
-        for r in np.linspace(0.1, geo.pole_distance - 0.05, 16):
-            volume_control(geo, float(r))
-            volume_checked += 1
-
-    asm = assemble_main(fam, geo, ledger)
-
+    loc = localize(load_family(p["config"]), p.get("beta"), p.get("gamma"))
+    led, sel, bad, prc = loc.ledger, loc.selection, loc.bad_set, loc.cosines
+    var, mass, pole, asm = loc.variance, loc.mass, loc.pole, loc.assembly
     longs = set(sel.Q_long)
-    rows = []
-    for i, ray in enumerate(fam.rays):
-        rows.append((
-            i,
-            ray.weight,
-            ray.w.grid.D,
-            ray.a,
-            ray.b,
-            float(ledger.c[i]),
-            float(ledger.delta_q[i]),
-            i in longs,
-            float(prc.dist[i]),
-        ))
-    flags = {
-        "variance": var.flagged,
-        "long_mass": mass.flagged,
-        "unspanned": mass.unspanned_flagged,
-        "pole": pole.flagged,
-    }
+    rows = [
+        (i, ray.weight, ray.w.grid.D, ray.a, ray.b, float(prc.c[i]),
+         float(led.delta_q[i]), i in longs, float(prc.dist[i]))
+        for i, ray in enumerate(loc.family.rays)
+    ]
+    flags = loc.flags
     flagged = any(flags.values())
     print(
-        f"localize: delta {ledger.delta:.6g}, final_dist {asm.final_dist:.6g}, "
+        f"localize: delta {led.delta:.6g}, final_dist {asm.final_dist:.6g}, "
         f"flags {'none' if not flagged else ','.join(k for k, v in flags.items() if v)}"
     )
     return _Artifact(
         header=("ray", "weight", "D", "a", "b", "c", "delta_q", "long", "dist"),
         rows=rows,
         results={
-            "delta": ledger.delta,
+            "delta": led.delta,
             "beta": var.beta,
             "gamma": var.gamma,
             "Q_long": list(sel.Q_long),
@@ -338,7 +287,7 @@ def _run_localize(config: RunConfig) -> _Artifact:
             "pole_max_start": pole.max_start,
             "pole_max_end": pole.max_end,
             "pole_threshold": pole.threshold,
-            "volume_checked": volume_checked,
+            "volume_checked": loc.volume_checked,
             "final_dist": asm.final_dist,
             "final_ratio": asm.ratio,
             "eta": asm.eta,

@@ -36,7 +36,7 @@ class ProfileQuery:
     v: float
 
     def __post_init__(self):
-        if not self.N > 1:
+        if not 1 < self.N < math.inf:
             raise ParameterDomainError("N must exceed 1")
         if not 0.0 < self.D <= math.pi:
             raise ParameterDomainError("need 0 < D <= pi")
@@ -110,7 +110,7 @@ def _g(N, b, v, D):
 
 
 def _check_split(N, b, v, D):
-    if not N > 1:
+    if not 1 < N < math.inf:
         raise ParameterDomainError("N must exceed 1")
     if not 0.0 <= v <= 1.0:
         raise ParameterDomainError("volume fraction v must lie in [0, 1]")
@@ -199,7 +199,7 @@ class OdeResidualReport:
 
 def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
     """Finite-difference check of (I_N^{N/(N-1)})'' I_N^{(N-2)/(N-1)} = -N."""
-    if not N > 1:
+    if not 1 < N < math.inf:
         raise ParameterDomainError("N must exceed 1")
     if not step > 0.0:
         raise ParameterDomainError("step must be positive")
@@ -215,7 +215,7 @@ def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
 
 
 def _check_constant(N, D):
-    if not N > 1:
+    if not 1 < N < math.inf:
         raise ParameterDomainError("N must exceed 1")
     if not 0.0 < D <= math.pi:
         raise ParameterDomainError("need 0 < D <= pi")

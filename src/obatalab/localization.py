@@ -4,7 +4,10 @@ A RayFamily is an explicit disintegration: weighted 1-D CD densities with
 per-ray functions u_i, orthogonal-energy densities e_i, and pole offsets.
 Every inequality of the globalization chain is computed on it, from the
 global deficit ledger through Chebyshev selection of long rays to the final
-assembly against sqrt(N+1) cos of the suspension distance.
+assembly against sqrt(N+1) cos of the suspension distance. The entry point
+is localize(), which runs the whole chain once and returns a Localization
+holding every stage report; each stage reads what it needs from the
+reports of the stages before it.
 
 All reductions over rays are plain ordered folds, so results are bit-stable
 regardless of how per-ray work is scheduled.
@@ -89,7 +92,7 @@ class RayFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(self.rays))
-        if not self.N > 1:
+        if not 1 < self.N < math.inf:
             raise ParameterDomainError("dimension parameter N must exceed 1")
         if not self.rays:
             raise ParameterDomainError("family needs at least one ray")
@@ -139,21 +142,13 @@ def normalize(f: RayFamily) -> RayFamily:
     return RayFamily(N=f.N, rays=rays, unspanned_mass=f.unspanned_mass)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DeficitLedger:
-    """Accumulator threaded through the pipeline; ops fill fields as they go."""
+    """The global deficit and its per-ray split."""
 
     delta: float
-    c: np.ndarray           # per-ray c_q; signs fixed later by per_ray_cosine
+    c: np.ndarray           # per-ray |c_q|; per_ray_cosine fixes the signs
     delta_q: np.ndarray     # per-ray deficits, nan where c_q = 0
-    Q_long: tuple = None
-    cbar: float = None
-    variance: float = None
-    one_minus_mass: float = None
-    beta: float = None
-    gamma: float = None
-    r: float = None
-    final_dist: float = None
 
 
 def global_deficit(f: RayFamily) -> DeficitLedger:
@@ -236,8 +231,6 @@ def select_long_rays(f: RayFamily, ledger: DeficitLedger, beta=None) -> LongRayR
             )
         Q_long = tuple(i for i in range(len(f.rays)) if c[i] > 0)
         long_c2 = math.fsum(weights[i] * c2[i] for i in Q_long)
-        ledger.Q_long = Q_long
-        ledger.beta = float(beta)
         return LongRayReport(
             Q_long=Q_long, beta=float(beta), threshold=0.0, excluded_c2=0.0,
             chebyshev_bound=0.0, chebyshev_ok=True, long_c2=float(long_c2),
@@ -274,8 +267,6 @@ def select_long_rays(f: RayFamily, ledger: DeficitLedger, beta=None) -> LongRayR
             f"long ray with diameter gap {max_gap} exceeds CD length bound "
             f"{length_bound}"
         )
-    ledger.Q_long = Q_long
-    ledger.beta = float(beta)
     return LongRayReport(
         Q_long=Q_long, beta=float(beta), threshold=float(threshold),
         excluded_c2=float(excluded_c2), chebyshev_bound=float(bound),
@@ -291,17 +282,12 @@ class BadSetReport:
     ok: bool
 
 
-def bad_set_energy(f: RayFamily, ledger: DeficitLedger, Q_long=None) -> BadSetReport:
+def bad_set_energy(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport) -> BadSetReport:
     """Energy carried by excluded rays; bounded by (N+1) delta^{1-beta}."""
-    if Q_long is None:
-        Q_long = ledger.Q_long
-    if Q_long is None:
-        raise ParameterDomainError("run select_long_rays first")
-    beta = ledger.beta if ledger.beta is not None else default_beta(f.N)
-    sel = set(Q_long)
+    longs = set(sel.Q_long)
     value = 0.0
     for i, r in enumerate(f.rays):
-        if i in sel:
+        if i in longs:
             continue
         du = first_diff(r.w.grid.nodes, r.u)
         value += r.weight * r.w.mean(du * du + r.e)
@@ -309,7 +295,7 @@ def bad_set_energy(f: RayFamily, ledger: DeficitLedger, Q_long=None) -> BadSetRe
     if delta_eff > 1.0:
         # the (N+1) delta^{1-beta} bound is only claimed in the delta <= 1 regime
         return BadSetReport(value=float(value), bound=None, ok=True)
-    bound = (f.N + 1.0) * delta_eff ** (1.0 - beta) + 1e-10
+    bound = (f.N + 1.0) * delta_eff ** (1.0 - sel.beta) + 1e-10
     ok = value <= bound
     if not ok:
         raise NonCDInputError(
@@ -370,25 +356,22 @@ class VarianceReport:
     gamma: float
 
 
-def variance_bound(f: RayFamily, ledger: DeficitLedger, beta=None, gamma=None) -> VarianceReport:
+def variance_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport,
+                   cosines: PerRayCosineReport, gamma=None) -> VarianceReport:
     """Var of sign-fixed c_q over long rays against the three-term envelope
     delta^{3 gamma/N} + delta^{1-beta-gamma+gamma/N} + delta^{(beta-gamma) min(2/N, 1)}."""
     N = f.N
-    if beta is None:
-        beta = ledger.beta if ledger.beta is not None else default_beta(N)
+    beta = sel.beta
     if gamma is None:
         gamma = default_gamma(N)
     _check_var_params(N, beta, gamma)
-    if ledger.Q_long is None:
-        raise ParameterDomainError("run select_long_rays first")
     weights = f.weights
-    qmass = math.fsum(weights[i] for i in ledger.Q_long)
+    c = cosines.c
+    qmass = math.fsum(weights[i] for i in sel.Q_long)
     if qmass <= 0:
         raise ParameterDomainError("long rays carry no measure")
-    cbar = math.fsum(weights[i] * ledger.c[i] for i in ledger.Q_long) / qmass
-    var = math.fsum(
-        weights[i] * (ledger.c[i] - cbar) ** 2 for i in ledger.Q_long
-    ) / qmass
+    cbar = math.fsum(weights[i] * c[i] for i in sel.Q_long) / qmass
+    var = math.fsum(weights[i] * (c[i] - cbar) ** 2 for i in sel.Q_long) / qmass
 
     d = max(ledger.delta, 0.0)
     envelope = (
@@ -398,11 +381,6 @@ def variance_bound(f: RayFamily, ledger: DeficitLedger, beta=None, gamma=None) -
     )
     ratio = _envelope_ratio(var, envelope, 1e-25)
     flagged = var > 10.0 * envelope + 1e-10
-    ledger.cbar = float(cbar)
-    ledger.variance = float(var)
-    ledger.beta = float(beta)
-    ledger.gamma = float(gamma)
-    ledger.r = float(d ** (gamma / N))
     return VarianceReport(
         variance=float(var), cbar=float(cbar), envelope=float(envelope),
         ratio=float(ratio), flagged=bool(flagged), beta=float(beta),
@@ -424,20 +402,17 @@ class MassReport:
     gamma: float
 
 
-def long_mass_bound(f: RayFamily, ledger: DeficitLedger, beta=None, gamma=None) -> MassReport:
+def long_mass_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport, gamma=None) -> MassReport:
     """(1 - q(Q_long))^2 against delta^{2 gamma/N} + delta^{(beta-gamma)/N}
     + delta^{1-beta-gamma}; also the unspanned-mass envelope."""
     N = f.N
-    if beta is None:
-        beta = ledger.beta if ledger.beta is not None else default_beta(N)
+    beta = sel.beta
     if gamma is None:
-        gamma = ledger.gamma if ledger.gamma is not None else default_gamma(N)
+        gamma = default_gamma(N)
     if not 0 < gamma < min(beta, 1.0 - beta):
         raise ParameterDomainError("need 0 < gamma < min(beta, 1 - beta)")
-    if ledger.Q_long is None:
-        raise ParameterDomainError("run select_long_rays first")
     weights = f.weights
-    qmass = math.fsum(weights[i] for i in ledger.Q_long)
+    qmass = math.fsum(weights[i] for i in sel.Q_long)
     one_minus = 1.0 - qmass
     lhs = one_minus * one_minus
 
@@ -456,7 +431,6 @@ def long_mass_bound(f: RayFamily, ledger: DeficitLedger, beta=None, gamma=None) 
         + d ** ((1.0 - beta - gamma) / 2.0)
     )
     unsp_flag = f.unspanned_mass > 10.0 * unsp_env + 1e-10
-    ledger.one_minus_mass = float(one_minus)
     return MassReport(
         lhs=float(lhs), one_minus_mass=float(one_minus),
         envelope=float(envelope), ratio=float(ratio), flagged=bool(flagged),
@@ -632,12 +606,73 @@ def assemble_main(f: RayFamily, geometry: SuspensionGeometry, ledger: DeficitLed
     delta = ledger.delta if ledger is not None else global_deficit(f).delta
     eta = final_exponent(f.N)
     ratio = _envelope_ratio(final, max(delta, 0.0) ** eta, 1e-12)
-    if ledger is not None:
-        ledger.final_dist = float(final)
     return AssembleReport(
         final_dist=float(final), final_dist_sq=float(final_sq),
         delta=float(delta), eta=float(eta), ratio=float(ratio),
         sign=float(best_sign),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the whole chain
+
+
+@dataclass(frozen=True, eq=False)
+class Localization:
+    """Every stage report of one localize() run, in chain order."""
+
+    family: RayFamily          # the normalized family the stages ran on
+    ledger: DeficitLedger
+    selection: LongRayReport
+    bad_set: BadSetReport
+    cosines: PerRayCosineReport
+    variance: VarianceReport
+    mass: MassReport
+    pole: PoleReport
+    volume_checked: int        # radii of the ball-volume spot-check
+    assembly: AssembleReport
+
+    @property
+    def flags(self):
+        """The scaling diagnostics that flag, by name; any of them means exit 2."""
+        return {
+            "variance": self.variance.flagged,
+            "long_mass": self.mass.flagged,
+            "unspanned": self.mass.unspanned_flagged,
+            "pole": self.pole.flagged,
+        }
+
+
+def localize(f: RayFamily, beta=None, gamma=None) -> Localization:
+    """Normalize f and run the globalization chain on it, stage by stage.
+
+    beta and gamma default to default_beta(N) and default_gamma(N). The
+    ball-volume sandwich is spot-checked at 16 radii away from the pole
+    distance, on suspension-complete families only (no unspanned mass, every
+    ray starting at the pole): the sandwich is claimed for no others.
+    """
+    f = normalize(f)
+    beta = default_beta(f.N) if beta is None else beta
+    gamma = default_gamma(f.N) if gamma is None else gamma
+    ledger = global_deficit(f)
+    sel = select_long_rays(f, ledger, beta)
+    bad = bad_set_energy(f, ledger, sel)
+    cosines = per_ray_cosine(f, sel.Q_long)
+    var = variance_bound(f, ledger, sel, cosines, gamma)
+    mass = long_mass_bound(f, ledger, sel, gamma)
+    geo = SuspensionGeometry.from_family(f)
+    pole = pole_concentration(geo, sel.Q_long, delta=ledger.delta, beta=sel.beta)
+
+    radii = ()
+    if f.unspanned_mass == 0.0 and all(r.a == 0.0 for r in f.rays) and geo.pole_distance > 0.4:
+        radii = np.linspace(0.1, geo.pole_distance - 0.05, 16)
+    for r in radii:
+        volume_control(geo, float(r))
+
+    return Localization(
+        family=f, ledger=ledger, selection=sel, bad_set=bad, cosines=cosines,
+        variance=var, mass=mass, pole=pole,
+        volume_checked=len(radii), assembly=assemble_main(f, geo, ledger),
     )
 
 

@@ -194,12 +194,15 @@ def sinpow_cum(N, x):
     edge = 0.5 * w * betainc(N / 2.0, 0.5, np.minimum(s2, split))
     mid = 0.5 * w * (1.0 - np.sign(c) * betainc(0.5, N / 2.0, np.minimum(c * c, 1.0 - split)))
     out = np.where(s2 > split, mid, np.where(x <= np.pi / 2, edge, w - edge))
+    # the series sees 0 outside its band, where x^N would overflow at large N
     small = x < 1e-5
     if np.any(small):
-        out = np.where(small, _sinpow_series(N, np.maximum(x, 0.0)), out)
+        xs = np.maximum(np.where(small, x, 0.0), 0.0)
+        out = np.where(small, _sinpow_series(N, xs), out)
     tail = x > np.pi - 1e-5
     if np.any(tail):
-        out = np.where(tail, w - _sinpow_series(N, np.maximum(np.pi - x, 0.0)), out)
+        xs = np.maximum(np.where(tail, np.pi - x, 0.0), 0.0)
+        out = np.where(tail, w - _sinpow_series(N, xs), out)
     return out if out.ndim else float(out)
 
 
@@ -216,7 +219,7 @@ class CoefficientQuery:
 
 
 def _validate_query(q):
-    if not q.N > 1:
+    if not 1 < q.N < math.inf:
         raise ParameterDomainError(f"coefficient dimension N must exceed 1, got {q.N}")
     if not 0.0 <= q.t <= 1.0:
         raise ParameterDomainError(f"interpolation parameter t must lie in [0,1], got {q.t}")

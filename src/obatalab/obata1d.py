@@ -121,7 +121,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family!r}")
-        if not self.N > 1:
+        if not 1 < self.N < math.inf:
             raise ParameterDomainError("need N > 1")
         sweep = tuple(float(s) for s in self.sweep) or _default_sweep(self.family)
         if len(sweep) < 5:

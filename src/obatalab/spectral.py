@@ -89,6 +89,15 @@ def has_half_grid(n):
     return n % 2 == 0 and n // 2 >= 15
 
 
+def _coarsest_cells(n):
+    """Cells of the coarsest grid neumann_eigs solves directly for n cells:
+    the base of the nested refinement, or the half grid of a direct solve."""
+    m = n
+    while m > _DIRECT_CELLS and m % 2 == 0:
+        m //= 2
+    return m // 2 if m == n and has_half_grid(n) else m
+
+
 def _assemble(t, h):
     dt = np.diff(t)
     hmid = 0.5 * (h[:-1] + h[1:])
@@ -241,6 +250,10 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         raise ParameterDomainError("need k >= 1")
     t = w.grid.nodes
     h = w.h
+    cells = _coarsest_cells(len(t) - 1)
+    if k > cells:
+        raise ParameterDomainError(
+            f"k = {k} exceeds the {cells} cells of the coarsest grid solved")
     vals, u, half, scaled = _eigenpairs(t, h, k)
     if half is None and has_half_grid(len(t) - 1):
         half = _eigenpairs(t[::2], h[::2], k)[0]

@@ -14,16 +14,8 @@ import numpy as np
 from obatalab.isoperimetry import asymptotic_constant, bbg_constant
 from obatalab.localization import (
     SuspensionGeometry,
-    assemble_main,
-    bad_set_energy,
-    global_deficit,
     load_family,
-    long_mass_bound,
-    normalize,
-    per_ray_cosine,
-    pole_concentration,
-    select_long_rays,
-    variance_bound,
+    localize,
     volume_control,
 )
 from obatalab.measures import Grid, generate_cd_density, model_density
@@ -170,28 +162,13 @@ def test_criterion_08_bochner_scaling():
         print(f"criterion 08 N={N:g}: ratio^2 range {spread:.4f} PASS")
 
 
-def _pipeline(path):
-    fam = normalize(load_family(path))
-    led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    bad_set_energy(fam, led)
-    prc = per_ray_cosine(fam, sel.Q_long)
-    led.c = prc.c
-    var = variance_bound(fam, led)
-    mass = long_mass_bound(fam, led)
-    geo = SuspensionGeometry.from_family(fam)
-    pole_concentration(geo, sel.Q_long, delta=led.delta, beta=var.beta)
-    asm = assemble_main(fam, geo, led)
-    return fam, led, sel, var, mass, asm
-
-
 def test_criterion_09_localization_pipeline(fixtures_dir):
     for N, tag in ((2.0, "n2"), (3.0, "n3")):
         deltas, finals, var_ratios, mass_ratios = [], [], [], []
         for k in range(5):
-            fam, led, sel, var, mass, asm = _pipeline(
-                fixtures_dir / f"sweep_{tag}_k{k}.json")
-            weights = fam.weights
+            run = localize(load_family(fixtures_dir / f"sweep_{tag}_k{k}.json"))
+            led, sel = run.ledger, run.selection
+            weights = run.family.weights
             # (a) global deficit pays for the localized deficits
             paid = math.fsum(
                 weights[i] * led.delta_q[i] * led.c[i] ** 2
@@ -200,10 +177,10 @@ def test_criterion_09_localization_pipeline(fixtures_dir):
             assert led.delta >= paid - 1e-10
             # (b) Chebyshev mass certificate at the stated exponent
             assert sel.excluded_c2 <= led.delta ** (1.0 - sel.beta) + 1e-12
-            var_ratios.append(var.ratio)
-            mass_ratios.append(mass.ratio)
+            var_ratios.append(run.variance.ratio)
+            mass_ratios.append(run.mass.ratio)
             deltas.append(led.delta)
-            finals.append(asm.final_dist)
+            finals.append(run.assembly.final_dist)
         # (c) sweep-stable envelope constants
         assert max(var_ratios) / min(var_ratios) <= 10.0
         assert max(mass_ratios) / min(mass_ratios) <= 10.0
@@ -217,9 +194,9 @@ def test_criterion_09_localization_pipeline(fixtures_dir):
               f"{max(mass_ratios) / min(mass_ratios):.4f} PASS")
     for name in ("rigid.json", "rigid_n3.json", "flip_n2.json",
                  "rigid3_n2.json"):
-        fam, led, sel, var, mass, asm = _pipeline(fixtures_dir / name)
-        assert asm.final_dist == 0.0, name
-        assert var.variance == 0.0, name
+        run = localize(load_family(fixtures_dir / name))
+        assert run.assembly.final_dist == 0.0, name
+        assert run.variance.variance == 0.0, name
     print("criterion 09 rigid fixtures: exact zeros PASS")
 
 

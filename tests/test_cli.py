@@ -176,7 +176,9 @@ def test_check_density_fail(run_cli, fixtures_dir):
     assert r["violation"] > 0
 
 
-def test_bad_usage_exits_1(run_cli, fixtures_dir):
+def test_bad_usage_exits_1(tmp_path, capsys, fixtures_dir):
+    from obatalab import cli
+
     cases = [
         ("nonsense",),
         ("profile", "--dim", "3"),
@@ -188,11 +190,13 @@ def test_bad_usage_exits_1(run_cli, fixtures_dir):
         ("spectrum", "--model", "--dim", "3", "--k", "0"),
         ("check-density", str(fixtures_dir / "model_n2.csv"), "--dim", "2",
          "--kappa", "nan"),
+        ("profile", "--dim", "inf", "--diam", "2", "--v", "0.5"),
+        ("spectrum", "--model", "--dim", "2", "--k", "33", "--grid", "64"),
     ]
     for args in cases:
-        proc, _ = run_cli(*args)
-        assert proc.returncode == 1, args
-        assert proc.stderr.strip().startswith("error:"), args
+        code = cli.main(list(args) + ["--out", str(tmp_path / "out")])
+        assert code == 1, args
+        assert capsys.readouterr().err.strip().startswith("error:"), args
 
 
 def _write_samples(path, header, t, v):

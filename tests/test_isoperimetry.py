@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -270,6 +271,16 @@ def test_profile_query_validation():
         ProfileQuery(N=2.0, D=3.5, v=0.5)
     with pytest.raises(ParameterDomainError):
         ProfileQuery(N=1.0, D=3.0, v=0.5)
+    with pytest.raises(ParameterDomainError, match="N must exceed 1"):
+        ProfileQuery(N=math.inf, D=2.0, v=0.5)
+
+
+def test_profile_large_dimension_is_warning_free():
+    # sinpow_cum's pole series overflows at N = 1e6 if evaluated off its band
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = profile(ProfileQuery(1e6, 2.0, 0.5))
+    assert r.value == pytest.approx(math.sqrt(1e6 / (2.0 * math.pi)), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +322,7 @@ def test_profile_ode_residual_domain():
     for step in (0.0, -1e-3):
         with pytest.raises(ParameterDomainError):
             profile_ode_residual(2.0, [0.5], step=step)
-    for N in (1.0, 0.5):
+    for N in (1.0, 0.5, math.inf):
         with pytest.raises(ParameterDomainError):
             profile_ode_residual(N, [0.5])
 
@@ -369,7 +380,7 @@ def test_c_squared_minus_one_domain():
     for D in (4.0, -1.0, 0.0):
         with pytest.raises(ParameterDomainError):
             c_squared_minus_one(2.0, D)
-    for N in (1.0, -1.0):  # -1 used to raise ZeroDivisionError
+    for N in (1.0, -1.0, math.inf):  # -1 used to raise ZeroDivisionError
         for fn in (c_squared_minus_one, bbg_constant):
             with pytest.raises(ParameterDomainError):
                 fn(N, 2.0)

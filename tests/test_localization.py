@@ -24,6 +24,7 @@ from obatalab.localization import (
     final_exponent,
     global_deficit,
     load_family,
+    localize,
     long_mass_bound,
     normalize,
     per_ray_cosine,
@@ -71,20 +72,6 @@ def _rigid_plus_short(n=4096):
         Ray(weight=eps, w=trunc, u=np.zeros(n + 1), e=np.zeros(n + 1)),
     )
     return normalize(RayFamily(N=2.0, rays=rays))
-
-
-def _pipeline(fam):
-    led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    bad = bad_set_energy(fam, led)
-    prc = per_ray_cosine(fam, sel.Q_long)
-    led.c = prc.c
-    var = variance_bound(fam, led)
-    mass = long_mass_bound(fam, led)
-    geo = SuspensionGeometry.from_family(fam)
-    pole = pole_concentration(geo, sel.Q_long, delta=led.delta, beta=var.beta)
-    asm = assemble_main(fam, geo, led)
-    return led, sel, bad, prc, var, mass, geo, pole, asm
 
 
 # --------------------------------------------------------------------------
@@ -222,6 +209,9 @@ def test_ray_validation():
         Ray(weight=1.0, w=w, u=u, e=np.full(n + 1, -1e-3))
     with pytest.raises(ParameterDomainError, match="weights must be positive"):
         Ray(weight=0.0, w=w, u=u, e=np.zeros(n + 1))
+    ray = Ray(weight=1.0, w=w, u=u, e=np.zeros(n + 1))
+    with pytest.raises(ParameterDomainError, match="N must exceed 1"):
+        RayFamily(N=math.inf, rays=(ray,))
 
 
 # --------------------------------------------------------------------------
@@ -281,8 +271,7 @@ def test_select_rigid_takes_all_rays(fixtures_dir):
     assert sel.chebyshev_bound == 0.0
     assert sel.chebyshev_ok
     assert sel.max_length_gap <= 1e-6
-    assert led.Q_long == (0,)
-    assert led.beta == default_beta(2.0)
+    assert sel.beta == default_beta(2.0)
 
 
 def test_select_shortray_chebyshev(fixtures_dir):
@@ -328,8 +317,8 @@ def test_select_length_certificate(fixtures_dir):
 def test_bad_set_rigid_zero(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    select_long_rays(fam, led)
-    bad = bad_set_energy(fam, led)
+    sel = select_long_rays(fam, led)
+    bad = bad_set_energy(fam, led, sel)
     assert bad.value == 0.0
     assert bad.bound == 1e-10
     assert bad.ok
@@ -338,8 +327,8 @@ def test_bad_set_rigid_zero(fixtures_dir):
 def test_bad_set_shortray(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "shortray_n2.json"))
     led = global_deficit(fam)
-    select_long_rays(fam, led)
-    bad = bad_set_energy(fam, led)
+    sel = select_long_rays(fam, led)
+    bad = bad_set_energy(fam, led, sel)
     assert math.isclose(bad.value, SHORTRAY_BAD, rel_tol=1e-9)
     assert math.isclose(bad.bound, SHORTRAY_BAD_BOUND, rel_tol=1e-9)
     assert bad.ok
@@ -355,17 +344,10 @@ def test_bad_set_no_bound_above_unit_deficit():
     sel = select_long_rays(fam, led)
     assert sel.Q_long == ()
     assert sel.excluded_c2 <= sel.chebyshev_bound
-    bad = bad_set_energy(fam, led)
+    bad = bad_set_energy(fam, led, sel)
     assert bad.bound is None
     assert bad.ok
     assert math.isclose(bad.value, led.delta + 2.0, rel_tol=1e-9)
-
-
-def test_bad_set_requires_selection(fixtures_dir):
-    fam = normalize(load_family(fixtures_dir / "rigid.json"))
-    led = global_deficit(fam)
-    with pytest.raises(ParameterDomainError, match="select_long_rays first"):
-        bad_set_energy(fam, led)
 
 
 # --------------------------------------------------------------------------
@@ -408,35 +390,31 @@ def test_variance_rigid(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
     sel = select_long_rays(fam, led)
-    led.c = per_ray_cosine(fam, sel.Q_long).c
-    var = variance_bound(fam, led)
+    var = variance_bound(fam, led, sel, per_ray_cosine(fam, sel.Q_long))
     assert var.variance == 0.0
     assert var.ratio == 0.0
     assert not var.flagged
     assert abs(var.cbar - 1.0) <= 1e-6
-    assert led.r == 0.0
-    assert led.variance == 0.0
 
 
 def test_variance_param_guards(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    led.c = per_ray_cosine(fam, sel.Q_long).c
+    sel = select_long_rays(fam, led, beta=0.3)
+    prc = per_ray_cosine(fam, sel.Q_long)
     with pytest.raises(ParameterDomainError, match="0 < gamma < beta < 1"):
-        variance_bound(fam, led, beta=0.3, gamma=0.4)
+        variance_bound(fam, led, sel, prc, gamma=0.4)
     # N = 2: gamma must stay below N(1-beta)/(N-1) = 2(1-beta)
+    sel = select_long_rays(fam, led, beta=0.9)
     with pytest.raises(ParameterDomainError, match="gamma < N"):
-        variance_bound(fam, led, beta=0.9, gamma=0.3)
+        variance_bound(fam, led, sel, prc, gamma=0.3)
 
 
 def test_mass_rigid(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
     sel = select_long_rays(fam, led)
-    led.c = per_ray_cosine(fam, sel.Q_long).c
-    variance_bound(fam, led)
-    mass = long_mass_bound(fam, led)
+    mass = long_mass_bound(fam, led, sel)
     assert mass.lhs == 0.0
     assert mass.one_minus_mass == 0.0
     assert mass.ratio == 0.0
@@ -448,23 +426,21 @@ def test_mass_rigid(fixtures_dir):
 def test_mass_param_guard(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    led.c = per_ray_cosine(fam, sel.Q_long).c
+    sel = select_long_rays(fam, led, beta=0.8)
     with pytest.raises(ParameterDomainError, match="min\\(beta, 1 - beta\\)"):
-        long_mass_bound(fam, led, beta=0.8, gamma=0.3)
+        long_mass_bound(fam, led, sel, gamma=0.3)
 
 
 def test_unspanned_family_flags(fixtures_dir):
-    fam = normalize(load_family(fixtures_dir / "unspanned_bad_n2.json"))
-    led, sel, bad, prc, var, mass, geo, pole, asm = _pipeline(fam)
+    run = localize(load_family(fixtures_dir / "unspanned_bad_n2.json"))
     # zero deficit cannot pay for missing mass: both diagnostics flag
-    assert led.delta <= 0.0
-    assert fam.unspanned_mass > 0.0
-    assert mass.flagged
-    assert mass.unspanned_flagged
-    assert not var.flagged
-    assert math.isclose(asm.final_dist, UNSPANNED_FINAL, rel_tol=1e-9)
-    assert asm.ratio == math.inf
+    assert run.ledger.delta <= 0.0
+    assert run.family.unspanned_mass > 0.0
+    assert run.mass.flagged
+    assert run.mass.unspanned_flagged
+    assert not run.variance.flagged
+    assert math.isclose(run.assembly.final_dist, UNSPANNED_FINAL, rel_tol=1e-9)
+    assert run.assembly.ratio == math.inf
 
 
 # --------------------------------------------------------------------------
@@ -569,7 +545,6 @@ def test_assemble_rigid_zero(fixtures_dir):
     assert asm.ratio == 0.0
     assert asm.sign == 1.0
     assert asm.eta == final_exponent(2.0)
-    assert led.final_dist == 0.0
 
 
 def test_assemble_flip_sign(fixtures_dir):
@@ -581,8 +556,8 @@ def test_assemble_flip_sign(fixtures_dir):
 
 
 def test_assemble_shortray(fixtures_dir):
-    fam = normalize(load_family(fixtures_dir / "shortray_n2.json"))
-    led, sel, bad, prc, var, mass, geo, pole, asm = _pipeline(fam)
+    run = localize(load_family(fixtures_dir / "shortray_n2.json"))
+    led, asm = run.ledger, run.assembly
     assert math.isclose(asm.final_dist, SHORTRAY_FINAL, rel_tol=1e-9)
     assert asm.final_dist == math.sqrt(asm.final_dist_sq)  # the direction assemble_main computes
     assert asm.delta == led.delta
@@ -611,8 +586,8 @@ def test_default_exponents():
 
 
 def test_sweep_fixture_full_pipeline(fixtures_dir):
-    fam = normalize(load_family(fixtures_dir / "sweep_n2_k0.json"))
-    led, sel, bad, prc, var, mass, geo, pole, asm = _pipeline(fam)
+    run = localize(load_family(fixtures_dir / "sweep_n2_k0.json"))
+    fam, led, sel, asm = run.family, run.ledger, run.selection, run.assembly
     assert 0.0 < led.delta < 0.5
     assert sel.Q_long == tuple(range(len(fam.rays)))
     # localization identity: the global deficit pays for the per-ray ones
@@ -622,9 +597,9 @@ def test_sweep_fixture_full_pipeline(fixtures_dir):
     )
     assert led.delta >= paid - 1e-10
     assert np.all(led.delta_q[np.asarray(sel.Q_long)] >= -1e-6)
-    assert not var.flagged
-    assert not mass.flagged
-    assert not pole.flagged
+    assert not run.variance.flagged
+    assert not run.mass.flagged
+    assert not run.pole.flagged
     assert asm.final_dist > 0.0
     assert np.isfinite(asm.ratio)
 

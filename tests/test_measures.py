@@ -149,6 +149,8 @@ def test_sigma_continuous_near_zero_theta():
 def test_coefficient_query_validation():
     with pytest.raises(ParameterDomainError, match="must exceed 1"):
         sigma_coeff(CoefficientQuery(K=1.0, N=0.5, t=0.5, theta=1.0))
+    with pytest.raises(ParameterDomainError, match="must exceed 1"):
+        sigma_coeff(CoefficientQuery(K=1.0, N=math.inf, t=0.5, theta=1.0))
     with pytest.raises(ParameterDomainError, match="lie in"):
         sigma_coeff(CoefficientQuery(K=1.0, N=2.0, t=1.5, theta=1.0))
     with pytest.raises(ParameterDomainError, match="theta"):

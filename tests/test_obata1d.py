@@ -67,6 +67,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(N=2.0, family="mystery")
     with pytest.raises(ParameterDomainError):
         ExperimentSpec(N=1.0, family="perturbed-cosine")
+    with pytest.raises(ParameterDomainError, match="need N > 1"):
+        ExperimentSpec(N=math.inf, family="perturbed-cosine")
     with pytest.raises(ParameterDomainError):
         ExperimentSpec(N=2.0, family="perturbed-cosine", sweep=(0.1, 0.05))
     with pytest.raises(ParameterDomainError):

@@ -96,6 +96,12 @@ def test_neumann_validation():
     w = uniform_interval(64)
     with pytest.raises(ParameterDomainError):
         neumann_eigs(w, k=0)
+    # k <= cells of the coarsest grid solved: the half grid, or the nested base
+    assert len(neumann_eigs(w, k=32).eigenvalues) == 32
+    with pytest.raises(ParameterDomainError, match="coarsest grid"):
+        neumann_eigs(w, k=33)
+    with pytest.raises(ParameterDomainError, match="3072 cells"):
+        neumann_eigs(uniform_interval(12288), k=3073)
     g = Grid.uniform(1.0, 64)
     h = np.ones(65)
     h[20:40] = 0.0

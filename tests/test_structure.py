@@ -2,7 +2,10 @@
 live in measures, and every other module calls them from there; the CD
 density generator has one solution path, the exact piecewise rotation, and
 the isoperimetric profile one search, the lane-batched bracket refinement.
-The CLI starts without the SciPy submodules that none of its commands use."""
+The localization chain is written once, in localization.localize, and its
+deficit ledger is frozen. The CLI starts without the SciPy submodules that
+none of its commands use."""
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,23 +13,27 @@ import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "obatalab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "obatalab"
 
 # Importing any of these costs 0.1-0.4 s per CLI start, and no command needs them
 LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
 
 
-def test_stencils_and_quadrature_only_in_measures():
-    pattern = re.compile(r"np\.(gradient|trapezoid)\(")
-    others = [path for path in sorted(SRC.glob("*.py")) if path.name != "measures.py"]
-    assert len(others) >= 7
-    hits = [
+def _hits(paths, pattern):
+    """name:line of every line of the files that matches pattern."""
+    return [
         f"{path.name}:{i}"
-        for path in others
+        for path in paths
         for i, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
-    assert hits == []
+
+
+def test_stencils_and_quadrature_only_in_measures():
+    others = [path for path in sorted(SRC.glob("*.py")) if path.name != "measures.py"]
+    assert len(others) >= 7
+    assert _hits(others, re.compile(r"np\.(gradient|trapezoid)\(")) == []
 
 
 def test_generator_has_no_step_integrator():
@@ -62,3 +69,22 @@ def test_profile_has_one_search_path():
     text = (SRC / "isoperimetry.py").read_text()
     assert "INV_PHI" not in text
     assert "def _profile_lanes(" in text
+
+
+def test_deficit_ledger_is_a_frozen_triple():
+    from obatalab.localization import DeficitLedger
+
+    assert DeficitLedger.__dataclass_params__.frozen
+    assert [f.name for f in dataclasses.fields(DeficitLedger)] == ["delta", "c", "delta_q"]
+
+
+def test_localization_chain_lives_in_localize():
+    callers = (SRC / "cli.py", ROOT / "tools" / "gen_fixtures.py",
+               ROOT / "tests" / "test_acceptance.py")
+    stage_call = re.compile(r"\b(select_long_rays|variance_bound|assemble_main)\(")
+    assert _hits(callers, stage_call) == []
+    # the stages hand the signed c over in reports, never through the ledger
+    files = [path for top in ("src", "tests", "tools")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(files) >= 15
+    assert _hits(files, re.compile(r"\.c\s*=(?!=)")) == []

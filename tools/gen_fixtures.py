@@ -124,26 +124,6 @@ def sweep_family(N, delta0, amp_draws, deficit_draws):
     return family(N, rays, unspanned)
 
 
-# --- pipeline probe (sanity run over a written fixture) ---------------------
-
-
-def run_pipeline(path):
-    fam = loc.load_family(path)
-    fam = loc.normalize(fam)
-    led = loc.global_deficit(fam)
-    sel = loc.select_long_rays(fam, led)
-    loc.bad_set_energy(fam, led)
-    prc = loc.per_ray_cosine(fam, sel.Q_long)
-    led.c = prc.c
-    var = loc.variance_bound(fam, led)
-    mass = loc.long_mass_bound(fam, led)
-    geo = loc.SuspensionGeometry.from_family(fam)
-    pole = loc.pole_concentration(geo, sel.Q_long, delta=led.delta, beta=led.beta)
-    asm = loc.assemble_main(fam, geo, led)
-    flags = (var.flagged, mass.flagged, mass.unspanned_flagged, pole.flagged)
-    return led, sel, asm, flags
-
-
 def main():
     os.makedirs(OUT, exist_ok=True)
 
@@ -249,29 +229,32 @@ def main():
         dq = rng.uniform(0.7, 1.3, 8)
         for k, d0 in enumerate(DELTA0):
             path = dump(f"sweep_{tag}_k{k}.json", sweep_family(N, d0, amp, dq))
-            led, sel, asm, flags = run_pipeline(path)
-            assert len(sel.Q_long) == 8, (path, sel.Q_long)
-            assert not any(flags), (path, flags)
-            assert 0.4 * d0 < led.delta < 0.95 * d0, (path, led.delta)
-            print(f"{os.path.basename(path)}: delta={led.delta:.6f} "
-                  f"final={asm.final_dist:.6f} ratio={asm.ratio:.3f}")
+            run = loc.localize(loc.load_family(path))
+            assert len(run.selection.Q_long) == 8, (path, run.selection.Q_long)
+            assert not any(run.flags.values()), (path, run.flags)
+            delta = run.ledger.delta
+            assert 0.4 * d0 < delta < 0.95 * d0, (path, delta)
+            print(f"{os.path.basename(path)}: delta={delta:.6f} "
+                  f"final={run.assembly.final_dist:.6f} ratio={run.assembly.ratio:.3f}")
 
     # sanity over the structural fixtures
     for name in ("rigid.json", "rigid_n3.json", "rigid3_n2.json", "flip_n2.json"):
-        led, sel, asm, flags = run_pipeline(os.path.join(OUT, name))
-        assert asm.final_dist == 0.0 and not any(flags), (name, asm.final_dist, flags)
+        run = loc.localize(loc.load_family(os.path.join(OUT, name)))
+        final = run.assembly.final_dist
+        assert final == 0.0 and not any(run.flags.values()), (name, final, run.flags)
         print(f"{name}: final_dist exactly 0")
-    led, sel, asm, flags = run_pipeline(os.path.join(OUT, "shortray_n2.json"))
-    assert sel.Q_long == (0,) and sel.excluded_c2 > 0 and not any(flags)
+    run = loc.localize(loc.load_family(os.path.join(OUT, "shortray_n2.json")))
+    sel = run.selection
+    assert sel.Q_long == (0,) and sel.excluded_c2 > 0 and not any(run.flags.values())
     print(f"shortray_n2.json: excluded_c2={sel.excluded_c2:.4f} ok")
     try:
-        run_pipeline(os.path.join(OUT, "noncd_length.json"))
+        loc.localize(loc.load_family(os.path.join(OUT, "noncd_length.json")))
     except ol.NonCDInputError as exc:
         print(f"noncd_length.json: rejected as designed ({exc})")
     else:
         raise AssertionError("noncd_length.json should fail the length certificate")
-    led, sel, asm, flags = run_pipeline(os.path.join(OUT, "unspanned_bad_n2.json"))
-    assert flags[1] and flags[2], flags
+    run = loc.localize(loc.load_family(os.path.join(OUT, "unspanned_bad_n2.json")))
+    assert run.flags["long_mass"] and run.flags["unspanned"], run.flags
     print("unspanned_bad_n2.json: mass/unspanned flags raised as designed")
 
 
