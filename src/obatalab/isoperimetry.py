@@ -37,7 +37,7 @@ class ProfileQuery:
 
     def __post_init__(self):
         if not 1 < self.N < math.inf:
-            raise ParameterDomainError("N must exceed 1")
+            raise ParameterDomainError("N must exceed 1 and be finite")
         if not 0.0 < self.D <= math.pi:
             raise ParameterDomainError("need 0 < D <= pi")
         if not 0.0 < self.v < 1.0:
@@ -111,7 +111,7 @@ def _g(N, b, v, D):
 
 def _check_split(N, b, v, D):
     if not 1 < N < math.inf:
-        raise ParameterDomainError("N must exceed 1")
+        raise ParameterDomainError("N must exceed 1 and be finite")
     if not 0.0 <= v <= 1.0:
         raise ParameterDomainError("volume fraction v must lie in [0, 1]")
     if not (D > 0.0 and b >= -1e-12 and b + D <= math.pi + 1e-9):
@@ -200,7 +200,7 @@ class OdeResidualReport:
 def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
     """Finite-difference check of (I_N^{N/(N-1)})'' I_N^{(N-2)/(N-1)} = -N."""
     if not 1 < N < math.inf:
-        raise ParameterDomainError("N must exceed 1")
+        raise ParameterDomainError("N must exceed 1 and be finite")
     if not step > 0.0:
         raise ParameterDomainError("step must be positive")
     vs = np.asarray(v_grid, dtype=float)
@@ -216,7 +216,7 @@ def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
 
 def _check_constant(N, D):
     if not 1 < N < math.inf:
-        raise ParameterDomainError("N must exceed 1")
+        raise ParameterDomainError("N must exceed 1 and be finite")
     if not 0.0 < D <= math.pi:
         raise ParameterDomainError("need 0 < D <= pi")
 

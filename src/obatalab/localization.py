@@ -93,7 +93,7 @@ class RayFamily:
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(self.rays))
         if not 1 < self.N < math.inf:
-            raise ParameterDomainError("dimension parameter N must exceed 1")
+            raise ParameterDomainError("dimension parameter N must exceed 1 and be finite")
         if not self.rays:
             raise ParameterDomainError("family needs at least one ray")
         if self.unspanned_mass < 0:

@@ -220,7 +220,8 @@ class CoefficientQuery:
 
 def _validate_query(q):
     if not 1 < q.N < math.inf:
-        raise ParameterDomainError(f"coefficient dimension N must exceed 1, got {q.N}")
+        raise ParameterDomainError(
+            f"coefficient dimension N must exceed 1 and be finite, got {q.N}")
     if not 0.0 <= q.t <= 1.0:
         raise ParameterDomainError(f"interpolation parameter t must lie in [0,1], got {q.t}")
     if q.theta < 0:

@@ -122,7 +122,7 @@ class ExperimentSpec:
         if self.family not in FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family!r}")
         if not 1 < self.N < math.inf:
-            raise ParameterDomainError("need N > 1")
+            raise ParameterDomainError("need N > 1 and finite")
         sweep = tuple(float(s) for s in self.sweep) or _default_sweep(self.family)
         if len(sweep) < 5:
             raise ParameterDomainError("sweeps need at least 5 points")

@@ -5,14 +5,18 @@ midpoint fluxes with a mass-lumped right side. Fluxes and masses are both
 assembled from cell-midpoint densities, so nothing ever divides by a nodal
 h value and densities vanishing at the endpoints (the model) need no special
 casing. A diagonal similarity turns the pencil into a symmetric tridiagonal
-standard problem. Grids of at most 4096 cells (or with an odd cell count) are
-solved directly by bisection + inverse iteration. A larger even grid is solved
-on its half grid first, recursively, and each half-grid eigenvector is
-interpolated linearly and polished by two steps of inverse iteration shifted
-by its half-grid eigenvalue; no bisection runs at that size. At every level
-the reported eigenvalue is the flux-form Rayleigh quotient of the computed
-eigenvector, a sum of positive terms that converges cleanly as O(grid^2),
-where bisection eigenvalues carry an absolute error of about eps n^2.
+standard problem. A grid with an even cell count is solved on its half grid
+first, recursively, down to a base: the coarsest exact halving with at least
+max(256, 8 k^{3/2}) cells for k pairs. Only the base (or a grid with no such
+halving) is solved directly, by bisection + inverse iteration. On the way up
+each half-grid eigenvector is interpolated linearly and polished by inverse
+iteration shifted by its half-grid eigenvalue until two successive estimates
+of |lambda - shift| agree to 1e-8 of lambda (2 to 6 steps). A level where a
+pair does not converge, or has the wrong number of sign changes, is solved
+directly instead. At every level the reported eigenvalue is the flux-form
+Rayleigh quotient of the computed eigenvector, a sum of positive terms that
+converges cleanly as O(grid^2), where bisection eigenvalues carry an absolute
+error of about eps n^2.
 """
 import math
 from dataclasses import dataclass
@@ -38,8 +42,9 @@ class SpectralResult:
 
     eigenvalues: lambda_1 <= ... <= lambda_k, each the discrete flux/mass
         Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of its computed
-        eigenvector (lambda_0 ~ 0 dropped, kept in lam0; exactly 0 on a
-        refined grid, whose lambda_0 vector is the constant)
+        eigenvector (lambda_0 ~ 0 dropped, kept in lam0: exactly 0 on a grid
+        refined from its half grid, whose lambda_0 vector is the constant;
+        ~1e-23 on a grid solved directly, the base or a fallback level)
     eigenfunctions: column j is the j-th eigenfunction, L2(m)-normalized in the
         discrete mass inner product, zero m-mean, sign fixed positive at the
         first significant node
@@ -52,9 +57,11 @@ class SpectralResult:
         (~1e-16 to 1e-13) at every grid size for a converged pair. It
         measures the solve, not the discretisation error (see err_bar)
     half_eigenvalues: lambda_1..lambda_k of the same density on the half grid
-        (every other node), signed; on a refined grid they are the values the
-        refinement started from. NaN unless has_half_grid(n) holds for the
-        n cells of the grid
+        (every other node), signed. On a grid refined from its half grid
+        (an even grid above the base) they are the values the refinement
+        started from, kept when the level falls back to a direct solve; on a
+        grid solved directly the half grid is solved directly as well. NaN
+        unless has_half_grid(n) holds for the n cells of the grid
     err_bar: |lambda(n) - lambda(n/2)| per pair; NaN without the half grid
     richardson: lambda(n) + (lambda(n) - lambda(n/2))/3, which removes the
         O(dt^2) term of the scheme; NaN without the half grid
@@ -80,8 +87,11 @@ class SpectralResult:
         return self.eigenvalues + (self.eigenvalues - self.half_eigenvalues) / 3.0
 
 
-# grids above this many cells (with an even count) are refined from their half grid
-_DIRECT_CELLS = 4096
+# the base of the nested solve has at least this many cells (and 8 k^{3/2})
+_DIRECT_CELLS = 256
+# inverse iteration per refined pair: step bounds, and the agreement of two
+# successive |lambda - shift| estimates, relative to lambda, that ends it
+_MIN_STEPS, _MAX_STEPS, _STEP_RTOL = 2, 6, 1e-8
 
 
 def has_half_grid(n):
@@ -89,11 +99,19 @@ def has_half_grid(n):
     return n % 2 == 0 and n // 2 >= 15
 
 
-def _coarsest_cells(n):
-    """Cells of the coarsest grid neumann_eigs solves directly for n cells:
-    the base of the nested refinement, or the half grid of a direct solve."""
+def _refines(n, k):
+    """Whether k pairs on n cells are refined from the half grid: n is even
+    and n/2 keeps at least max(_DIRECT_CELLS, 8 k^{3/2}) cells, so that
+    k <= (n/16)^{2/3} pairs are resolved on the half grid."""
+    return n % 2 == 0 and n // 2 >= max(_DIRECT_CELLS, 8.0 * k ** 1.5)
+
+
+def _coarsest_cells(n, k):
+    """Cells of the coarsest grid neumann_eigs solves directly for k pairs on
+    n cells: the base of the nested refinement, or the half grid of a direct
+    solve."""
     m = n
-    while m > _DIRECT_CELLS and m % 2 == 0:
+    while _refines(m, k):
         m //= 2
     return m // 2 if m == n and has_half_grid(n) else m
 
@@ -170,25 +188,44 @@ def _prolong(t, v):
 
 
 def _inverse_iterate(d, e, y, shift):
-    """Two steps of inverse iteration on the symmetric tridiagonal (d, e)."""
+    """Inverse iteration on the symmetric tridiagonal (d, e) from y, until two
+    successive estimates 1/||z|| of |lambda - shift| agree to _STEP_RTOL of
+    the eigenvalue; ConditioningError when _MAX_STEPS do not get there.
+
+    The agreement is taken relative to |shift|, not to the estimate itself:
+    the estimate carries a rounding noise of 1e-9 to 1e-7 of itself at 2^20
+    cells, so a converged pair would often never agree to 1e-8 of it.
+    """
     dl, dd, du, du2, ipiv, info = dgttrf(e, d - shift, e, overwrite_d=1)
-    if info == 0:
-        for _ in range(2):
-            y = dgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=1)[0]
-    if info != 0 or not np.all(np.isfinite(y)):
+    if info != 0:
         raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
-    return y
+    # the iterate is rescaled only on return: the estimate of a step is the
+    # ratio of successive norms, and _MAX_STEPS steps stay far from overflow
+    norm = float(np.linalg.norm(y))
+    gap = math.inf
+    for step in range(1, _MAX_STEPS + 1):
+        y = dgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=1)[0]
+        last, prev = gap, norm
+        norm = float(np.linalg.norm(y))
+        if not 0.0 < norm < math.inf:
+            raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
+        gap = prev / norm
+        if step >= _MIN_STEPS and abs(gap - last) <= _STEP_RTOL * abs(shift):
+            y /= norm
+            return y
+    raise ConditioningError(
+        f"inverse iteration at shift {shift!r} did not converge in {_MAX_STEPS} steps")
 
 
 def _refine(scaled, u, shifts):
     """Polish prolonged eigenvectors u (columns 0..k) in place, given the
     _scaled matrix of their grid; return their flux Rayleigh quotients.
 
-    Column j takes two steps of inverse iteration shifted by shifts[j], its
-    half-grid eigenvalue, in the symmetric form y = u/s of the direct solve;
-    column 0 becomes the constant. Pair j must change sign exactly j times
-    (Sturm oscillation: the off-diagonals are negative on the support), else
-    ConditioningError.
+    Column j takes inverse iteration shifted by shifts[j], its half-grid
+    eigenvalue, in the symmetric form y = u/s of the direct solve, until it
+    converges (_inverse_iterate); column 0 becomes the constant. Pair j must
+    change sign exactly j times (Sturm oscillation: the off-diagonals are
+    negative on the support). Either failure raises ConditioningError.
     """
     f, M, s, d, e = scaled
     u[:, 0] = 1.0
@@ -211,16 +248,20 @@ def _eigenpairs(t, h, k):
     half-grid eigenvalues when the pairs were refined from the half grid, and
     the _scaled matrix of the grid.
 
-    A grid of more than _DIRECT_CELLS cells with an even count is refined from
-    its half grid, recursively; smaller or odd grids are solved directly.
+    A grid that _refines is refined from its half grid, recursively; the base
+    and grids with no exact half are solved directly, and so is a refined
+    level whose refinement raises ConditioningError.
     """
     _support_checks(h)
-    n = len(t) - 1
-    if n > _DIRECT_CELLS and n % 2 == 0:
+    if _refines(len(t) - 1, k):
         half, u = _eigenpairs(t[::2], h[::2], k)[:2]
         u = _prolong(t, u)
         scaled = _scaled(t, h)
-        return _refine(scaled, u, half), u, half, scaled
+        try:
+            ray = _refine(scaled, u, half)
+        except ConditioningError:
+            ray, u = _solve_tridiagonal(scaled, k)
+        return ray, u, half, scaled
     scaled = _scaled(t, h)
     ray, u = _solve_tridiagonal(scaled, k)
     return ray, u, None, scaled
@@ -250,7 +291,7 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         raise ParameterDomainError("need k >= 1")
     t = w.grid.nodes
     h = w.h
-    cells = _coarsest_cells(len(t) - 1)
+    cells = _coarsest_cells(len(t) - 1, k)
     if k > cells:
         raise ParameterDomainError(
             f"k = {k} exceeds the {cells} cells of the coarsest grid solved")

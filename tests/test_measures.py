@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obatalab import isoperimetry as iso
 from obatalab.errors import (
     ConfigError,
     DegenerateDensityError,
@@ -28,7 +29,8 @@ from obatalab.measures import (
     sinpow_cum,
     tau_coeff,
 )
-from obatalab.obata1d import truncated_model
+from obatalab.localization import RayFamily
+from obatalab.obata1d import ExperimentSpec, truncated_model
 
 # Frozen oracle values (tests/oracles/frozen.txt). Recompute with
 # tests/oracles/derived_values.py before touching these.
@@ -144,6 +146,23 @@ def test_sigma_nonpositive_K_extension():
 def test_sigma_continuous_near_zero_theta():
     q0 = sigma_coeff(CoefficientQuery(K=3.0, N=2.5, t=0.4, theta=1e-9))
     assert q0 == pytest.approx(0.4, abs=1e-9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeightedInterval(grid=Grid.uniform(1.0, 16), h=np.ones(17), K=0.0, N=math.inf),
+    lambda: sigma_coeff(CoefficientQuery(K=1.0, N=math.inf, t=0.5, theta=1.0)),
+    lambda: iso.ProfileQuery(N=math.inf, D=2.0, v=0.5),
+    lambda: iso.solve_R(math.inf, 0.0, 0.5, 2.0),
+    lambda: iso.profile_ode_residual(math.inf, [0.5]),
+    lambda: iso.bbg_constant(math.inf, 2.0),
+    lambda: RayFamily(N=math.inf, rays=()),
+    lambda: ExperimentSpec(N=math.inf, family="perturbed-cosine"),
+], ids=["WeightedInterval", "_validate_query", "ProfileQuery", "_check_split",
+        "profile_ode_residual", "_check_constant", "RayFamily", "ExperimentSpec"])
+def test_infinite_dimension_message_says_finite(build):
+    # every two-sided N check tells the user that N must also be finite
+    with pytest.raises(ParameterDomainError, match="finite"):
+        build()
 
 
 def test_coefficient_query_validation():

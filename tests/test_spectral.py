@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obatalab import spectral
 from obatalab.errors import (
@@ -100,8 +101,10 @@ def test_neumann_validation():
     assert len(neumann_eigs(w, k=32).eigenvalues) == 32
     with pytest.raises(ParameterDomainError, match="coarsest grid"):
         neumann_eigs(w, k=33)
-    with pytest.raises(ParameterDomainError, match="3072 cells"):
-        neumann_eigs(uniform_interval(12288), k=3073)
+    # k pairs are only refined from a half grid of at least 8 k^{3/2} cells,
+    # so k = 6145 on 12288 cells is solved directly and its half grid bounds k
+    with pytest.raises(ParameterDomainError, match="6144 cells"):
+        neumann_eigs(uniform_interval(12288), k=6145)
     g = Grid.uniform(1.0, 64)
     h = np.ones(65)
     h[20:40] = 0.0
@@ -192,17 +195,146 @@ def test_seeded_richardson_grid_independent():
     assert max(lams) / min(lams) - 1.0 <= 1e-8, lams
 
 
+def _direct_eigenvalues(w, k):
+    return spectral._solve_tridiagonal(spectral._scaled(w.grid.nodes, w.h), k)[0][1:]
+
+
 def test_nested_matches_direct_solve():
-    # grids above 4096 cells are refined from their half grid; a direct
-    # bisection solve of the same grid gives the same pairs
-    cases = [model_density(3.0, Grid.uniform(math.pi, n)) for n in (8192, 2 ** 16)]
-    cases.append(generate_cd_density(2.5, 4, Grid.uniform(2.9, 8192)))
+    # an even grid is refined from its half grid down to a base of at least
+    # max(256, 8 k^{3/2}) cells, inverse-iterating each pair until it converges
+    # (a level that does not is solved directly); a direct bisection solve of
+    # the same grid gives the same pairs
+    cases = [model_density(3.0, Grid.uniform(math.pi, n)) for n in (512, 4096, 8192, 2 ** 16)]
+    cases += [generate_cd_density(2.5, 4, Grid.uniform(2.9, n)) for n in (512, 4096, 8192)]
     for w in cases:
         res = neumann_eigs(w, k=2)
         vals, vecs = spectral._solve_tridiagonal(spectral._scaled(w.grid.nodes, w.h), 2)
         assert np.max(np.abs(res.eigenvalues / vals[1:] - 1.0)) <= 1e-10
         assert np.max(np.abs(res.eigenfunctions - vecs[:, 1:])) <= 1e-8
         assert np.array_equal(res.rayleigh, res.eigenvalues)
+
+
+def test_nested_base_grows_with_k():
+    # the base is the coarsest exact halving with at least max(256, 8 k^{3/2})
+    # cells; below that, and on odd grids, the grid and its half are direct
+    assert spectral._coarsest_cells(4096, 1) == 256
+    assert spectral._coarsest_cells(4096, 10) == 256
+    assert spectral._coarsest_cells(4096, 11) == 512
+    assert spectral._coarsest_cells(4097, 1) == 4097
+    assert spectral._coarsest_cells(300, 1) == 150
+    # 3072 pairs on 12288 cells are too many to refine from any half grid
+    assert not spectral._refines(12288, 3072)
+    assert spectral._coarsest_cells(12288, 3072) == 6144
+    w = model_density(2.0, Grid.uniform(math.pi, 4096))
+    for k in (10, 11, 32, 55):
+        res = neumann_eigs(w, k=k)
+        assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10, k
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(spectral, name)
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
+def test_smooth_families_converge_without_fallback(monkeypatch):
+    # each refined pair of a smooth density takes 2 or 3 inverse-iteration
+    # steps, and only the base level is solved by bisection
+    steps = []
+    factor = spectral.dgttrf
+    solve = spectral.dgttrs
+
+    def counted_factor(*args, **kwargs):
+        steps.append(0)
+        return factor(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        steps[-1] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "dgttrf", counted_factor)
+    monkeypatch.setattr(spectral, "dgttrs", counted_solve)
+    bisections = _count_calls(monkeypatch, "eigh_tridiagonal")
+    n = 2 ** 14
+    cases = [model_density(N, Grid.uniform(math.pi, n)) for N in (2.0, 3.0)]
+    cases += [truncated_model(3.0, math.pi - 2.0 ** -5, n),
+              generate_cd_density(3.0, 2, Grid.uniform(2.8, n)),
+              # here |lambda - shift| estimates carry rounding of up to 1e-7 of
+              # themselves, so agreement is measured against lambda instead
+              truncated_model(3.0, math.pi - 2.0 ** -5, 2 ** 20)]
+    for w in cases:
+        steps.clear()
+        bisections.clear()
+        neumann_eigs(w, k=2)
+        levels = w.grid.n.bit_length() - 9  # halvings down to the 256-cell base
+        assert len(steps) == 2 * levels and set(steps) <= {2, 3}, steps
+        assert bisections == [257]
+
+
+def _rough_density(name, n):
+    g = Grid.uniform(1.0, n)
+    t = g.nodes
+    if name.startswith("noise"):
+        h = 1.0 + float(name[5:]) * np.random.default_rng(5).uniform(-1.0, 1.0, n + 1)
+    elif name.startswith("square"):  # period of 32 nodes
+        h = 1.0 + float(name[6:]) * np.sign(np.sin(np.pi * (np.arange(n + 1) + 0.5) / 16))
+    elif name == "spike":
+        h = np.ones(n + 1)
+        h[n // 3] = 1e4
+    elif name == "notch":
+        h = np.ones(n + 1)
+        h[n // 2 - 8:n // 2 + 8] = 1e-4
+    elif name == "two-wells":
+        h = np.exp(-1000.0 * ((t - 0.25) * (t - 0.75)) ** 2)
+    else:
+        return model_density(3.0, Grid.uniform(math.pi, n))
+    return WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+
+
+@pytest.mark.parametrize("name", ["noise0.5", "noise0.9", "noise0.99", "square0.9",
+                                  "square0.999", "spike", "notch", "two-wells", "model"])
+def test_nested_matches_direct_on_rough_densities(name, monkeypatch):
+    # the coarse levels sample these densities badly: pairs that do not
+    # converge, or have the wrong sign count, send their level to bisection
+    w = _rough_density(name, 4096)
+    bisections = _count_calls(monkeypatch, "eigh_tridiagonal")
+    for k in (1, 3):
+        bisections.clear()
+        res = neumann_eigs(w, k=k)
+        if name == "spike":  # on an odd node: only the full grid sees it, and falls back
+            assert bisections == [257, 4097]
+        assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10
+
+
+@st.composite
+def _piecewise_smooth(draw):
+    """A positive density on [0, D], smooth between up to four breakpoints."""
+    D = draw(st.floats(0.5, 3.0))
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
+    pieces = draw(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-2.0, 2.0),
+                                     st.floats(0.0, 12.0), st.floats(0.0, 0.9)),
+                           min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    g = Grid.uniform(D, 1024)
+    s = g.nodes / D
+    which = np.searchsorted(cuts, s)
+    h = np.empty_like(s)
+    for i, (level, slope, freq, amp) in enumerate(pieces):
+        on = which == i
+        h[on] = level * np.exp(slope * s[on]) * (1.0 + amp * np.sin(freq * s[on]))
+    return WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(w=_piecewise_smooth(), k=st.integers(1, 3))
+def test_nested_matches_direct_property(w, k):
+    res = neumann_eigs(w, k=k)
+    assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10
 
 
 def test_nested_half_grid_values_are_the_half_grid_solve():

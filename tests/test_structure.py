@@ -3,8 +3,10 @@ live in measures, and every other module calls them from there; the CD
 density generator has one solution path, the exact piecewise rotation, and
 the isoperimetric profile one search, the lane-batched bracket refinement.
 The localization chain is written once, in localization.localize, and its
-deficit ledger is frozen. The CLI starts without the SciPy submodules that
-none of its commands use."""
+deficit ledger is frozen. The Neumann solve bisects in one place, the base
+and fallback solve of the nested refinement. The CLI starts without the SciPy
+submodules that none of its commands use."""
+import ast
 import dataclasses
 import json
 import os
@@ -88,3 +90,16 @@ def test_localization_chain_lives_in_localize():
              for path in sorted((ROOT / top).rglob("*.py"))]
     assert len(files) >= 15
     assert _hits(files, re.compile(r"\.c\s*=(?!=)")) == []
+
+
+def test_bisection_only_in_the_base_solve():
+    # every other grid is reached from that solve by nested refinement
+    paths = sorted(SRC.glob("*.py"))
+    assert len(_hits(paths, re.compile(r"eigh_tridiagonal\("))) == 1
+    callers = [f"{path.stem}.{fn.name}"
+               for path in paths
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "eigh_tridiagonal"]
+    assert callers == ["spectral._solve_tridiagonal"]
