@@ -10,7 +10,7 @@ import numpy as np
 
 from obatalab.measures import Grid, model_density
 from obatalab.obata1d import loglog_fit, truncated_model
-from obatalab.spectral import cosine_decompose, neumann_eigs, rayleigh
+from obatalab.spectral import cosine_decompose, deficit, neumann_eigs
 
 
 def main():
@@ -42,7 +42,7 @@ def main():
     base = math.sqrt(N + 1.0) * np.cos(t)
     for s in (0.2, 0.1, 0.05):
         u = w.standardize(base + s * np.sin(2.0 * t))
-        delta = rayleigh(w, u) - N
+        delta = deficit(w, u)
         dec = cosine_decompose(w, u)
         print(f"  s = {s:<5g} deficit = {delta:.6f}   "
               f"W12 dist = {dec.dist_W12:.6f}   "

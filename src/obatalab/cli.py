@@ -32,7 +32,7 @@ from .obata1d import (
     upper_gap_check,
 )
 from .plotting import render_plot
-from .spectral import neumann_eigs
+from .spectral import MAX_PAIRS, neumann_eigs
 
 CD_TOL = 1e-8
 
@@ -143,23 +143,15 @@ def _run_spectrum(config: RunConfig) -> _Artifact:
     k = 1 if k is None else int(k)
     w = _build_interval(config)
     res = neumann_eigs(w, k=k)
-    rows = []
-    for j in range(len(res.eigenvalues)):
-        err = res.err_bar[j]
-        rows.append((
-            j + 1,
-            float(res.eigenvalues[j]),
-            float(res.rayleigh[j]),
-            float(res.residuals[j]),
-            float(err) if math.isfinite(err) else math.nan,
-        ))
+    cols = (res.eigenvalues, res.richardson, res.residuals, res.err_bar)
+    rows = [(j + 1, *(float(c[j]) for c in cols)) for j in range(len(res.eigenvalues))]
     lam1 = float(res.eigenvalues[0])
     print(f"lambda1 = {lam1:.12g} (lambda0 residual {res.lam0:.3g})")
     return _Artifact(
-        header=("index", "eigenvalue", "rayleigh", "residual", "err_bar"),
+        header=("index", "eigenvalue", "richardson", "residual", "err_bar"),
         rows=rows,
         results={"lambda1": lam1, "lambda0": res.lam0},
-        tolerances={"model_lambda1_rel": 1e-5},
+        tolerances={"model_lambda1_rel": 1e-5, "max_pairs": MAX_PAIRS},
     )
 
 

@@ -17,9 +17,10 @@ from .measures import Grid, WeightedInterval, first_diff, generate_cd_density, m
 from .spectral import (
     asymptotic_rate_constant,
     cosine_distance,
-    has_half_grid,
+    deficit,
     neumann_eigs,
     rayleigh,
+    require_half_grid,
 )
 
 FAMILIES = ("truncated-model", "perturbed-cosine", "seeded-generated")
@@ -90,15 +91,6 @@ def dilated_model(N, D, n) -> WeightedInterval:
     h = np.sin(math.pi * g.nodes / D) ** (N - 1.0)
     h[-1] = 0.0
     return WeightedInterval(grid=g, h=h, K=N - 1.0, N=N).normalized()
-
-
-def _check_half_grid(n):
-    # lambda_1 is Richardson-extrapolated against the half-grid solve that
-    # neumann_eigs makes, whose 1/3 factor assumes a step ratio of exactly 2
-    if not has_half_grid(n):
-        raise ParameterDomainError(
-            f"grid_n must be even with grid_n/2 >= 15 for Richardson, got {n}"
-        )
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,7 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
     small-deficit theorem and carries an unspecified delta_0(N) guard.
     """
     N, n = spec.N, spec.grid_n
-    _check_half_grid(n)
+    require_half_grid(n)
     params = sorted(spec.sweep)
 
     if spec.family == "perturbed-cosine":
@@ -191,7 +183,7 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
         def job(s):
             t = w_model.grid.nodes
             u = w_model.standardize(np.cos(t) + s * np.sin(2 * t))
-            delta = rayleigh(w_model, u) - N
+            delta = deficit(w_model, u)
             _, d2, dw = cosine_distance(w_model, u)
             return delta, d2, dw, lam_model
     else:
@@ -257,7 +249,7 @@ def diameter_deficit_sweep(N, D_sweep=None, grid_n=4096) -> DiameterSweepResult:
     Ds = sorted(float(D) for D in D_sweep)
     if any(not 0 < D < math.pi for D in Ds):
         raise ParameterDomainError("diameter sweep wants 0 < D < pi")
-    _check_half_grid(grid_n)
+    require_half_grid(grid_n)
 
     def job(D):
         return float(neumann_eigs(truncated_model(N, D, grid_n), k=1).richardson[0])
@@ -288,7 +280,7 @@ class UpperGapReport:
     ratios: np.ndarray           # gap / eps
     max_ratio: float
     spread: float                # max/min of ratios; stability under halving
-    candidate_deficit: np.ndarray  # Rayleigh deficit of recentred sqrt(N+1) cos
+    candidate_deficit: np.ndarray  # deficit() of sqrt(N+1) cos
     candidate_max_ratio: float
 
 
@@ -298,7 +290,7 @@ def upper_gap_check(N, D_sweep=None, grid_n=4096) -> UpperGapReport:
     The dilated density sin^{N-1}(pi t / D) satisfies CD(N-1, N) (its curvature
     is (N-1)(pi/D)^2 > N-1), so it witnesses that no power better than linear
     can hold in the upper direction. Also evaluates the explicit candidate
-    sqrt(N+1) cos(t), recentred, whose quotient must be N + O(eps).
+    sqrt(N+1) cos(t), whose deficit must be O(eps).
     """
     if D_sweep is None:
         D_sweep = [math.pi - e for e in (0.2, 0.1, 0.05)]
@@ -308,13 +300,12 @@ def upper_gap_check(N, D_sweep=None, grid_n=4096) -> UpperGapReport:
     Ds = [D for D in Ds if D < math.pi]  # exact pi is 0/0, excluded
     if not Ds:
         raise ParameterDomainError("no diameters strictly below pi")
-    _check_half_grid(grid_n)
+    require_half_grid(grid_n)
 
     def job(D):
         w = dilated_model(N, D, grid_n)
         lam = float(neumann_eigs(w, k=1).richardson[0])
-        t = w.grid.nodes
-        cand = rayleigh(w, math.sqrt(N + 1.0) * np.cos(t)) - N
+        cand = deficit(w, math.sqrt(N + 1.0) * np.cos(w.grid.nodes))
         return lam - N, cand
 
     rows = _run_jobs(job, Ds)
@@ -337,7 +328,7 @@ def upper_gap_check(N, D_sweep=None, grid_n=4096) -> UpperGapReport:
 @dataclass(frozen=True)
 class EigenComparisonReport:
     lhs: float        # min-over-sign ||v -+ u1||^2 in W^{1,2}(m)
-    rhs: float        # Rayleigh(v) - lambda_1
+    rhs: float        # rayleigh(v) - lambda_1, >= 0 by min-max
     ratio: float
     overlap: float    # <v, u1> in L^2(m)
     lambda1: float

@@ -13,10 +13,14 @@ each half-grid eigenvector is interpolated linearly and polished by inverse
 iteration shifted by its half-grid eigenvalue until two successive estimates
 of |lambda - shift| agree to 1e-8 of lambda (2 to 6 steps). A level where a
 pair does not converge, or has the wrong number of sign changes, is solved
-directly instead. At every level the reported eigenvalue is the flux-form
-Rayleigh quotient of the computed eigenvector, a sum of positive terms that
-converges cleanly as O(grid^2), where bisection eigenvalues carry an absolute
-error of about eps n^2.
+directly instead. At most MAX_PAIRS pairs are computed.
+
+The package has one discrete Rayleigh quotient, the flux form
+sum f (u_{i+1} - u_i)^2 / sum M u_i^2 (_flux_quotient). Every eigenvalue is
+that quotient of its eigenvector, which converges cleanly as O(grid^2) where
+bisection eigenvalues carry an error of about eps n^2. rayleigh() takes it of
+any function, so by min-max it is >= lambda_1; deficit() extrapolates it on
+(n, n/2) as richardson does the eigenvalues.
 """
 import math
 from dataclasses import dataclass
@@ -31,26 +35,24 @@ from .errors import (
     DisconnectedSupportError,
     ObataLabError,
     ParameterDomainError,
+    UndefinedQuotientError,
 )
 from .isoperimetry import bbg_constant, c_squared_minus_one
-from .measures import WeightedInterval, first_diff, omega, second_diff
+from .measures import Grid, WeightedInterval, first_diff, omega, second_diff
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     """Lowest Neumann eigenpairs of a weighted interval.
 
-    eigenvalues: lambda_1 <= ... <= lambda_k, each the discrete flux/mass
-        Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of its computed
-        eigenvector (lambda_0 ~ 0 dropped, kept in lam0: exactly 0 on a grid
+    eigenvalues: lambda_1 <= ... <= lambda_k, each rayleigh() of its computed
+        eigenvector, so rayleigh(w, v) >= lambda_1 for every v (min-max)
+        (lambda_0 ~ 0 dropped, kept in lam0: exactly 0 on a grid
         refined from its half grid, whose lambda_0 vector is the constant;
         ~1e-23 on a grid solved directly, the base or a fallback level)
     eigenfunctions: column j is the j-th eigenfunction, L2(m)-normalized in the
         discrete mass inner product, zero m-mean, sign fixed positive at the
         first significant node
-    rayleigh: the same array as eigenvalues, kept as its own field (and CSV
-        column); the free-standing rayleigh() op uses the central-difference
-        definition instead and agrees only to O(grid^2)
     residuals: per pair, the backward error ||(T - lam) y||_inf /
         (||T||_inf ||y||_inf) of the eigenvalue and its eigenvector y = u/s in
         the symmetric scaled form T of the discrete problem: rounding level
@@ -69,14 +71,9 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    rayleigh: np.ndarray
     residuals: np.ndarray
     lam0: float
     half_eigenvalues: np.ndarray
-
-    @property
-    def residual(self):
-        return float(np.max(self.residuals))
 
     @property
     def err_bar(self):
@@ -87,6 +84,9 @@ class SpectralResult:
         return self.eigenvalues + (self.eigenvalues - self.half_eigenvalues) / 3.0
 
 
+# neumann_eigs computes at most this many pairs: a direct solve grows with
+# k n (256 pairs on one core: 1.3 s on 4096 cells, 5.4 s on 16384)
+MAX_PAIRS = 256
 # the base of the nested solve has at least this many cells (and 8 k^{3/2})
 _DIRECT_CELLS = 256
 # inverse iteration per refined pair: step bounds, and the agreement of two
@@ -97,6 +97,13 @@ _MIN_STEPS, _MAX_STEPS, _STEP_RTOL = 2, 6, 1e-8
 def has_half_grid(n):
     """Whether n cells halve exactly into a grid of at least 15 cells."""
     return n % 2 == 0 and n // 2 >= 15
+
+
+def require_half_grid(n):
+    """Refuse a grid without has_half_grid: Richardson's 1/3 needs ratio 2."""
+    if not has_half_grid(n):
+        raise ParameterDomainError(
+            f"grid_n must be even with grid_n/2 >= 15 for Richardson, got {n}")
 
 
 def _refines(n, k):
@@ -149,15 +156,23 @@ def _scaled(t, h):
     return f, M, s, diag * s * s, -f * s[:-1] * s[1:]
 
 
+def _flux_quotient(u, f, M):
+    """The flux Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of
+    the vector u, and its mass sum M u_i^2."""
+    du = np.diff(u)
+    mass = float(np.sum(M * u ** 2))
+    if not 0.0 < mass < math.inf:
+        raise UndefinedQuotientError("function has zero variance against m")
+    return float(np.sum(f * du * du)) / mass, mass
+
+
 def _finish(u, f, M):
-    """M-normalise and sign-fix the columns of u in place; return their flux
-    Rayleigh quotients sum f (u_{i+1} - u_i)^2 / sum M u_i^2."""
+    """M-normalise and sign-fix the columns of u in place; return their
+    _flux_quotient values."""
     ray = np.empty(u.shape[1])
     for j in range(u.shape[1]):
         uj = u[:, j]
-        du = np.diff(uj)
-        mass = float(np.sum(M * uj ** 2))
-        ray[j] = float(np.sum(f * du * du)) / mass
+        ray[j], mass = _flux_quotient(uj, f, M)
         uj /= math.sqrt(mass)
         a = np.abs(uj)
         if uj[np.argmax(a > 1e-12 * np.max(a))] < 0:
@@ -287,10 +302,9 @@ def _backward_errors(scaled, u, lams):
 
 def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     """First k nonzero Neumann eigenpairs of -(h u')' = lambda h u on w."""
-    if k < 1:
-        raise ParameterDomainError("need k >= 1")
-    t = w.grid.nodes
-    h = w.h
+    if not 1 <= k <= MAX_PAIRS:
+        raise ParameterDomainError(f"need 1 <= k <= {MAX_PAIRS}, got k = {k}")
+    t, h = w.grid.nodes, w.h
     cells = _coarsest_cells(len(t) - 1, k)
     if k > cells:
         raise ParameterDomainError(
@@ -300,33 +314,35 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         half = _eigenpairs(t[::2], h[::2], k)[0]
     lams = vals[1:]
     funcs = u[:, 1:]
-    residuals = _backward_errors(scaled, funcs, lams)
-
     return SpectralResult(
         eigenvalues=lams,
         eigenfunctions=funcs,
-        rayleigh=lams,
-        residuals=residuals,
+        residuals=_backward_errors(scaled, funcs, lams),
         lam0=float(vals[0]),
         half_eigenvalues=np.full(len(lams), np.nan) if half is None else half[1:],
     )
 
 
 def rayleigh(w: WeightedInterval, u):
-    """Dirichlet energy of u recentred to zero m-mean and unit L2(m) norm.
+    """Flux Rayleigh quotient of u recentred to zero lumped-mass (M) mean: the
+    quotient every eigenvalue of neumann_eigs is, so rayleigh(w, u) >=
+    lambda_1 of the same grid. Without the recentring a constant component
+    would add mass and no energy, and min-max would fail."""
+    f, M = _assemble(w.grid.nodes, w.h)[:2]
+    u = np.asarray(u, dtype=float)
+    return _flux_quotient(u - float(np.sum(M * u)) / float(np.sum(M)), f, M)[0]
 
-    Central differences for u' (one-sided second order at the ends),
-    trapezoid quadrature against h.
-    """
-    du = first_diff(w.grid.nodes, w.standardize(u))
-    return w.mean(du * du)
 
-
-def deficit(w: WeightedInterval, u, N=None):
-    """delta(u) = rayleigh(u) - N."""
-    if N is None:
-        N = w.N
-    return rayleigh(w, u) - N
+def deficit(w: WeightedInterval, u):
+    """delta(u) = R(n) + (R(n) - R(n/2))/3 - N for R the rayleigh quotient on
+    the grid and on its half grid (every other node, as neumann_eigs takes
+    it): the O(grid^2) term of R cancels as it does in richardson."""
+    g = w.grid
+    require_half_grid(g.n)
+    half = WeightedInterval(grid=Grid(D=g.D, n=g.n // 2, nodes=g.nodes[::2]),
+                            h=w.h[::2], K=w.K, N=w.N)
+    ray = rayleigh(w, u)
+    return ray + (ray - rayleigh(half, np.asarray(u, dtype=float)[::2])) / 3.0 - w.N
 
 
 @dataclass(frozen=True)
@@ -439,15 +455,15 @@ class CosineReport:
     window_band: float   # same on [r - eta, r + eta]
 
 
-def cosine_distance(w: WeightedInterval, u, shift=0.0):
-    """min over sign of (L2, W12) distances of u to +-sqrt(N+1) cos(. + shift).
+def cosine_distance(w: WeightedInterval, u):
+    """min over sign of (L2, W12) distances of u to +-sqrt(N+1) cos.
 
     The sign minimises the W12 distance, +1 on a tie. Returns (sign, dist_L2,
     dist_W12). u is used as given (no renormalization).
     """
     t = w.grid.nodes
-    c = math.sqrt(w.N + 1.0) * np.cos(t + shift)
-    dc = -math.sqrt(w.N + 1.0) * np.sin(t + shift)
+    c = math.sqrt(w.N + 1.0) * np.cos(t)
+    dc = -math.sqrt(w.N + 1.0) * np.sin(t)
     du = first_diff(t, u)
     l2_plus, l2_minus = w.sign_distances(u, c)
     d_plus, d_minus = w.sign_distances(du, dc)

@@ -42,7 +42,8 @@ def test_spectrum_model_command(run_cli):
     assert "lambda1 = " in proc.stdout
     s = _summary(out)
     assert abs(s["results"]["lambda1"] - 2.0) <= 1e-4
-    assert _results_header(out) == "index,eigenvalue,rayleigh,residual,err_bar"
+    assert _results_header(out) == "index,eigenvalue,richardson,residual,err_bar"
+    assert s["tolerances"] == {"model_lambda1_rel": 1e-5, "max_pairs": 256}
 
 
 def test_spectrum_density_file(run_cli, fixtures_dir):
@@ -197,6 +198,18 @@ def test_bad_usage_exits_1(tmp_path, capsys, fixtures_dir):
         code = cli.main(list(args) + ["--out", str(tmp_path / "out")])
         assert code == 1, args
         assert capsys.readouterr().err.strip().startswith("error:"), args
+
+
+def test_spectrum_k_above_cap_exits_1(tmp_path, capsys):
+    # refused before any solve: bisecting thousands of pairs ran for minutes
+    from obatalab import cli
+
+    code = cli.main(["spectrum", "--model", "--dim", "2", "--k", "257",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "k <= 256" in err[0]
 
 
 def _write_samples(path, header, t, v):

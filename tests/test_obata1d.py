@@ -155,11 +155,24 @@ def test_seeded_family_runs():
 
 
 def test_sweep_grid_stable_slope():
-    spec_lo = ExperimentSpec(N=2.0, family="perturbed-cosine", grid_n=1024)
-    spec_hi = ExperimentSpec(N=2.0, family="perturbed-cosine", grid_n=2048)
-    s_lo = deficit_distance_sweep(spec_lo).fit.slope
-    s_hi = deficit_distance_sweep(spec_hi).fit.slope
-    assert abs(s_hi - s_lo) < 0.02
+    # the central-difference quotient drifted 0.012 in slope from 512 to 4096
+    # cells at N = 3; the Richardson-extrapolated flux quotient does not
+    for N, grids, bound in ((2.0, (1024, 2048), 0.02), (3.0, (512, 4096), 1e-3)):
+        s_lo, s_hi = (deficit_distance_sweep(ExperimentSpec(
+            N=N, family="perturbed-cosine", grid_n=n)).fit.slope for n in grids)
+        assert abs(s_hi - s_lo) < bound, (N, s_lo, s_hi)
+
+
+@pytest.mark.parametrize("N", [2.0, 3.0])
+def test_perturbed_cosine_deficit_converged_at_default_grid(N):
+    # deficit() is Richardson-extrapolated, so 4096 cells already give the
+    # 2^18-cell value of every default sweep point to 1e-7
+    w_hi = model_density(N, Grid.uniform(math.pi, 2 ** 18))
+    w_lo = model_density(N, Grid.uniform(math.pi, 4096))
+    for s in ExperimentSpec(N=N, family="perturbed-cosine").sweep:
+        hi, lo = (deficit(w, np.cos(w.grid.nodes) + s * np.sin(2.0 * w.grid.nodes))
+                  for w in (w_hi, w_lo))
+        assert lo == pytest.approx(hi, rel=1e-7), s
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +290,7 @@ def test_upper_gap_linear_bound():
     # ratios (lambda_1 - N)/eps within factor 2 across the sweep
     assert rep.spread <= 2.0
     assert rep.max_ratio < 10.0
-    # recentred sqrt(N+1) cos has Rayleigh quotient N + O(eps)
+    # sqrt(N+1) cos has deficit O(eps)
     assert rep.candidate_max_ratio < 10.0
     assert np.all(rep.candidate_deficit > 0)
 

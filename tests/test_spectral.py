@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -80,9 +81,9 @@ def test_eigen_orthogonality_and_rayleigh_agreement():
     u1, u2 = res.eigenfunctions[:, 0], res.eigenfunctions[:, 1]
     inner = np.trapezoid(u1 * u2 * w.h, w.grid.nodes)
     assert abs(inner) <= 1e-8
-    # the flux/mass quotient reported by the solver matches its eigenvalue
-    for lam, rq in zip(res.eigenvalues, res.rayleigh):
-        assert rq == pytest.approx(lam, rel=1e-8)
+    # each eigenvalue is the rayleigh() quotient of its eigenfunction
+    for j, lam in enumerate(res.eigenvalues):
+        assert rayleigh(w, res.eigenfunctions[:, j]) == pytest.approx(lam, rel=1e-12)
 
 
 def test_grid_refinement_within_error_bar():
@@ -101,10 +102,10 @@ def test_neumann_validation():
     assert len(neumann_eigs(w, k=32).eigenvalues) == 32
     with pytest.raises(ParameterDomainError, match="coarsest grid"):
         neumann_eigs(w, k=33)
-    # k pairs are only refined from a half grid of at least 8 k^{3/2} cells,
-    # so k = 6145 on 12288 cells is solved directly and its half grid bounds k
-    with pytest.raises(ParameterDomainError, match="6144 cells"):
-        neumann_eigs(uniform_interval(12288), k=6145)
+    # k is capped before any solve: bisecting thousands of pairs takes minutes
+    assert spectral.MAX_PAIRS == 256
+    with pytest.raises(ParameterDomainError, match="k <= 256, got k = 257"):
+        neumann_eigs(uniform_interval(12288), k=257)
     g = Grid.uniform(1.0, 64)
     h = np.ones(65)
     h[20:40] = 0.0
@@ -211,7 +212,8 @@ def test_nested_matches_direct_solve():
         vals, vecs = spectral._solve_tridiagonal(spectral._scaled(w.grid.nodes, w.h), 2)
         assert np.max(np.abs(res.eigenvalues / vals[1:] - 1.0)) <= 1e-10
         assert np.max(np.abs(res.eigenfunctions - vecs[:, 1:])) <= 1e-8
-        assert np.array_equal(res.rayleigh, res.eigenvalues)
+        for j, lam in enumerate(res.eigenvalues):
+            assert rayleigh(w, res.eigenfunctions[:, j]) == pytest.approx(lam, rel=1e-12)
 
 
 def test_nested_base_grows_with_k():
@@ -297,8 +299,11 @@ def _rough_density(name, n):
     return WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
 
 
-@pytest.mark.parametrize("name", ["noise0.5", "noise0.9", "noise0.99", "square0.9",
-                                  "square0.999", "spike", "notch", "two-wells", "model"])
+_ROUGH_CASES = ["noise0.5", "noise0.9", "noise0.99", "square0.9", "square0.999",
+                "spike", "notch", "two-wells", "model"]
+
+
+@pytest.mark.parametrize("name", _ROUGH_CASES)
 def test_nested_matches_direct_on_rough_densities(name, monkeypatch):
     # the coarse levels sample these densities badly: pairs that do not
     # converge, or have the wrong sign count, send their level to bisection
@@ -310,6 +315,28 @@ def test_nested_matches_direct_on_rough_densities(name, monkeypatch):
         if name == "spike":  # on an odd node: only the full grid sees it, and falls back
             assert bisections == [257, 4097]
         assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _first_pair(name):
+    w = _rough_density(name, 1024)
+    res = neumann_eigs(w, k=1)
+    return w, float(res.eigenvalues[0]), res.eigenfunctions[:, 0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(_ROUGH_CASES), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 1.0, 1e4]),
+       offset=st.floats(-10.0, 10.0))
+def test_rayleigh_obeys_min_max(name, seed, scale, offset):
+    # rayleigh() is the quotient the solver minimises, and it recentres to
+    # zero lumped-mass mean, so no function falls below the discrete lambda_1:
+    # u1 itself, u1 plus noise of any size, and constant offsets of both (the
+    # central-difference quotient read up to 6e-2 below lambda_1 at u1 here)
+    w, lam1, u1 = _first_pair(name)
+    v = u1 + scale * np.random.default_rng(seed).standard_normal(len(u1)) + offset
+    assert rayleigh(w, v) >= lam1 * (1.0 - 1e-14)
+    assert rayleigh(w, u1) >= lam1 * (1.0 - 1e-14)
 
 
 @st.composite
@@ -399,7 +426,12 @@ def test_deficit_perturbed_cosine_frozen():
     w = model_density(2.0, Grid.uniform(math.pi, 4096))
     t = w.grid.nodes
     d = deficit(w, np.cos(t) + 0.1 * np.cos(2 * t))
-    assert d == pytest.approx(DEFICIT_PERTURBED, abs=1e-6)
+    assert d == pytest.approx(DEFICIT_PERTURBED, abs=1e-10)
+
+
+def test_deficit_needs_half_grid():
+    with pytest.raises(ParameterDomainError, match="grid_n must be even"):
+        deficit(model_density(2.0, Grid.uniform(math.pi, 1023)), np.cos(np.linspace(0, 1, 1024)))
 
 
 def test_rayleigh_rejects_constant():

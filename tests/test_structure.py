@@ -4,8 +4,10 @@ density generator has one solution path, the exact piecewise rotation, and
 the isoperimetric profile one search, the lane-batched bracket refinement.
 The localization chain is written once, in localization.localize, and its
 deficit ledger is frozen. The Neumann solve bisects in one place, the base
-and fallback solve of the nested refinement. The CLI starts without the SciPy
-submodules that none of its commands use."""
+and fallback solve of the nested refinement. The discrete Rayleigh quotient
+is written once, spectral._flux_quotient, and both the eigenvalues and
+rayleigh() take it. The CLI starts without the SciPy submodules that none of
+its commands use."""
 import ast
 import dataclasses
 import json
@@ -103,3 +105,28 @@ def test_bisection_only_in_the_base_solve():
                for node in ast.walk(fn)
                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "eigh_tridiagonal"]
     assert callers == ["spectral._solve_tridiagonal"]
+
+
+def _functions(path):
+    """name -> (source, names called) of each top-level function of path."""
+    text = path.read_text()
+    return {fn.name: (ast.get_source_segment(text, fn),
+                      {getattr(node.func, "id", "") for node in ast.walk(fn)
+                       if isinstance(node, ast.Call)})
+            for fn in ast.parse(text).body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_one_rayleigh_quotient():
+    # the flux energy sum f (u_{i+1} - u_i)^2 is written once, in
+    # spectral._flux_quotient; the solver's eigenvalues (_finish) and the
+    # free-standing rayleigh() both take their quotient from it
+    flux_energy = re.compile(r"\bf \* (du|np\.diff\()")
+    writers = [f"{path.stem}.{name}"
+               for path in sorted(SRC.glob("*.py"))
+               for name, (source, _) in _functions(path).items()
+               if flux_energy.search(source)]
+    assert writers == ["spectral._flux_quotient"]
+    spectral = _functions(SRC / "spectral.py")
+    assert "_flux_quotient" in spectral["_finish"][1]
+    assert "_flux_quotient" in spectral["rayleigh"][1]
+    assert "first_diff" not in spectral["rayleigh"][1]
