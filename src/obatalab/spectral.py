@@ -5,15 +5,24 @@ midpoint fluxes with a mass-lumped right side. Fluxes and masses are both
 assembled from cell-midpoint densities, so nothing ever divides by a nodal
 h value and densities vanishing at the endpoints (the model) need no special
 casing. A diagonal similarity turns the pencil into a symmetric tridiagonal
-standard problem. A grid with an even cell count is solved on its half grid
-first, recursively, down to a base: the coarsest exact halving with at least
-max(256, 8 k^{3/2}) cells for k pairs. Only the base (or a grid with no such
-halving) is solved directly, by bisection + inverse iteration. On the way up
-each half-grid eigenvector is interpolated linearly and polished by inverse
-iteration shifted by its half-grid eigenvalue until two successive estimates
-of |lambda - shift| agree to 1e-8 of lambda (2 to 6 steps). A level where a
-pair does not converge, or has the wrong number of sign changes, is solved
-directly instead. At most MAX_PAIRS pairs are computed.
+standard problem.
+
+The reported gap takes lambda(n) and lambda(n/2) only (richardson), so a
+grid is solved in two refined levels, the half grid and the grid itself,
+from a base: the coarsest exact halving with at least max(256, 8 k^{3/2})
+cells for k pairs, solved directly by bisection + inverse iteration. The
+base eigenvectors of lambda_1..lambda_k are interpolated linearly straight
+to the half grid and polished there by inverse iteration shifted by the base
+eigenvalues; the half-grid ones are interpolated to the grid and polished
+with the half-grid eigenvalues as shifts. Each pair iterates until two
+successive estimates of |lambda - shift| agree to 1e-8 of lambda (2 to 6
+steps). A level where a pair does not converge, or has the wrong number of
+sign changes, fails: after a failed jump of several doublings the solve
+climbs from the base one doubling at a time, and a one-doubling level that
+fails is solved directly instead. lambda_0 is exactly 0 on a refined level,
+whose lambda_0 vector is the constant and is never iterated. A grid with no
+such base is solved directly. At most MAX_PAIRS pairs are computed, and at
+most MAX_PAIR_NODES values per grid-by-pairs array.
 
 The package has one discrete Rayleigh quotient, the flux form
 sum f (u_{i+1} - u_i)^2 / sum M u_i^2 (_flux_quotient). Every eigenvalue is
@@ -47,9 +56,6 @@ class SpectralResult:
 
     eigenvalues: lambda_1 <= ... <= lambda_k, each rayleigh() of its computed
         eigenvector, so rayleigh(w, v) >= lambda_1 for every v (min-max)
-        (lambda_0 ~ 0 dropped, kept in lam0: exactly 0 on a grid
-        refined from its half grid, whose lambda_0 vector is the constant;
-        ~1e-23 on a grid solved directly, the base or a fallback level)
     eigenfunctions: column j is the j-th eigenfunction, L2(m)-normalized in the
         discrete mass inner product, zero m-mean, sign fixed positive at the
         first significant node
@@ -58,12 +64,18 @@ class SpectralResult:
         the symmetric scaled form T of the discrete problem: rounding level
         (~1e-16 to 1e-13) at every grid size for a converged pair. It
         measures the solve, not the discretisation error (see err_bar)
+    lam0: lambda_0 ~ 0, dropped from eigenvalues. Exactly 0 on a grid refined
+        from its half grid, whose lambda_0 vector is the constant and is not
+        computed; the bisection value (~1e-23) on a grid solved directly,
+        including a level that fell back
     half_eigenvalues: lambda_1..lambda_k of the same density on the half grid
-        (every other node), signed. On a grid refined from its half grid
-        (an even grid above the base) they are the values the refinement
-        started from, kept when the level falls back to a direct solve; on a
-        grid solved directly the half grid is solved directly as well. NaN
-        unless has_half_grid(n) holds for the n cells of the grid
+        (every other node), signed. On a refined grid they are the half-grid
+        level of the two-level solve, the shifts the grid was refined from,
+        kept when the grid falls back to a direct solve. That level is reached
+        from the base in one jump where neumann_eigs on the half grid itself
+        takes two levels, so the two agree to rounding (~1e-15 relative), not
+        bitwise. On a grid solved directly the half grid is solved directly
+        as well. NaN unless has_half_grid(n) holds for the n cells of the grid
     err_bar: |lambda(n) - lambda(n/2)| per pair; NaN without the half grid
     richardson: lambda(n) + (lambda(n) - lambda(n/2))/3, which removes the
         O(dt^2) term of the scheme; NaN without the half grid
@@ -87,6 +99,9 @@ class SpectralResult:
 # neumann_eigs computes at most this many pairs: a direct solve grows with
 # k n (256 pairs on one core: 1.3 s on 4096 cells, 5.4 s on 16384)
 MAX_PAIRS = 256
+# and at most this many (grid nodes) x k values: each n x k array of a solve
+# on n cells holds 8 (n + 1) k bytes (256 MiB at the cap)
+MAX_PAIR_NODES = 2 ** 25
 # the base of the nested solve has at least this many cells (and 8 k^{3/2})
 _DIRECT_CELLS = 256
 # inverse iteration per refined pair: step bounds, and the agreement of two
@@ -124,25 +139,29 @@ def _coarsest_cells(n, k):
 
 
 def _assemble(t, h):
+    """Flux f = hmid/dt per cell and lumped mass M per node, from the
+    cell-midpoint densities hmid."""
     dt = np.diff(t)
-    hmid = 0.5 * (h[:-1] + h[1:])
-    f = hmid / dt
-    M = np.zeros(len(t))
-    M[:-1] += 0.5 * dt * hmid
-    M[1:] += 0.5 * dt * hmid
-    diag = np.zeros(len(t))
-    diag[:-1] += f
-    diag[1:] += f
-    return f, M, diag
+    f = h[:-1] + h[1:]
+    f *= 0.5
+    half_cell = f * dt
+    half_cell *= 0.5
+    M = np.empty(len(t))
+    M[0], M[-1] = half_cell[0], half_cell[-1]
+    np.add(half_cell[:-1], half_cell[1:], out=M[1:-1])
+    f /= dt
+    return f, M
 
 
 def _support_checks(h):
-    pos = np.nonzero(h > 0)[0]
-    if pos.size == 0:
+    pos = h > 0
+    first = int(np.argmax(pos))
+    if not pos[first]:
         raise DegenerateDensityError("density is identically zero")
-    span = slice(pos[0], pos[-1])
-    hmid = 0.5 * (h[:-1] + h[1:])
-    if np.any(hmid[span] == 0.0):
+    last = len(h) - 1 - int(np.argmax(pos[::-1]))
+    hmid = h[:-1] + h[1:]
+    hmid *= 0.5
+    if not np.all(hmid[first:last]):
         raise DisconnectedSupportError("density vanishes on an interior subinterval")
     if hmid[0] == 0.0 or hmid[-1] == 0.0:
         raise DegenerateDensityError(
@@ -151,32 +170,50 @@ def _support_checks(h):
 
 def _scaled(t, h):
     """Flux, mass, 1/sqrt(mass) and the symmetric matrix diag s^2, -f s s."""
-    f, M, diag = _assemble(t, h)
-    s = 1.0 / np.sqrt(M)
-    return f, M, s, diag * s * s, -f * s[:-1] * s[1:]
+    f, M = _assemble(t, h)
+    s = np.sqrt(M)
+    np.reciprocal(s, out=s)
+    d = np.empty(len(t))
+    d[0], d[-1] = f[0], f[-1]
+    np.add(f[:-1], f[1:], out=d[1:-1])
+    d *= s
+    d *= s
+    e = np.negative(f)
+    e *= s[:-1]
+    e *= s[1:]
+    return f, M, s, d, e
 
 
-def _flux_quotient(u, f, M):
+def _flux_quotient(u, f, M, work=None):
     """The flux Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of
-    the vector u, and its mass sum M u_i^2."""
-    du = np.diff(u)
-    mass = float(np.sum(M * u ** 2))
+    the vector u, and its mass sum M u_i^2; work, when given, is a
+    2 x len(u) scratch array."""
+    if work is None:
+        work = np.empty((2, len(u)))
+    du = np.subtract(u[1:], u[:-1], out=work[0, :-1])
+    energy = np.multiply(f, du, out=work[1, :-1])
+    energy *= du
+    sq = np.multiply(u, u, out=work[0])
+    sq *= M
+    mass = float(np.sum(sq))
     if not 0.0 < mass < math.inf:
         raise UndefinedQuotientError("function has zero variance against m")
-    return float(np.sum(f * du * du)) / mass, mass
+    return float(np.sum(energy)) / mass, mass
 
 
-def _finish(u, f, M):
-    """M-normalise and sign-fix the columns of u in place; return their
-    _flux_quotient values."""
+def _finish(u, f, M, work=None):
+    """M-normalise and sign-fix the columns of u in place, positive at the
+    first node above 1e-12 of the column's peak; return their
+    _flux_quotient values (work as in _flux_quotient)."""
     ray = np.empty(u.shape[1])
+    if work is None:
+        work = np.empty((2, len(u)))
     for j in range(u.shape[1]):
         uj = u[:, j]
-        ray[j], mass = _flux_quotient(uj, f, M)
-        uj /= math.sqrt(mass)
-        a = np.abs(uj)
-        if uj[np.argmax(a > 1e-12 * np.max(a))] < 0:
-            uj *= -1.0
+        ray[j], mass = _flux_quotient(uj, f, M, work)
+        floor = 1e-12 * max(uj.max(), -uj.min())
+        first = 0 if abs(uj[0]) > floor else int(np.argmax(np.abs(uj) > floor))
+        uj /= math.copysign(math.sqrt(mass), uj[first])
     return ray
 
 
@@ -187,35 +224,59 @@ def _solve_tridiagonal(scaled, k):
     return _finish(u, f, M), u
 
 
+def _direct(scaled, k):
+    """lambda_0, lambda_1..lambda_k and the eigenvectors of lambda_1..lambda_k
+    (one column each) of the _scaled grid, solved directly."""
+    ray, u = _solve_tridiagonal(scaled, k)
+    return float(ray[0]), ray[1:], u[:, 1:]
+
+
 def _sign_changes(u):
-    sg = np.sign(u)
-    sg = sg[sg != 0.0]
-    return int(np.count_nonzero(sg[1:] != sg[:-1]))
+    """Sign changes along u, exact zeros skipped."""
+    neg = u < 0.0
+    if np.count_nonzero(u) < len(u):
+        neg = neg[u != 0.0]
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
 
 
-def _prolong(t, v):
-    """Columns of v, given on the half grid t[::2], interpolated linearly to t."""
-    theta = ((t[1::2] - t[:-1:2]) / (t[2::2] - t[:-1:2]))[:, None]
+def _prolong(t, v, stride):
+    """Columns of v, given on the coarse grid t[::stride], interpolated
+    linearly to the nodes t; stride divides the cell count len(t) - 1."""
+    tc = t[::stride]
+    theta = t[:-1].reshape(-1, stride)[:, 1:] - tc[:-1, None]
+    theta /= np.diff(tc)[:, None]
     u = np.empty((len(t), v.shape[1]), order="F")
-    u[::2] = v
-    u[1::2] = v[:-1] + theta * (v[1:] - v[:-1])
+    for j in range(v.shape[1]):
+        vj = v[:, j]
+        cells = u[:-1, j].reshape(-1, stride)  # a view: the column is contiguous
+        cells[:, 0] = vj[:-1]
+        np.multiply(theta, np.diff(vj)[:, None], out=cells[:, 1:])
+        cells[:, 1:] += vj[:-1, None]
+        u[-1, j] = vj[-1]
     return u
 
 
-def _inverse_iterate(d, e, y, shift):
+def _inverse_iterate(d, e, y, shift, work):
     """Inverse iteration on the symmetric tridiagonal (d, e) from y, until two
     successive estimates 1/||z|| of |lambda - shift| agree to _STEP_RTOL of
-    the eigenvalue; ConditioningError when _MAX_STEPS do not get there.
+    the eigenvalue; ConditioningError when _MAX_STEPS do not get there. The
+    rows of work (3 x len(d)) take the factored bands.
 
     The agreement is taken relative to |shift|, not to the estimate itself:
     the estimate carries a rounding noise of 1e-9 to 1e-7 of itself at 2^20
     cells, so a converged pair would often never agree to 1e-8 of it.
     """
-    dl, dd, du, du2, ipiv, info = dgttrf(e, d - shift, e, overwrite_d=1)
+    dl, dd, du = work[0, :-1], work[1], work[2, :-1]
+    dl[:] = e
+    du[:] = e
+    np.subtract(d, shift, out=dd)
+    dl, dd, du, du2, ipiv, info = dgttrf(dl, dd, du, overwrite_dl=1, overwrite_d=1,
+                                         overwrite_du=1)
     if info != 0:
         raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
-    # the iterate is rescaled only on return: the estimate of a step is the
-    # ratio of successive norms, and _MAX_STEPS steps stay far from overflow
+    # the iterate is never rescaled: the estimate of a step is the ratio of
+    # successive norms, _MAX_STEPS steps stay far from overflow, and the
+    # caller normalises the result (_finish)
     norm = float(np.linalg.norm(y))
     gap = math.inf
     for step in range(1, _MAX_STEPS + 1):
@@ -226,32 +287,32 @@ def _inverse_iterate(d, e, y, shift):
             raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
         gap = prev / norm
         if step >= _MIN_STEPS and abs(gap - last) <= _STEP_RTOL * abs(shift):
-            y /= norm
             return y
     raise ConditioningError(
         f"inverse iteration at shift {shift!r} did not converge in {_MAX_STEPS} steps")
 
 
 def _refine(scaled, u, shifts):
-    """Polish prolonged eigenvectors u (columns 0..k) in place, given the
-    _scaled matrix of their grid; return their flux Rayleigh quotients.
+    """Polish prolonged eigenvectors u of lambda_1..lambda_k (one column
+    each) in place, given the _scaled matrix of their grid; return their flux
+    Rayleigh quotients.
 
-    Column j takes inverse iteration shifted by shifts[j], its half-grid
-    eigenvalue, in the symmetric form y = u/s of the direct solve, until it
-    converges (_inverse_iterate); column 0 becomes the constant. Pair j must
-    change sign exactly j times (Sturm oscillation: the off-diagonals are
-    negative on the support). Either failure raises ConditioningError.
+    The column of pair j takes inverse iteration shifted by shifts[j - 1], its
+    eigenvalue on the coarser grid, in the symmetric form y = u/s of the
+    direct solve, until it converges (_inverse_iterate). Pair j must change
+    sign exactly j times (Sturm oscillation: the off-diagonals are negative
+    on the support). Either failure raises ConditioningError.
     """
     f, M, s, d, e = scaled
-    u[:, 0] = 1.0
-    for j in range(1, u.shape[1]):
+    work = np.empty((3, len(d)))
+    for j, shift in enumerate(shifts):
         y = u[:, j]
         y /= s
-        y = _inverse_iterate(d, e, y, shifts[j])
+        y = _inverse_iterate(d, e, y, shift, work)
         np.multiply(y, s, out=u[:, j])
-    ray = _finish(u, f, M)
-    for j in range(1, u.shape[1]):
-        changes = _sign_changes(u[:, j])
+    ray = _finish(u, f, M, work[:2])
+    for j, column in enumerate(u.T, 1):
+        changes = _sign_changes(column)
         if changes != j:
             raise ConditioningError(
                 f"refined pair {j} changes sign {changes} times, not {j}")
@@ -259,44 +320,71 @@ def _refine(scaled, u, shifts):
 
 
 def _eigenpairs(t, h, k):
-    """Flux Rayleigh eigenvalues lambda_0..lambda_k, their eigenvectors, the
-    half-grid eigenvalues when the pairs were refined from the half grid, and
-    the _scaled matrix of the grid.
+    """lambda_0, the flux Rayleigh eigenvalues lambda_1..lambda_k and their
+    eigenvectors (one column each), the half-grid eigenvalues when the grid
+    was refined from its half grid, and the _scaled matrix of the grid.
 
-    A grid that _refines is refined from its half grid, recursively; the base
-    and grids with no exact half are solved directly, and so is a refined
-    level whose refinement raises ConditioningError.
+    A grid that _refines is reached in two refined levels from its base
+    (_coarsest_cells, solved directly): the base pairs are prolonged straight
+    to the half grid and refined there, shifted by the base eigenvalues, and
+    the half-grid pairs to the grid, shifted by the half-grid eigenvalues.
+    When the refinement of a jump of several doublings raises
+    ConditioningError, the solve climbs from the base one doubling at a time
+    instead; a one-doubling level that raises is solved directly. lambda_0 is
+    exactly 0 on a refined level, whose lambda_0 vector is the constant.
+    Every grid assembled passes _support_checks, the grid itself first.
     """
     _support_checks(h)
-    if _refines(len(t) - 1, k):
-        half, u = _eigenpairs(t[::2], h[::2], k)[:2]
-        u = _prolong(t, u)
+    n = len(t) - 1
+    if not _refines(n, k):
         scaled = _scaled(t, h)
+        return _direct(scaled, k) + (None, scaled)
+    have = n // _coarsest_cells(n, k)  # stride of the finest level solved
+    _support_checks(h[::have])
+    lam0, vals, v = _direct(_scaled(t[::have], h[::have]), k)
+    goal = min(have // 2, 2)  # the half grid, then the grid
+    while True:
+        stride = have // goal
+        tg, hg = t[::goal], h[::goal]
+        u = _prolong(tg, v, stride)
+        if stride == 2:
+            v = None  # a one-doubling level falls back to bisection, not to v
+        if goal > 1:
+            _support_checks(hg)
+        scaled = _scaled(tg, hg)
+        half = vals
         try:
-            ray = _refine(scaled, u, half)
+            lam0, vals = 0.0, _refine(scaled, u, half)
         except ConditioningError:
-            ray, u = _solve_tridiagonal(scaled, k)
-        return ray, u, half, scaled
-    scaled = _scaled(t, h)
-    ray, u = _solve_tridiagonal(scaled, k)
-    return ray, u, None, scaled
+            if stride > 2:
+                goal = have // 2
+                continue
+            lam0, vals, u = _direct(scaled, k)
+        if goal == 1:
+            return lam0, vals, u, half, scaled
+        # drop the level's matrix before the next level is assembled
+        have, goal, v, scaled = goal, goal // 2, u, None
 
 
 def _backward_errors(scaled, u, lams):
     """||(T - lam) y||_inf / (||T||_inf ||y||_inf) per column, for T the
     symmetric matrix (d, e) of _scaled and y = u/s its form of the column."""
     s, d, e = scaled[2:]
-    absum = np.abs(d)
-    absum[:-1] += np.abs(e)
-    absum[1:] += np.abs(e)
-    tnorm = float(np.max(absum))
+    y, r, ey = np.empty(len(d)), np.empty(len(d)), np.abs(e)
+    np.abs(d, out=r)
+    r[:-1] += ey
+    r[1:] += ey
+    tnorm = float(r.max())
     out = np.empty(len(lams))
     for j, lam in enumerate(lams):
-        y = u[:, j] / s
-        r = (d - lam) * y
-        r[:-1] += e * y[1:]
-        r[1:] += e * y[:-1]
-        out[j] = float(np.max(np.abs(r))) / (tnorm * float(np.max(np.abs(y))))
+        np.divide(u[:, j], s, out=y)
+        np.subtract(d, lam, out=r)
+        r *= y
+        np.multiply(e, y[1:], out=ey)
+        r[:-1] += ey
+        np.multiply(e, y[:-1], out=ey)
+        r[1:] += ey
+        out[j] = max(r.max(), -r.min()) / (tnorm * max(y.max(), -y.min()))
     return out
 
 
@@ -305,21 +393,22 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     if not 1 <= k <= MAX_PAIRS:
         raise ParameterDomainError(f"need 1 <= k <= {MAX_PAIRS}, got k = {k}")
     t, h = w.grid.nodes, w.h
+    if len(t) * k > MAX_PAIR_NODES:
+        raise ParameterDomainError(
+            f"need (grid_n + 1) k <= {MAX_PAIR_NODES}, got {len(t)} nodes x k = {k}")
     cells = _coarsest_cells(len(t) - 1, k)
     if k > cells:
         raise ParameterDomainError(
             f"k = {k} exceeds the {cells} cells of the coarsest grid solved")
-    vals, u, half, scaled = _eigenpairs(t, h, k)
+    lam0, lams, funcs, half, scaled = _eigenpairs(t, h, k)
     if half is None and has_half_grid(len(t) - 1):
-        half = _eigenpairs(t[::2], h[::2], k)[0]
-    lams = vals[1:]
-    funcs = u[:, 1:]
+        half = _eigenpairs(t[::2], h[::2], k)[1]
     return SpectralResult(
         eigenvalues=lams,
         eigenfunctions=funcs,
         residuals=_backward_errors(scaled, funcs, lams),
-        lam0=float(vals[0]),
-        half_eigenvalues=np.full(len(lams), np.nan) if half is None else half[1:],
+        lam0=lam0,
+        half_eigenvalues=np.full(k, np.nan) if half is None else half,
     )
 
 
@@ -328,7 +417,7 @@ def rayleigh(w: WeightedInterval, u):
     quotient every eigenvalue of neumann_eigs is, so rayleigh(w, u) >=
     lambda_1 of the same grid. Without the recentring a constant component
     would add mass and no energy, and min-max would fail."""
-    f, M = _assemble(w.grid.nodes, w.h)[:2]
+    f, M = _assemble(w.grid.nodes, w.h)
     u = np.asarray(u, dtype=float)
     return _flux_quotient(u - float(np.sum(M * u)) / float(np.sum(M)), f, M)[0]
 

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifacts, determinism, plots."""
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,14 +168,16 @@ def test_check_density_pass(run_cli, fixtures_dir):
 
 
 def test_check_density_fail(run_cli, fixtures_dir):
-    proc, out = run_cli("check-density", str(fixtures_dir / "noncd_density.csv"),
-                        "--dim", "2")
-    assert proc.returncode == 2
-    assert proc.stdout.startswith("FAIL: CD(1,2) violated by")
-    r = _summary(out)["results"]
-    assert r["passed"] is False
-    assert len(r["witness"]) == 3
-    assert r["violation"] > 0
+    # slowgap_density_n2.csv is calibrated by eigenvalue solves
+    # (tools/gen_fixtures.py) and must stay non-CD when they are regenerated
+    for name in ("noncd_density.csv", "slowgap_density_n2.csv"):
+        proc, out = run_cli("check-density", str(fixtures_dir / name), "--dim", "2")
+        assert proc.returncode == 2, name
+        assert proc.stdout.startswith("FAIL: CD(1,2) violated by")
+        r = _summary(out)["results"]
+        assert r["passed"] is False
+        assert len(r["witness"]) == 3
+        assert r["violation"] > 0
 
 
 def test_bad_usage_exits_1(tmp_path, capsys, fixtures_dir):
@@ -210,6 +213,21 @@ def test_spectrum_k_above_cap_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "k <= 256" in err[0]
+
+
+def test_spectrum_pair_nodes_above_cap_exits_1(tmp_path, capsys):
+    # 256 pairs on 2^20 cells would hold 2 GiB per n x k array; refused
+    # before the solve allocates anything
+    from obatalab import cli
+
+    start = time.perf_counter()
+    code = cli.main(["spectrum", "--model", "--dim", "2", "--k", "256", "--grid", "1048576",
+                     "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "(grid_n + 1) k <= 33554432" in err[0]
 
 
 def _write_samples(path, header, t, v):

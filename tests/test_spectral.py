@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,15 +114,49 @@ def test_neumann_validation():
         neumann_eigs(WeightedInterval(grid=g, h=h, K=0.0, N=2.0), k=1)
 
 
+def test_pair_node_cap_refuses_before_allocating():
+    # (n + 1) k is capped: each n x k array of the solve holds 8 (n + 1) k
+    # bytes, 2 GiB for 256 pairs on 2^20 cells
+    assert spectral.MAX_PAIR_NODES == 2 ** 25
+    w = model_density(2.0, Grid.uniform(math.pi, 2 ** 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomainError, match=r"\(grid_n \+ 1\) k <= 33554432"):
+            neumann_eigs(w, k=32)  # 32 (2^20 + 1) is just above 2^25
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def test_peak_memory_of_a_nested_solve():
+    # the refined levels keep only lambda_1..lambda_k, drop the half level
+    # before the grid is assembled, and reuse scratch rows: 11.5 arrays of
+    # n + 1 values at the peak (the matrix's five, the k = 2 columns, one
+    # factorization's bands), under 12.5
+    n = 2 ** 18
+    w = model_density(3.0, Grid.uniform(math.pi, n))
+    tracemalloc.start()
+    try:
+        neumann_eigs(w, k=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5 * 8 * (n + 1), peak / (8 * (n + 1))
+
+
 def test_richardson_equals_two_build_formula_on_model():
     # the model's h[::2] is the model rebuilt on the half grid, so the
-    # half-grid solve inside neumann_eigs reproduces a separate build exactly
-    for N, n in ((2.0, 4096), (3.0, 1000)):
+    # half-grid values inside neumann_eigs are those of a separate build: to
+    # rounding when the half grid is refined (it is reached from the base in
+    # one jump, the separate build in two), exactly when it is the base
+    for N, n, rel in ((2.0, 4096, 1e-14), (3.0, 1000, 0.0)):
         lam_n = float(neumann_eigs(model_density(N, Grid.uniform(math.pi, n))).eigenvalues[0])
         lam_h = float(neumann_eigs(model_density(N, Grid.uniform(math.pi, n // 2))).eigenvalues[0])
         res = neumann_eigs(model_density(N, Grid.uniform(math.pi, n)))
-        assert float(res.half_eigenvalues[0]) == lam_h
-        assert float(res.richardson[0]) == lam_n + (lam_n - lam_h) / 3.0
+        half = float(res.half_eigenvalues[0])
+        assert abs(half / lam_h - 1.0) <= rel
+        assert float(res.richardson[0]) == lam_n + (lam_n - half) / 3.0
 
 
 def test_half_grid_values_need_exact_half():
@@ -246,8 +281,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_smooth_families_converge_without_fallback(monkeypatch):
-    # each refined pair of a smooth density takes 2 or 3 inverse-iteration
-    # steps, and only the base level is solved by bisection
+    # two refined levels, the half grid and the grid: each of their pairs is
+    # factored once and takes 2 or 3 inverse-iteration steps, and only the
+    # 256-cell base is solved by bisection
     steps = []
     factor = spectral.dgttrf
     solve = spectral.dgttrs
@@ -274,8 +310,7 @@ def test_smooth_families_converge_without_fallback(monkeypatch):
         steps.clear()
         bisections.clear()
         neumann_eigs(w, k=2)
-        levels = w.grid.n.bit_length() - 9  # halvings down to the 256-cell base
-        assert len(steps) == 2 * levels and set(steps) <= {2, 3}, steps
+        assert len(steps) == 2 * 2 and set(steps) <= {2, 3}, steps
         assert bisections == [257]
 
 
@@ -302,19 +337,33 @@ def _rough_density(name, n):
 _ROUGH_CASES = ["noise0.5", "noise0.9", "noise0.99", "square0.9", "square0.999",
                 "spike", "notch", "two-wells", "model"]
 
+# nodes of each grid bisected after the 257-node base, per (cells, k). A
+# failed jump from the base is followed by a climb from the base one
+# doubling at a time, so only a one-doubling level is ever bisected (513
+# nodes at 4096 cells, not 2049): the grids the recursive solve bisected.
+# The spike sits on an odd node, so only the grid itself sees it.
+_ROUGH_FALLBACKS = {
+    "square0.9": {(4096, 1): [513], (4096, 3): [513, 1025],
+                  (16384, 1): [2049], (16384, 3): [2049]},
+    "square0.999": {(4096, 1): [513], (4096, 3): [513, 1025],
+                    (16384, 1): [2049], (16384, 3): [2049, 4097]},
+    "spike": {(4096, 1): [4097], (4096, 3): [4097], (16384, 1): [16385], (16384, 3): [16385]},
+    "notch": {(4096, 1): [513], (4096, 3): [513], (16384, 1): [2049], (16384, 3): [2049]},
+}
+
 
 @pytest.mark.parametrize("name", _ROUGH_CASES)
 def test_nested_matches_direct_on_rough_densities(name, monkeypatch):
     # the coarse levels sample these densities badly: pairs that do not
-    # converge, or have the wrong sign count, send their level to bisection
-    w = _rough_density(name, 4096)
+    # converge, or have the wrong sign count, fail their level
     bisections = _count_calls(monkeypatch, "eigh_tridiagonal")
-    for k in (1, 3):
-        bisections.clear()
-        res = neumann_eigs(w, k=k)
-        if name == "spike":  # on an odd node: only the full grid sees it, and falls back
-            assert bisections == [257, 4097]
-        assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10
+    for n in (4096, 16384):
+        w = _rough_density(name, n)
+        for k in (1, 3):
+            bisections.clear()
+            res = neumann_eigs(w, k=k)
+            assert bisections == [257] + _ROUGH_FALLBACKS.get(name, {}).get((n, k), []), (n, k)
+            assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,13 +390,15 @@ def test_rayleigh_obeys_min_max(name, seed, scale, offset):
 
 @st.composite
 def _piecewise_smooth(draw):
-    """A positive density on [0, D], smooth between up to four breakpoints."""
+    """A positive density on [0, D], smooth between up to four breakpoints, on
+    1024 cells (the half grid one doubling above the 256-cell base) or 8192
+    (a jump of four doublings from the base to the half grid)."""
     D = draw(st.floats(0.5, 3.0))
     cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
     pieces = draw(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-2.0, 2.0),
                                      st.floats(0.0, 12.0), st.floats(0.0, 0.9)),
                            min_size=len(cuts) + 1, max_size=len(cuts) + 1))
-    g = Grid.uniform(D, 1024)
+    g = Grid.uniform(D, draw(st.sampled_from([1024, 8192])))
     s = g.nodes / D
     which = np.searchsorted(cuts, s)
     h = np.empty_like(s)
@@ -365,10 +416,13 @@ def test_nested_matches_direct_property(w, k):
 
 
 def test_nested_half_grid_values_are_the_half_grid_solve():
-    lam_h = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 4096)), k=2).eigenvalues
-    res = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 8192)), k=2)
-    assert np.array_equal(res.half_eigenvalues, lam_h)
-    assert res.lam0 == 0.0  # lambda_0's refined vector is the constant
+    # the half grid is reached from the base in one jump, and neumann_eigs on
+    # the half grid itself takes two: the same values up to rounding
+    for p in (10, 12, 14, 16, 18):
+        lam_h = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 2 ** (p - 1))), k=2).eigenvalues
+        res = neumann_eigs(model_density(2.0, Grid.uniform(math.pi, 2 ** p)), k=2)
+        assert np.max(np.abs(res.half_eigenvalues / lam_h - 1.0)) <= 1e-14, p
+        assert res.lam0 == 0.0  # lambda_0's refined vector is the constant
 
 
 def test_nested_pairs_have_sturm_sign_changes():
@@ -382,12 +436,12 @@ def test_refine_rejects_wrong_index():
     # which the sign-change count catches
     t = Grid.uniform(1.0, 8192).nodes
     h = np.exp(t)
-    half, u_half = spectral._eigenpairs(t[::2], h[::2], 2)[:2]
-    spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half), half)
+    half, u_half = spectral._eigenpairs(t[::2], h[::2], 2)[1:3]
+    spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half, 2), half)
     wrong = half.copy()
-    wrong[1] = half[2]
+    wrong[0] = half[1]
     with pytest.raises(ConditioningError, match="pair 1 changes sign 2 times"):
-        spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half), wrong)
+        spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half, 2), wrong)
 
 
 def test_shooting_cross_check():

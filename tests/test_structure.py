@@ -4,7 +4,8 @@ density generator has one solution path, the exact piecewise rotation, and
 the isoperimetric profile one search, the lane-batched bracket refinement.
 The localization chain is written once, in localization.localize, and its
 deficit ledger is frozen. The Neumann solve bisects in one place, the base
-and fallback solve of the nested refinement. The discrete Rayleigh quotient
+and fallback solve of the nested refinement, and reaches a grid from its
+base in two refined levels, not by recursion. The discrete Rayleigh quotient
 is written once, spectral._flux_quotient, and both the eigenvalues and
 rayleigh() take it. The CLI starts without the SciPy submodules that none of
 its commands use."""
@@ -116,11 +117,20 @@ def _functions(path):
             for fn in ast.parse(text).body if isinstance(fn, ast.FunctionDef)}
 
 
+def test_nested_solve_is_two_levels_not_a_recursion():
+    # _eigenpairs reaches a grid from its base through the half grid, in a
+    # loop; it never calls itself (neumann_eigs calls it for the half grid
+    # of a grid solved directly)
+    calls = _functions(SRC / "spectral.py")["_eigenpairs"][1]
+    assert "_eigenpairs" not in calls
+    assert {"_prolong", "_refine", "_direct"} <= calls
+
+
 def test_one_rayleigh_quotient():
     # the flux energy sum f (u_{i+1} - u_i)^2 is written once, in
     # spectral._flux_quotient; the solver's eigenvalues (_finish) and the
     # free-standing rayleigh() both take their quotient from it
-    flux_energy = re.compile(r"\bf \* (du|np\.diff\()")
+    flux_energy = re.compile(r"\bf \* (du|np\.diff\()|np\.multiply\(f, du\b")
     writers = [f"{path.stem}.{name}"
                for path in sorted(SRC.glob("*.py"))
                for name, (source, _) in _functions(path).items()
