@@ -5,9 +5,14 @@ violation (failed CD check, broken inequality, flagged scaling). Every run
 writes results.csv and summary.json into --out; summary.json carries the
 config hash and the tolerances in force and is byte-stable across repeated
 runs (volatile data like runtime goes to the run_info.json sidecar).
+
+main() may be called many times in one process, as a batch script does: it
+builds its parser on the first call and reuses it for every later one, and
+it returns an exit code instead of ending the process, also for -h/--help.
 """
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -426,9 +431,19 @@ def config_from_args(args) -> RunConfig:
     )
 
 
+@functools.cache
+def _parser():
+    # parsing leaves no state on the parser, so one serves every main() call
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # only -h/--help exits here (_Parser.error raises): usage is printed
+            return exc.code
         return run(config_from_args(args))
     except NonCDInputError as exc:
         print(f"violation: {exc}", file=sys.stderr)

@@ -444,15 +444,25 @@ def long_mass_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport, gam
 # suspension geometry and the final assembly
 
 
-def _pl_cum(nodes, h, s):
-    """Integral of the piecewise-linear interpolant of h over [0, s], exact."""
-    s = float(min(max(s, nodes[0]), nodes[-1]))
+def _pl_prefix(nodes, h):
+    """Integral of the piecewise-linear interpolant of h over [0, nodes[j]], each j."""
     steps = 0.5 * np.diff(nodes) * (h[:-1] + h[1:])
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _pl_cum(nodes, h, prefix, s):
+    """Integral of the piecewise-linear interpolant of h over [0, s].
+
+    The interpolant is integrated exactly: whole cells come from prefix, a
+    running sum of the cell trapezoids that adds its own rounding, and the
+    cell holding s is integrated in closed form.
+    """
+    s = float(min(max(s, nodes[0]), nodes[-1]))
     i = int(np.searchsorted(nodes, s, side="right") - 1)
     i = min(i, len(nodes) - 2)
     ds = s - nodes[i]
     hs = h[i] + (h[i + 1] - h[i]) * (ds / (nodes[i + 1] - nodes[i]))
-    return float(math.fsum(steps[:i]) + 0.5 * ds * (h[i] + hs))
+    return float(prefix[i] + 0.5 * ds * (h[i] + hs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,7 +471,9 @@ class SuspensionGeometry:
 
     The reference model measure is sampled on a uniform [0, pi] grid with the
     same resolution as the finest ray and integrated by the same
-    piecewise-linear rule, so rigid families compare bitwise against it.
+    piecewise-linear rule, so rigid families compare bitwise against it. The
+    cumulative measure at the nodes of every ray and of the model is summed
+    once, here, so a ball costs one search and one partial cell per ray.
     """
 
     N: float
@@ -472,6 +484,8 @@ class SuspensionGeometry:
     unspanned_mass: float
     rays: tuple
     model: WeightedInterval
+    prefixes: tuple            # _pl_prefix of each ray's density
+    model_prefix: np.ndarray
 
     @classmethod
     def from_family(cls, f: RayFamily) -> "SuspensionGeometry":
@@ -485,6 +499,8 @@ class SuspensionGeometry:
         return cls(
             N=f.N, weights=f.weights, a=a, b=b, D=D,
             unspanned_mass=f.unspanned_mass, rays=f.rays, model=model,
+            prefixes=tuple(_pl_prefix(r.w.grid.nodes, r.w.h) for r in f.rays),
+            model_prefix=_pl_prefix(model.grid.nodes, model.h),
         )
 
     @property
@@ -500,11 +516,11 @@ class SuspensionGeometry:
     def ball(self, r):
         """m(B_r(P_N)) under the suspension rule."""
         total = self.unspanned_mass if r >= self.pole_distance else 0.0
-        for q, ray, a, D in zip(self.weights, self.rays, self.a, self.D):
+        for q, ray, prefix, a, D in zip(self.weights, self.rays, self.prefixes, self.a, self.D):
             reach = min(max(r - a, 0.0), D)
             if reach > 0:
                 nodes = ray.w.grid.nodes
-                total += q * _pl_cum(nodes, ray.w.h, reach) / ray.w.total_mass
+                total += q * _pl_cum(nodes, ray.w.h, prefix, reach) / ray.w.total_mass
         return float(total)
 
     def model_ball(self, r):
@@ -513,7 +529,7 @@ class SuspensionGeometry:
         if r <= 0:
             return 0.0
         nodes = self.model.grid.nodes
-        return float(_pl_cum(nodes, self.model.h, r) / self.model.total_mass)
+        return float(_pl_cum(nodes, self.model.h, self.model_prefix, r) / self.model.total_mass)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Command-line front end: exit codes, artifacts, determinism, plots."""
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -201,6 +204,76 @@ def test_bad_usage_exits_1(tmp_path, capsys, fixtures_dir):
         code = cli.main(list(args) + ["--out", str(tmp_path / "out")])
         assert code == 1, args
         assert capsys.readouterr().err.strip().startswith("error:"), args
+
+
+def test_help_returns_0(capsys):
+    # argparse ends -h/--help with SystemExit(0); main() prints the usage and
+    # returns 0, so an in-process batch goes on
+    from obatalab import cli
+
+    for args, usage in ((["-h"], "usage: obatalab "),
+                        (["spectrum", "--help"], "usage: obatalab spectrum ")):
+        assert cli.main(args) == 0, args
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage), args
+        assert captured.err == "", args
+    assert cli.main(["nonsense"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# in-process calls in order: k given, k left to its default, invalid usage,
+# and two more subcommands on the same parser
+SHARED_PARSER_CALLS = (
+    ("spectrum", "--model", "--dim", "2", "--k", "3", "--grid", "256"),
+    ("spectrum", "--model", "--dim", "2", "--grid", "256"),
+    ("profile", "--dim", "3"),
+    ("profile", "--dim", "3", "--diam", "3.0", "--v", "0.37", "--grid", "256"),
+    ("localize", "--config", "fixtures/rigid.json"),
+)
+
+
+def test_shared_parser_matches_fresh_parsers(tmp_path, monkeypatch, capsys, fixtures_dir):
+    from obatalab import cli
+
+    monkeypatch.chdir(fixtures_dir.parent)
+
+    def batch(side):
+        runs = []
+        for j, args in enumerate(SHARED_PARSER_CALLS):
+            out = tmp_path / side / str(j)
+            code = cli.main([*args, "--out", str(out)])
+            summary = out / "summary.json"
+            runs.append((code, summary.read_bytes() if summary.exists() else None))
+        capsys.readouterr()
+        return runs
+
+    shared = cli._parser()
+    runs = batch("shared")
+    assert cli._parser() is shared
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert batch("fresh") == runs
+    assert [code for code, _ in runs] == [0, 0, 1, 0, 0]
+    assert runs[2][1] is None
+    params = [json.loads(summary)["config"]["params"] for _, summary in runs[:2]]
+    assert [p["k"] for p in params] == [3, 1]
+
+
+def test_module_entry_point_subprocess(run_cli, tmp_path, fixtures_dir):
+    # the one run through `python -m obatalab.cli`; the other tests call main()
+    # in process, and this run's artifacts must equal theirs
+    root = fixtures_dir.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "sub"
+    args = ("localize", "--config", "fixtures/shortray_n2.json")
+    proc = subprocess.run([sys.executable, "-m", "obatalab.cli", *args, "--out", str(out)],
+                          capture_output=True, text=True, cwd=str(root), env=env)
+    assert proc.returncode == 0, proc.stderr
+    in_proc, out_in = run_cli(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        in_proc.returncode, in_proc.stdout, in_proc.stderr)
+    for name in ("summary.json", "results.csv"):
+        assert (out / name).read_bytes() == (out_in / name).read_bytes()
 
 
 def test_spectrum_k_above_cap_exits_1(tmp_path, capsys):

@@ -481,6 +481,53 @@ def test_volume_radius_validation(fixtures_dir):
             volume_control(geo, r)
 
 
+def _fsum_pl_cum(nodes, h, s):
+    # reference rule: every call sums the whole cells below s with math.fsum
+    # (over a list, which gives the same sum as over the array, faster)
+    s = float(min(max(s, nodes[0]), nodes[-1]))
+    steps = 0.5 * np.diff(nodes) * (h[:-1] + h[1:])
+    i = min(int(np.searchsorted(nodes, s, side="right") - 1), len(nodes) - 2)
+    ds = s - nodes[i]
+    hs = h[i] + (h[i + 1] - h[i]) * (ds / (nodes[i + 1] - nodes[i]))
+    return float(math.fsum(steps[:i].tolist()) + 0.5 * ds * (h[i] + hs))
+
+
+def _fsum_ball(geo, r):
+    total = geo.unspanned_mass if r >= geo.pole_distance else 0.0
+    for q, ray, a, D in zip(geo.weights, geo.rays, geo.a, geo.D):
+        reach = min(max(r - a, 0.0), D)
+        if reach > 0:
+            total += q * _fsum_pl_cum(ray.w.grid.nodes, ray.w.h, reach) / ray.w.total_mass
+    return float(total)
+
+
+def _fsum_model_ball(geo, r):
+    r = min(max(r, 0.0), math.pi)
+    if r <= 0:
+        return 0.0
+    m = geo.model
+    return _fsum_pl_cum(m.grid.nodes, m.h, r) / m.total_mass
+
+
+def test_ball_prefix_matches_fsum_rule(fixtures_dir):
+    # the prefix sums add only the rounding of a running sum, on every
+    # shipped family: at localize()'s 16 spot radii, at node boundaries
+    # (every 128th node of each ray and of the model) and at each ray's ends
+    paths = sorted(fixtures_dir.glob("*.json"))
+    assert len(paths) >= 19
+    for path in paths:
+        geo = SuspensionGeometry.from_family(normalize(load_family(path)))
+        radii = [*np.linspace(0.1, geo.pole_distance - 0.05, 16),
+                 *geo.model.grid.nodes[::128], geo.model.grid.nodes[-1]]
+        for ray, a, D in zip(geo.rays, geo.a, geo.D):
+            nodes = ray.w.grid.nodes
+            radii += [*(a + nodes[::128]), a + nodes[-1], a, a + D]
+        for r in sorted(set(map(float, radii))):
+            for got, want in ((geo.ball(r), _fsum_ball(geo, r)),
+                              (geo.model_ball(r), _fsum_model_ball(geo, r))):
+                assert abs(got - want) <= 1e-13 * abs(want), (path.name, r, got, want)
+
+
 def test_volume_breach_raises():
     # a ray starting 1.0 away from the pole leaves B_0.5 empty
     n = 1024

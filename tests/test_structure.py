@@ -8,7 +8,8 @@ and fallback solve of the nested refinement, and reaches a grid from its
 base in two refined levels, not by recursion. The discrete Rayleigh quotient
 is written once, spectral._flux_quotient, and both the eigenvalues and
 rayleigh() take it. The CLI starts without the SciPy submodules that none of
-its commands use."""
+its commands use, and builds its argument parser once per process, on the
+first main() call."""
 import ast
 import dataclasses
 import json
@@ -68,6 +69,32 @@ print(json.dumps({{"loaded": loaded, "residual": res.residual}}))
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
     assert out["residual"] < 1e-4
+
+
+def test_cli_builds_one_parser_per_process():
+    # a fresh interpreter, because the test session has built the parser already;
+    # one build is 7 parsers, the top level and one per subcommand
+    script = """
+import argparse, json
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(type(self).__name__)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import obatalab.cli as cli
+at_import = list(made)
+codes = [cli.main(["nonsense"]), cli.main(["profile", "--dim", "3"])]
+print(json.dumps({"at_import": at_import, "made": made, "codes": codes}))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    out = json.loads(proc.stdout)
+    assert out["at_import"] == []
+    assert out["made"] == ["_Parser"] * 7
+    assert out["codes"] == [1, 1]
 
 
 def test_profile_has_one_search_path():
