@@ -30,6 +30,9 @@ from .errors import (
 
 # evaluation lattice size for cd_check: 33 evenly spaced node indices
 CD_LATTICE = 33
+# cd_check samples at most this many quasi-random pairs beyond its lattice:
+# each takes about 106 bytes of index and value arrays (about 220 MB at the cap)
+MAX_SAMPLE_PAIRS = 2 ** 21
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +329,17 @@ def cd_check(w: WeightedInterval, sample_pairs=0, tol=1e-8) -> CdVerdict:
 
     Checks h(x_t)^{1/(N-1)} >= sigma^{(t)}(|x1-x0|) h(x1)^{1/(N-1)}
                              + sigma^{(1-t)}(|x1-x0|) h(x0)^{1/(N-1)}
-    on a deterministic lattice of node triples plus `sample_pairs`
-    quasi-random node triples, all evaluated in one array pass; the witness
-    is the first worst triple. All evaluation points are grid nodes: the
-    interpolation parameter t is rationalized so that x_t lands on a node,
-    because the piecewise-linear interpolant overshoots the concave
-    h^{1/(N-1)} inside degenerate end cells and would produce spurious
-    failures on the exact model otherwise.
+    on a deterministic lattice of node triples plus `sample_pairs` (0 to
+    MAX_SAMPLE_PAIRS) quasi-random node triples, all evaluated in one array
+    pass; the witness is the first worst triple. All evaluation points are
+    grid nodes: the interpolation parameter t is rationalized so that x_t
+    lands on a node, because the piecewise-linear interpolant overshoots the
+    concave h^{1/(N-1)} inside degenerate end cells and would produce
+    spurious failures on the exact model otherwise.
     """
+    if not 0 <= sample_pairs <= MAX_SAMPLE_PAIRS:
+        raise ParameterDomainError(
+            f"need 0 <= sample_pairs <= {MAX_SAMPLE_PAIRS}, got {sample_pairs}")
     t_nodes = w.grid.nodes
     N, K = w.N, w.K
     if K > 0:
@@ -442,8 +448,11 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
     phase jumps at the piece edges, so if w is not positive at every node the
     levels shrink by 0.7 per retry (at most 40). An explicit excess=(edges, levels), edges increasing from 0
     to D with one non-negative level per piece, starts from the sine-matching
-    (w, w') = (0, 1) with no retry. Deterministic per seed.
+    (w, w') = (0, 1) with no retry. Deterministic per seed; a negative
+    seed is refused.
     """
+    if seed < 0:
+        raise ParameterDomainError(f"seed must be non-negative, got {seed}")
     if grid.D >= math.pi:
         raise ParameterDomainError("generator needs D < pi")
     t = grid.nodes

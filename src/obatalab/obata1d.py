@@ -115,11 +115,13 @@ class ExperimentSpec:
             raise ParameterDomainError(f"unknown family {self.family!r}")
         if not 1 < self.N < math.inf:
             raise ParameterDomainError("need N > 1 and finite")
+        if self.seed < 0:
+            raise ParameterDomainError(f"seed must be non-negative, got {self.seed}")
         sweep = tuple(float(s) for s in self.sweep) or _default_sweep(self.family)
         if len(sweep) < 5:
             raise ParameterDomainError("sweeps need at least 5 points")
-        if any(s <= 0 for s in sweep):
-            raise ParameterDomainError("sweep parameters must be positive")
+        if not all(0 < s < math.inf for s in sweep):
+            raise ParameterDomainError("sweep parameters must be finite and positive")
         object.__setattr__(self, "sweep", sweep)
         if self.target is None:
             object.__setattr__(self, "target", min(0.5, 1.0 / self.N))

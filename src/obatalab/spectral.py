@@ -24,6 +24,14 @@ whose lambda_0 vector is the constant and is never iterated. A grid with no
 such base is solved directly. At most MAX_PAIRS pairs are computed, and at
 most MAX_PAIR_NODES values per grid-by-pairs array.
 
+A refined level keeps only its flux and mass (f, M). The symmetric form
+(1/sqrt(M) and the matrix bands) is rebuilt block by block (_symmetric, about
+2^15 nodes a block) wherever it is read: for the factor rows, the scalings
+y = u/s and u = y s, and the backward errors. Blocking only regroups
+elementwise arithmetic, and every sum runs over a whole row, so each value
+keeps the bits of the whole-grid form, which the grids solved by bisection
+(_scaled) still build.
+
 The package has one discrete Rayleigh quotient, the flux form
 sum f (u_{i+1} - u_i)^2 / sum M u_i^2 (_flux_quotient). Every eigenvalue is
 that quotient of its eigenvector, which converges cleanly as O(grid^2) where
@@ -104,6 +112,9 @@ MAX_PAIRS = 256
 MAX_PAIR_NODES = 2 ** 25
 # the base of the nested solve has at least this many cells (and 8 k^{3/2})
 _DIRECT_CELLS = 256
+# a refined level keeps only its flux and mass; its symmetric form is rebuilt
+# in blocks of this many nodes (256 KiB per row) wherever it is read
+_BLOCK = 2 ** 15
 # inverse iteration per refined pair: step bounds, and the agreement of two
 # successive |lambda - shift| estimates, relative to lambda, that ends it
 _MIN_STEPS, _MAX_STEPS, _STEP_RTOL = 2, 6, 1e-8
@@ -141,7 +152,7 @@ def _coarsest_cells(n, k):
 def _assemble(t, h):
     """Flux f = hmid/dt per cell and lumped mass M per node, from the
     cell-midpoint densities hmid."""
-    dt = np.diff(t)
+    dt = np.subtract(t[1:], t[:-1])  # np.diff(t), without its dispatch
     f = h[:-1] + h[1:]
     f *= 0.5
     half_cell = f * dt
@@ -155,57 +166,113 @@ def _assemble(t, h):
 
 def _support_checks(h):
     pos = h > 0
-    first = int(np.argmax(pos))
+    first = int(pos.argmax())
     if not pos[first]:
         raise DegenerateDensityError("density is identically zero")
-    last = len(h) - 1 - int(np.argmax(pos[::-1]))
+    last = len(h) - 1 - int(pos[::-1].argmax())
     hmid = h[:-1] + h[1:]
     hmid *= 0.5
-    if not np.all(hmid[first:last]):
+    if not hmid[first:last].all():
         raise DisconnectedSupportError("density vanishes on an interior subinterval")
     if hmid[0] == 0.0 or hmid[-1] == 0.0:
         raise DegenerateDensityError(
             "density vanishes on a whole end cell, leaving an end node without mass")
 
 
-def _scaled(t, h):
-    """Flux, mass, 1/sqrt(mass) and the symmetric matrix diag s^2, -f s s."""
-    f, M = _assemble(t, h)
-    s = np.sqrt(M)
-    np.reciprocal(s, out=s)
-    d = np.empty(len(t))
-    d[0], d[-1] = f[0], f[-1]
-    np.add(f[:-1], f[1:], out=d[1:-1])
+def _blocks(nodes):
+    """(lo, hi) node ranges that tile 0..nodes-1: _BLOCK nodes each, but the
+    last takes the rest, up to _BLOCK + 1 nodes (2^p cells end in a lone
+    node)."""
+    return [(lo, lo + _BLOCK if lo + _BLOCK < nodes - 1 else nodes)
+            for lo in range(0, nodes - 1, _BLOCK)]
+
+
+def _inv_sqrt(M, out):
+    """s = 1/sqrt(M), the scaling y = u/s of the symmetric form, into out."""
+    np.sqrt(M, out=out)
+    return np.reciprocal(out, out=out)
+
+
+def _symmetric(f, M, lo, hi, out=None):
+    """The symmetric form diag(d), off-diagonal e of the pencil on the nodes
+    lo..hi-1: s = 1/sqrt(M) and d = (f_{i-1} + f_i) s_i^2 per node (one flux
+    at an end of the grid), e = -f_i s_i s_{i+1} per cell between two of them.
+    out, when given, is three rows that take s, d and e from their start."""
+    m = hi - lo
+    if out is None:
+        out = np.empty((3, m))
+    s = _inv_sqrt(M[lo:hi], out[0][:m])
+    d, e = out[1][:m], out[2][:m - 1]
+    a, b = max(lo, 1), min(hi, len(f))  # the nodes between two cells
+    np.add(f[a - 1:b - 1], f[a:b], out=d[a - lo:b - lo])
+    if lo == 0:
+        d[0] = f[0]
+    if hi == len(M):
+        d[-1] = f[-1]
     d *= s
     d *= s
-    e = np.negative(f)
+    np.negative(f[lo:hi - 1], out=e)
     e *= s[:-1]
     e *= s[1:]
-    return f, M, s, d, e
+    return s, d, e
 
 
-def _flux_quotient(u, f, M, work=None):
+def _scaled(t, h):
+    """Flux, mass and the _symmetric form s, d, e of the whole grid: the
+    matrix of a grid solved by bisection."""
+    f, M = _assemble(t, h)
+    return (f, M) + _symmetric(f, M, 0, len(M))
+
+
+def _flux_quotient(u, flux, M, work=None):
     """The flux Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of
     the vector u, and its mass sum M u_i^2; work, when given, is a
-    2 x len(u) scratch array."""
-    if work is None:
-        work = np.empty((2, len(u)))
-    du = np.subtract(u[1:], u[:-1], out=work[0, :-1])
-    energy = np.multiply(f, du, out=work[1, :-1])
-    energy *= du
-    sq = np.multiply(u, u, out=work[0])
-    sq *= M
-    mass = float(np.sum(sq))
+    2 x len(u) scratch array. The terms are formed block by block into whole
+    rows, and each sum is taken over its whole row."""
+    sq, energy = work if work is not None else np.empty((2, len(u)))
+    for lo, hi in _blocks(len(u)):
+        c = min(hi, len(flux))  # the cells lo..c-1 start in the block
+        f = flux[lo:c]
+        # du borrows the block of the mass row until the masses overwrite it
+        du = np.subtract(u[lo + 1:c + 1], u[lo:c], out=sq[lo:c])
+        np.multiply(f, du, out=energy[lo:c])
+        energy[lo:c] *= du
+        ub = u[lo:hi]
+        np.multiply(ub, ub, out=sq[lo:hi])
+        sq[lo:hi] *= M[lo:hi]
+    mass = float(sq.sum())
     if not 0.0 < mass < math.inf:
         raise UndefinedQuotientError("function has zero variance against m")
-    return float(np.sum(energy)) / mass, mass
+    return float(energy[:-1].sum()) / mass, mass
 
 
-def _finish(u, f, M, work=None):
+def _sign_changes(u, scale=None):
+    """Sign changes along u, exact zeros skipped, counted block by block;
+    with scale, each block of u is first divided by it in place."""
+    changes, last = 0, None
+    for lo, hi in _blocks(len(u)):
+        block = u[lo:hi]
+        if scale is not None:
+            block /= scale
+        neg = block < 0.0
+        if not block.all():
+            neg = neg[block != 0.0]
+            if not len(neg):
+                continue
+        changes += int(np.count_nonzero(neg[1:] != neg[:-1]))
+        if last is not None and neg[0] != last:
+            changes += 1
+        last = neg[-1]
+    return changes
+
+
+def _finish(u, f, M, work=None, count=False):
     """M-normalise and sign-fix the columns of u in place, positive at the
     first node above 1e-12 of the column's peak; return their
-    _flux_quotient values (work as in _flux_quotient)."""
+    _flux_quotient values (work as in _flux_quotient) and, with count, their
+    _sign_changes, counted in the sweep that normalises."""
     ray = np.empty(u.shape[1])
+    changes = []
     if work is None:
         work = np.empty((2, len(u)))
     for j in range(u.shape[1]):
@@ -213,15 +280,19 @@ def _finish(u, f, M, work=None):
         ray[j], mass = _flux_quotient(uj, f, M, work)
         floor = 1e-12 * max(uj.max(), -uj.min())
         first = 0 if abs(uj[0]) > floor else int(np.argmax(np.abs(uj) > floor))
-        uj /= math.copysign(math.sqrt(mass), uj[first])
-    return ray
+        scale = math.copysign(math.sqrt(mass), uj[first])
+        if count:
+            changes.append(_sign_changes(uj, scale))
+        else:
+            uj /= scale
+    return ray, changes
 
 
 def _solve_tridiagonal(scaled, k):
     f, M, s, d, e = scaled
     vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
     u = vecs * s[:, None]
-    return _finish(u, f, M), u
+    return _finish(u, f, M)[0], u
 
 
 def _direct(scaled, k):
@@ -231,58 +302,47 @@ def _direct(scaled, k):
     return float(ray[0]), ray[1:], u[:, 1:]
 
 
-def _sign_changes(u):
-    """Sign changes along u, exact zeros skipped."""
-    neg = u < 0.0
-    if np.count_nonzero(u) < len(u):
-        neg = neg[u != 0.0]
-    return int(np.count_nonzero(neg[1:] != neg[:-1]))
-
-
 def _prolong(t, v, stride):
     """Columns of v, given on the coarse grid t[::stride], interpolated
     linearly to the nodes t; stride divides the cell count len(t) - 1."""
     tc = t[::stride]
     theta = t[:-1].reshape(-1, stride)[:, 1:] - tc[:-1, None]
-    theta /= np.diff(tc)[:, None]
+    theta /= (tc[1:] - tc[:-1])[:, None]
     u = np.empty((len(t), v.shape[1]), order="F")
     for j in range(v.shape[1]):
         vj = v[:, j]
         cells = u[:-1, j].reshape(-1, stride)  # a view: the column is contiguous
         cells[:, 0] = vj[:-1]
-        np.multiply(theta, np.diff(vj)[:, None], out=cells[:, 1:])
+        np.multiply(theta, (vj[1:] - vj[:-1])[:, None], out=cells[:, 1:])
         cells[:, 1:] += vj[:-1, None]
         u[-1, j] = vj[-1]
     return u
 
 
-def _inverse_iterate(d, e, y, shift, work):
-    """Inverse iteration on the symmetric tridiagonal (d, e) from y, until two
-    successive estimates 1/||z|| of |lambda - shift| agree to _STEP_RTOL of
-    the eigenvalue; ConditioningError when _MAX_STEPS do not get there. The
-    rows of work (3 x len(d)) take the factored bands.
+def _inverse_iterate(work, y, shift):
+    """Inverse iteration from y on the symmetric tridiagonal matrix minus
+    shift, whose bands dl, dd, du are the rows of work (3 x len(y); factored
+    in place), until two successive estimates 1/||z|| of |lambda - shift|
+    agree to _STEP_RTOL of the eigenvalue; ConditioningError when _MAX_STEPS
+    do not get there.
 
     The agreement is taken relative to |shift|, not to the estimate itself:
     the estimate carries a rounding noise of 1e-9 to 1e-7 of itself at 2^20
     cells, so a converged pair would often never agree to 1e-8 of it.
     """
-    dl, dd, du = work[0, :-1], work[1], work[2, :-1]
-    dl[:] = e
-    du[:] = e
-    np.subtract(d, shift, out=dd)
-    dl, dd, du, du2, ipiv, info = dgttrf(dl, dd, du, overwrite_dl=1, overwrite_d=1,
-                                         overwrite_du=1)
+    dl, dd, du, du2, ipiv, info = dgttrf(work[0, :-1], work[1], work[2, :-1],
+                                         overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
     # the iterate is never rescaled: the estimate of a step is the ratio of
     # successive norms, _MAX_STEPS steps stay far from overflow, and the
     # caller normalises the result (_finish)
-    norm = float(np.linalg.norm(y))
+    norm = math.sqrt(y.dot(y))  # np.linalg.norm(y), without its dispatch
     gap = math.inf
     for step in range(1, _MAX_STEPS + 1):
         y = dgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=1)[0]
         last, prev = gap, norm
-        norm = float(np.linalg.norm(y))
+        norm = math.sqrt(y.dot(y))
         if not 0.0 < norm < math.inf:
             raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
         gap = prev / norm
@@ -292,37 +352,52 @@ def _inverse_iterate(d, e, y, shift, work):
         f"inverse iteration at shift {shift!r} did not converge in {_MAX_STEPS} steps")
 
 
-def _refine(scaled, u, shifts):
+def _refine(level, u, shifts):
     """Polish prolonged eigenvectors u of lambda_1..lambda_k (one column
-    each) in place, given the _scaled matrix of their grid; return their flux
-    Rayleigh quotients.
+    each) in place, given the level (f, M) of their grid (_assemble); return
+    their flux Rayleigh quotients.
 
     The column of pair j takes inverse iteration shifted by shifts[j - 1], its
     eigenvalue on the coarser grid, in the symmetric form y = u/s of the
-    direct solve, until it converges (_inverse_iterate). Pair j must change
-    sign exactly j times (Sturm oscillation: the off-diagonals are negative
-    on the support). Either failure raises ConditioningError.
+    direct solve, until it converges (_inverse_iterate). The form is rebuilt
+    block by block (_symmetric) wherever it is read: straight into the factor
+    rows, beside the scaling y = u/s, and for the unscaling u = y s. Pair j
+    must change sign exactly j times (Sturm oscillation: the off-diagonals
+    are negative on the support). Either failure raises ConditioningError.
     """
-    f, M, s, d, e = scaled
-    work = np.empty((3, len(d)))
+    f, M = level
+    nodes = len(M)
+    blocks = _blocks(nodes)
+    work = np.empty((3, nodes))
+    dl, dd, du = work
+    sbuf = np.empty(min(nodes, _BLOCK + 1))
     for j, shift in enumerate(shifts):
         y = u[:, j]
-        y /= s
-        y = _inverse_iterate(d, e, y, shift, work)
-        np.multiply(y, s, out=u[:, j])
-    ray = _finish(u, f, M, work[:2])
-    for j, column in enumerate(u.T, 1):
-        changes = _sign_changes(column)
-        if changes != j:
+        for lo, hi in blocks:
+            # d and e reach one node past the block, for the cell hi - 1; the
+            # next block rewrites that d
+            top = min(hi + 1, nodes)
+            s, _, e = _symmetric(f, M, lo, top, (sbuf, dd[lo:top], dl[lo:top]))
+            du[lo:top - 1] = e
+            dd[lo:hi] -= shift
+            y[lo:hi] /= s[:hi - lo]
+        y = _inverse_iterate(work, y, shift)
+        # last block first: sbuf still holds its s from the loop above
+        for lo, hi in reversed(blocks):
+            s = sbuf[:hi - lo] if hi == nodes else _inv_sqrt(M[lo:hi], sbuf[:hi - lo])
+            np.multiply(y[lo:hi], s, out=u[lo:hi, j])
+    ray, changes = _finish(u, f, M, work[:2], count=True)
+    for j, count in enumerate(changes, 1):
+        if count != j:
             raise ConditioningError(
-                f"refined pair {j} changes sign {changes} times, not {j}")
+                f"refined pair {j} changes sign {count} times, not {j}")
     return ray
 
 
 def _eigenpairs(t, h, k):
     """lambda_0, the flux Rayleigh eigenvalues lambda_1..lambda_k and their
     eigenvectors (one column each), the half-grid eigenvalues when the grid
-    was refined from its half grid, and the _scaled matrix of the grid.
+    was refined from its half grid, and the level (f, M) of the grid.
 
     A grid that _refines is reached in two refined levels from its base
     (_coarsest_cells, solved directly): the base pairs are prolonged straight
@@ -338,7 +413,7 @@ def _eigenpairs(t, h, k):
     n = len(t) - 1
     if not _refines(n, k):
         scaled = _scaled(t, h)
-        return _direct(scaled, k) + (None, scaled)
+        return _direct(scaled, k) + (None, scaled[:2])
     have = n // _coarsest_cells(n, k)  # stride of the finest level solved
     _support_checks(h[::have])
     lam0, vals, v = _direct(_scaled(t[::have], h[::have]), k)
@@ -351,41 +426,55 @@ def _eigenpairs(t, h, k):
             v = None  # a one-doubling level falls back to bisection, not to v
         if goal > 1:
             _support_checks(hg)
-        scaled = _scaled(tg, hg)
+        level = _assemble(tg, hg)
         half = vals
         try:
-            lam0, vals = 0.0, _refine(scaled, u, half)
+            lam0, vals = 0.0, _refine(level, u, half)
         except ConditioningError:
             if stride > 2:
                 goal = have // 2
                 continue
-            lam0, vals, u = _direct(scaled, k)
+            # assembled again, bitwise as the level: far cheaper than bisection
+            lam0, vals, u = _direct(_scaled(tg, hg), k)
         if goal == 1:
-            return lam0, vals, u, half, scaled
-        # drop the level's matrix before the next level is assembled
-        have, goal, v, scaled = goal, goal // 2, u, None
+            return lam0, vals, u, half, level
+        # drop the level before the next level is assembled
+        have, goal, v, level = goal, goal // 2, u, None
 
 
-def _backward_errors(scaled, u, lams):
+def _backward_errors(level, u, lams):
     """||(T - lam) y||_inf / (||T||_inf ||y||_inf) per column, for T the
-    symmetric matrix (d, e) of _scaled and y = u/s its form of the column."""
-    s, d, e = scaled[2:]
-    y, r, ey = np.empty(len(d)), np.empty(len(d)), np.abs(e)
-    np.abs(d, out=r)
-    r[:-1] += ey
-    r[1:] += ey
-    tnorm = float(r.max())
-    out = np.empty(len(lams))
-    for j, lam in enumerate(lams):
-        np.divide(u[:, j], s, out=y)
-        np.subtract(d, lam, out=r)
-        r *= y
-        np.multiply(e, y[1:], out=ey)
-        r[:-1] += ey
-        np.multiply(e, y[:-1], out=ey)
-        r[1:] += ey
-        out[j] = max(r.max(), -r.min()) / (tnorm * max(y.max(), -y.min()))
-    return out
+    symmetric matrix of the level (f, M) and y = u/s its form of the column.
+    T is rebuilt block by block (_symmetric) with one halo node on each side,
+    and the norms are maxima over the blocks."""
+    f, M = level
+    nodes = len(M)
+    rows = np.empty((6, min(nodes, _BLOCK + 2)))
+    y, r, ey = rows[3:]
+    tnorm = 0.0
+    rmax, ymax = [0.0] * len(lams), [0.0] * len(lams)
+    for lo, hi in _blocks(nodes):
+        a, b = max(lo - 1, 0), min(hi + 1, nodes)
+        s, d, e = _symmetric(f, M, a, b, rows)
+        m, own = b - a, slice(lo - a, hi - a)  # the block's rows in the halo
+        ye, re, ae = y[:m], r[:m], ey[:m - 1]
+        np.abs(d, out=re)
+        np.abs(e, out=ae)
+        re[:-1] += ae
+        re[1:] += ae
+        tnorm = max(tnorm, re[own].max())
+        for j, lam in enumerate(lams):
+            np.divide(u[a:b, j], s, out=ye)
+            np.subtract(d, lam, out=re)
+            re *= ye
+            np.multiply(e, ye[1:], out=ae)
+            re[:-1] += ae
+            np.multiply(e, ye[:-1], out=ae)
+            re[1:] += ae
+            ro = re[own]  # a halo row misses a neighbour's term
+            rmax[j] = max(rmax[j], ro.max(), -ro.min())
+            ymax[j] = max(ymax[j], ye.max(), -ye.min())
+    return np.array([rj / (tnorm * yj) for rj, yj in zip(rmax, ymax)])
 
 
 def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,52 @@ def test_spectrum_pair_nodes_above_cap_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "(grid_n + 1) k <= 33554432" in err[0]
+
+
+def test_negative_seed_exits_1(run_cli):
+    # default_rng refuses a negative seed with a ValueError; the sweep spec
+    # refuses it first, as invalid input
+    proc, _ = run_cli("sweep", "--dim", "2", "--family", "seeded-generated", "--seed", "-1")
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "seed must be non-negative" in err[0]
+
+
+def test_check_density_pairs_out_of_range_exits_1(run_cli, fixtures_dir):
+    # a negative count used to be ignored, and a huge one allocated index
+    # arrays of gigabytes; both are refused before cd_check allocates
+    for pairs in ("-5", "1000000000"):
+        start = time.perf_counter()
+        proc, _ = run_cli("check-density", fixtures_dir / "model_n2.csv", "--dim", "2",
+                          "--pairs", pairs)
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 1, pairs
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "sample_pairs <= 2097152" in err[0]
+        assert "PASS" not in proc.stdout
+    # the cap is not a tolerance of the verdict
+    proc, out = run_cli("check-density", fixtures_dir / "model_n2.csv", "--dim", "2",
+                        "--pairs", "100")
+    assert proc.returncode == 0
+    assert set(_summary(out)["tolerances"]) == {"cd_tol"}
+
+
+def test_non_finite_sweep_point_exits_1(tmp_path, capsys):
+    # inf used to reach the density build: numpy warned, then the sweep
+    # failed with an unrelated zero-variance error
+    from obatalab import cli
+
+    for points in ("inf,0.1,0.2,0.3,0.4", "nan,0.1,0.2,0.3,0.4"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["sweep", "--dim", "2", "--family", "perturbed-cosine",
+                             "--points", points, "--out", str(tmp_path / "out")])
+        assert code == 1, points
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "finite and positive" in err[0]
 
 
 def _write_samples(path, header, t, v):

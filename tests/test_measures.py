@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -302,6 +303,30 @@ def test_cd_check_sample_pairs_deterministic():
     v2 = cd_check(w, sample_pairs=200)
     assert v1.passed and v2.passed
     assert v1.checked == v2.checked > cd_check(w).checked
+
+
+def test_cd_check_sample_pairs_capped_before_allocating():
+    # 10^9 pairs would build index arrays of 7.45 GiB each; the count is
+    # checked before anything is allocated
+    from obatalab import measures
+
+    assert measures.MAX_SAMPLE_PAIRS == 2 ** 21
+    w = model_density(2.0, Grid.uniform(math.pi, 512))
+    tracemalloc.start()
+    try:
+        for bad in (10 ** 9, measures.MAX_SAMPLE_PAIRS + 1, -5, -1, math.nan):
+            with pytest.raises(ParameterDomainError, match="sample_pairs <= 2097152"):
+                cd_check(w, sample_pairs=bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    assert cd_check(w, sample_pairs=0) == cd_check(w)
+
+
+def test_generate_cd_density_refuses_negative_seed():
+    with pytest.raises(ParameterDomainError, match="seed must be non-negative"):
+        generate_cd_density(2.0, -1, Grid.uniform(2.9, 512))
 
 
 def _sigma_scalar(K, dim, t, theta):

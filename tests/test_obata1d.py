@@ -75,6 +75,15 @@ def test_experiment_spec_validation():
         ExperimentSpec(N=2.0, family="perturbed-cosine", sweep=(0.1, 0.05, 0.0, 0.01, 0.005))
 
 
+def test_experiment_spec_refuses_negative_seed_and_non_finite_points():
+    with pytest.raises(ParameterDomainError, match="seed must be non-negative"):
+        ExperimentSpec(N=2.0, family="seeded-generated", seed=-1)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ParameterDomainError, match="finite and positive"):
+            ExperimentSpec(N=2.0, family="perturbed-cosine", sweep=(bad, 0.1, 0.2, 0.3, 0.4))
+    assert ExperimentSpec(N=2.0, family="seeded-generated", seed=0).seed == 0
+
+
 def test_experiment_spec_default_target():
     assert ExperimentSpec(N=2.0, family="perturbed-cosine").target == 0.5
     assert ExperimentSpec(N=3.0, family="perturbed-cosine").target == pytest.approx(1.0 / 3.0)

@@ -130,10 +130,11 @@ def test_pair_node_cap_refuses_before_allocating():
 
 
 def test_peak_memory_of_a_nested_solve():
-    # the refined levels keep only lambda_1..lambda_k, drop the half level
-    # before the grid is assembled, and reuse scratch rows: 11.5 arrays of
-    # n + 1 values at the peak (the matrix's five, the k = 2 columns, one
-    # factorization's bands), under 12.5
+    # the refined levels keep only lambda_1..lambda_k and the flux and mass,
+    # rebuild the symmetric form per block, drop the half level before the
+    # grid is assembled, and reuse scratch rows: about 8.6 arrays of n + 1
+    # values at the peak (f and M, the k = 2 columns, one factorization's
+    # bands and pivots, the block rows), under 9.5
     n = 2 ** 18
     w = model_density(3.0, Grid.uniform(math.pi, n))
     tracemalloc.start()
@@ -142,7 +143,136 @@ def test_peak_memory_of_a_nested_solve():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12.5 * 8 * (n + 1), peak / (8 * (n + 1))
+    assert peak <= 9.5 * 8 * (n + 1), peak / (8 * (n + 1))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _random_level(nodes, seed=0):
+    # flux and mass of a random positive density on a nonuniform grid
+    rng = np.random.default_rng(seed)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, nodes - 1))])
+    h = 1.0 + 0.9 * rng.uniform(-1.0, 1.0, nodes)
+    return spectral._assemble(t / t[-1], h)
+
+
+def _whole_grid_form(f, M):
+    # the symmetric form as it was built over the whole grid at once
+    s = np.sqrt(M)
+    np.reciprocal(s, out=s)
+    d = np.empty(len(M))
+    d[0], d[-1] = f[0], f[-1]
+    np.add(f[:-1], f[1:], out=d[1:-1])
+    d *= s
+    d *= s
+    e = np.negative(f)
+    e *= s[:-1]
+    e *= s[1:]
+    return s, d, e
+
+
+_B = spectral._BLOCK
+_BLOCK_EDGE_NODES = [_B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 7, 301]
+
+
+@pytest.mark.parametrize("nodes", _BLOCK_EDGE_NODES)
+def test_block_form_matches_whole_grid_form(nodes):
+    # every block of the symmetric form, with or without its halo nodes,
+    # holds the bits of the whole-grid form, and the blocks tile the grid
+    f, M = _random_level(nodes)
+    ref = _whole_grid_form(f, M)
+    for got, want in zip(spectral._symmetric(f, M, 0, nodes), ref):
+        assert np.array_equal(_bits(got), _bits(want))
+    blocks = spectral._blocks(nodes)
+    assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(nodes))
+    assert max(hi - lo for lo, hi in blocks) <= _B + 1
+    out = np.empty((3, _B + 2))
+    for lo, hi in blocks:
+        for a, b in ((lo, hi), (lo, min(hi + 1, nodes)), (max(lo - 1, 0), min(hi + 1, nodes))):
+            s, d, e = spectral._symmetric(f, M, a, b, out)
+            assert np.array_equal(_bits(s), _bits(ref[0][a:b])), (a, b)
+            assert np.array_equal(_bits(d), _bits(ref[1][a:b])), (a, b)
+            assert np.array_equal(_bits(e), _bits(ref[2][a:b - 1])), (a, b)
+
+
+def _whole_grid_backward_errors(f, M, u, lams):
+    # the backward errors as they were taken over the whole grid at once
+    s, d, e = _whole_grid_form(f, M)
+    y, r, ey = np.empty(len(d)), np.empty(len(d)), np.abs(e)
+    np.abs(d, out=r)
+    r[:-1] += ey
+    r[1:] += ey
+    tnorm = float(r.max())
+    out = np.empty(len(lams))
+    for j, lam in enumerate(lams):
+        np.divide(u[:, j], s, out=y)
+        np.subtract(d, lam, out=r)
+        r *= y
+        np.multiply(e, y[1:], out=ey)
+        r[:-1] += ey
+        np.multiply(e, y[:-1], out=ey)
+        r[1:] += ey
+        out[j] = max(r.max(), -r.min()) / (tnorm * max(y.max(), -y.min()))
+    return out
+
+
+@pytest.mark.parametrize("nodes", [2 * _B + 1, 3 * _B + 7, 301])
+def test_blocked_backward_errors_match_whole_grid(nodes):
+    rng = np.random.default_rng(nodes)
+    f, M = _random_level(nodes, seed=1)
+    u = np.asfortranarray(rng.standard_normal((nodes, 3)))
+    # exact zeros across block edges and at the ends
+    u[:3, 0] = 0.0
+    u[_B - 2:_B + 3, 1] = 0.0
+    u[-4:, 2] = 0.0
+    lams = rng.uniform(1.0, 100.0, 3)
+    got = spectral._backward_errors((f, M), u, lams)
+    assert np.array_equal(_bits(got), _bits(_whole_grid_backward_errors(f, M, u, lams)))
+    # the columns of a solve, and a perturbed eigenvalue
+    w = model_density(3.0, Grid.uniform(math.pi, nodes - 1))
+    level = spectral._assemble(w.grid.nodes, w.h)
+    res = neumann_eigs(w, k=3)
+    for lam in (res.eigenvalues, res.eigenvalues * (1.0 + 1e-9)):
+        got = spectral._backward_errors(level, res.eigenfunctions, lam)
+        want = _whole_grid_backward_errors(*level, res.eigenfunctions, lam)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_blocked_sweeps_match_whole_grid():
+    # the flux quotient and the sign count run block by block; the quotient
+    # sums whole rows, so both equal their whole-grid forms bitwise (on
+    # 100003 nodes a sum of per-block sums would differ in the last bits)
+    nodes = 100003
+    rng = np.random.default_rng(3)
+    f, M = _random_level(nodes, seed=2)
+    u = np.cos(np.linspace(0.0, 7.5 * math.pi, nodes)) + 1e-3 * rng.standard_normal(nodes)
+    du = u[1:] - u[:-1]
+    energy = f * du
+    energy *= du
+    sq = u * u
+    sq *= M
+    mass = float(np.sum(sq))
+    assert spectral._flux_quotient(u, f, M) == (float(np.sum(energy)) / mass, mass)
+
+    def whole_grid_changes(v):
+        neg = (v < 0.0)[v != 0.0]
+        return int(np.count_nonzero(neg[1:] != neg[:-1]))
+
+    flip = np.ones(nodes)
+    flip[_B:] = -1.0  # one sign change, right at the first block edge
+    gap = flip.copy()
+    gap[_B - 4:_B + 4] = 0.0  # the same change across zeros on both sides
+    lone = np.zeros(nodes)
+    lone[[5, _B + 10, 2 * _B]] = (-1.0, 1.0, -1.0)  # a block of zeros between
+    for v in (u, flip, gap, lone, np.where(np.arange(nodes) < _B + 1, 0.0, u)):
+        want = whole_grid_changes(v)
+        assert spectral._sign_changes(v) == want
+        scaled = v.copy()
+        assert spectral._sign_changes(scaled, -2.5) == want
+        assert np.array_equal(_bits(scaled), _bits(v / -2.5))
+    assert [whole_grid_changes(v) for v in (flip, gap, lone)] == [1, 1, 2]
 
 
 def test_richardson_equals_two_build_formula_on_model():
@@ -216,8 +346,8 @@ def test_residual_flags_a_perturbed_eigenvalue():
     scaled = spectral._scaled(w.grid.nodes, w.h)
     d, e = scaled[3:]
     ray, u = spectral._solve_tridiagonal(scaled, 1)
-    good = spectral._backward_errors(scaled, u[:, 1:], ray[1:])
-    bad = spectral._backward_errors(scaled, u[:, 1:], ray[1:] + 1e-6)
+    good = spectral._backward_errors(scaled[:2], u[:, 1:], ray[1:])
+    bad = spectral._backward_errors(scaled[:2], u[:, 1:], ray[1:] + 1e-6)
     tnorm = np.max(np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)])
     assert good[0] <= 1e-13
     assert bad[0] == pytest.approx(1e-6 / tnorm, rel=1e-3)
@@ -437,11 +567,11 @@ def test_refine_rejects_wrong_index():
     t = Grid.uniform(1.0, 8192).nodes
     h = np.exp(t)
     half, u_half = spectral._eigenpairs(t[::2], h[::2], 2)[1:3]
-    spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half, 2), half)
+    spectral._refine(spectral._assemble(t, h), spectral._prolong(t, u_half, 2), half)
     wrong = half.copy()
     wrong[0] = half[1]
     with pytest.raises(ConditioningError, match="pair 1 changes sign 2 times"):
-        spectral._refine(spectral._scaled(t, h), spectral._prolong(t, u_half, 2), wrong)
+        spectral._refine(spectral._assemble(t, h), spectral._prolong(t, u_half, 2), wrong)
 
 
 def test_shooting_cross_check():
