@@ -33,10 +33,18 @@ CD_LATTICE = 33
 # cd_check samples at most this many quasi-random pairs beyond its lattice:
 # each takes about 106 bytes of index and value arrays (about 220 MB at the cap)
 MAX_SAMPLE_PAIRS = 2 ** 21
+# Grid.uniform builds at most this many nodes, and refuses more before it
+# allocates: the most a Neumann solve takes (spectral.MAX_PAIR_NODES, one pair)
+MAX_GRID_NODES = 2 ** 25
 
 
 # ---------------------------------------------------------------------------
 # grids and weighted intervals
+
+
+def _require_diameter(D):
+    if not 0.0 < D <= math.pi + 1e-12:
+        raise ParameterDomainError("need 0 < D <= pi")
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,7 @@ class Grid:
     def __post_init__(self):
         t = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", t)
-        if not 0.0 < self.D <= math.pi + 1e-12:
-            raise ParameterDomainError("need 0 < D <= pi")
+        _require_diameter(self.D)
         if t.ndim != 1 or len(t) < 16:
             raise ParameterDomainError("grid needs at least 16 nodes")
         if abs(t[0]) > 1e-12:
@@ -65,7 +72,14 @@ class Grid:
 
     @staticmethod
     def uniform(D, n):
-        return Grid(D=float(D), n=int(n), nodes=np.linspace(0.0, float(D), int(n) + 1))
+        """n equal cells on [0, D]; D and the node count are checked before
+        the nodes are built."""
+        D, n = float(D), int(n)
+        _require_diameter(D)
+        if not 16 <= n + 1 <= MAX_GRID_NODES:
+            raise ParameterDomainError(
+                f"grid needs 16 to {MAX_GRID_NODES} nodes, got {n + 1}")
+        return Grid(D=D, n=n, nodes=np.linspace(0.0, D, n + 1))
 
     @property
     def max_step(self):

@@ -16,18 +16,24 @@ to the half grid and polished there by inverse iteration shifted by the base
 eigenvalues; the half-grid ones are interpolated to the grid and polished
 with the half-grid eigenvalues as shifts. Each pair iterates until two
 successive estimates of |lambda - shift| agree to 1e-8 of lambda (2 to 6
-steps). A level where a pair does not converge, or has the wrong number of
-sign changes, fails: after a failed jump of several doublings the solve
-climbs from the base one doubling at a time, and a one-doubling level that
-fails is solved directly instead. lambda_0 is exactly 0 on a refined level,
-whose lambda_0 vector is the constant and is never iterated. A grid with no
-such base is solved directly. At most MAX_PAIRS pairs are computed, and at
-most MAX_PAIR_NODES values per grid-by-pairs array.
+steps); on a jump of several doublings, a pair whose estimates contract too
+slowly to get there by step 6 fails from step 3 on. A level where a pair
+does not converge, or has the wrong number of sign changes, fails: after a
+failed jump of several doublings the solve climbs from the base one
+doubling at a time, and a one-doubling level that fails is solved directly
+instead. lambda_0 is exactly 0 on a refined level, whose lambda_0 vector is
+the constant and is never iterated. A grid with no such base is solved
+directly. At most MAX_PAIRS pairs are computed, and at most MAX_PAIR_NODES
+values per grid-by-pairs array.
 
-A refined level keeps only its flux and mass (f, M). The symmetric form
-(1/sqrt(M) and the matrix bands) is rebuilt block by block (_symmetric, about
-2^15 nodes a block) wherever it is read: for the factor rows, the scalings
-y = u/s and u = y s, and the backward errors. Blocking only regroups
+A refined level is its nodes and densities (t, h): the grid's own, and
+contiguous copies of every other one for the half grid. It holds no arrays
+of its own. Each sweep that reads its flux and mass forms them once per
+block of about 2^15 nodes (_block_level: _assemble on the block's slice with
+a one-node halo), along with the symmetric form where it is needed
+(_symmetric): the factor rows with the scaling y = u/s, the unscaling u = y s
+with the flux quotient, and the backward errors. A level of one block forms
+that block once for all its sweeps. Blocking only regroups
 elementwise arithmetic, and every sum runs over a whole row, so each value
 keeps the bits of the whole-grid form, which the grids solved by bisection
 (_scaled) still build.
@@ -55,7 +61,7 @@ from .errors import (
     UndefinedQuotientError,
 )
 from .isoperimetry import bbg_constant, c_squared_minus_one
-from .measures import Grid, WeightedInterval, first_diff, omega, second_diff
+from .measures import MAX_GRID_NODES, Grid, WeightedInterval, first_diff, omega, second_diff
 
 
 @dataclass(frozen=True)
@@ -108,12 +114,13 @@ class SpectralResult:
 # k n (256 pairs on one core: 1.3 s on 4096 cells, 5.4 s on 16384)
 MAX_PAIRS = 256
 # and at most this many (grid nodes) x k values: each n x k array of a solve
-# on n cells holds 8 (n + 1) k bytes (256 MiB at the cap)
-MAX_PAIR_NODES = 2 ** 25
+# on n cells holds 8 (n + 1) k bytes (256 MiB at the cap). It is the node cap
+# of Grid.uniform, so no uniform grid is built that no solve would take
+MAX_PAIR_NODES = MAX_GRID_NODES
 # the base of the nested solve has at least this many cells (and 8 k^{3/2})
 _DIRECT_CELLS = 256
-# a refined level keeps only its flux and mass; its symmetric form is rebuilt
-# in blocks of this many nodes (256 KiB per row) wherever it is read
+# a refined level holds no arrays: its flux, mass and symmetric form are
+# formed in blocks of this many nodes (256 KiB per row) wherever they are read
 _BLOCK = 2 ** 15
 # inverse iteration per refined pair: step bounds, and the agreement of two
 # successive |lambda - shift| estimates, relative to lambda, that ends it
@@ -149,15 +156,20 @@ def _coarsest_cells(n, k):
     return m // 2 if m == n and has_half_grid(n) else m
 
 
-def _assemble(t, h):
+def _assemble(t, h, out=None):
     """Flux f = hmid/dt per cell and lumped mass M per node, from the
-    cell-midpoint densities hmid."""
-    dt = np.subtract(t[1:], t[:-1])  # np.diff(t), without its dispatch
-    f = h[:-1] + h[1:]
+    cell-midpoint densities hmid. out, when given, is four rows of at least
+    len(t) values that take the cell widths, f, the half-cell masses and M
+    from their start, so that a blocked sweep allocates them once."""
+    m = len(t)
+    if out is None:
+        out = [np.empty(m) for _ in range(4)]
+    dt, f, half_cell, M = out[0][:m - 1], out[1][:m - 1], out[2][:m - 1], out[3][:m]
+    np.subtract(t[1:], t[:-1], out=dt)  # np.diff(t), without its dispatch
+    np.add(h[:-1], h[1:], out=f)
     f *= 0.5
-    half_cell = f * dt
+    np.multiply(f, dt, out=half_cell)
     half_cell *= 0.5
-    M = np.empty(len(t))
     M[0], M[-1] = half_cell[0], half_cell[-1]
     np.add(half_cell[:-1], half_cell[1:], out=M[1:-1])
     f /= dt
@@ -193,25 +205,44 @@ def _inv_sqrt(M, out):
     return np.reciprocal(out, out=out)
 
 
-def _symmetric(f, M, lo, hi, out=None):
+def _block_level(t, h, lo, hi, scratch=None):
+    """Flux f and mass M of the level (t, h) for the nodes lo..hi-1:
+    _assemble (into scratch, when given) of their slice with one halo node on
+    each side. f is the flux of every cell that touches the nodes (from cell
+    lo - 1, or 0 at the grid's start), M their masses (a halo node's misses
+    a cell); each value holds the bits of the whole-grid _assemble(t, h)."""
+    a, b = max(lo - 1, 0), min(hi + 1, len(t))
+    f, M = _assemble(t[a:b], h[a:b], scratch)
+    return f, M[lo - a:hi - a]
+
+
+def _scratch(nodes):
+    """Four rows for _block_level on any block of _blocks(nodes), widened by
+    up to one node on each side."""
+    return np.empty((4, min(nodes, _BLOCK + 4)))
+
+
+def _symmetric(f, M, start, end, out=None):
     """The symmetric form diag(d), off-diagonal e of the pencil on the nodes
-    lo..hi-1: s = 1/sqrt(M) and d = (f_{i-1} + f_i) s_i^2 per node (one flux
-    at an end of the grid), e = -f_i s_i s_{i+1} per cell between two of them.
-    out, when given, is three rows that take s, d and e from their start."""
-    m = hi - lo
+    of M, given the fluxes f of the cells that touch them (_block_level;
+    start and end tell whether the nodes begin and end the grid):
+    s = 1/sqrt(M) and d = (f_{i-1} + f_i) s_i^2 per node (one flux at an end
+    of the grid), e = -f_i s_i s_{i+1} per cell between two of them. out,
+    when given, is three rows that take s, d and e from their start."""
+    m, off = len(M), 0 if start else 1  # node i has the cells i - 1 + off, i + off
     if out is None:
         out = np.empty((3, m))
-    s = _inv_sqrt(M[lo:hi], out[0][:m])
+    s = _inv_sqrt(M, out[0][:m])
     d, e = out[1][:m], out[2][:m - 1]
-    a, b = max(lo, 1), min(hi, len(f))  # the nodes between two cells
-    np.add(f[a - 1:b - 1], f[a:b], out=d[a - lo:b - lo])
-    if lo == 0:
+    p, q = (1 if start else 0), (m - 1 if end else m)  # the nodes between two cells
+    np.add(f[p - 1 + off:q - 1 + off], f[p + off:q + off], out=d[p:q])
+    if start:
         d[0] = f[0]
-    if hi == len(M):
+    if end:
         d[-1] = f[-1]
     d *= s
     d *= s
-    np.negative(f[lo:hi - 1], out=e)
+    np.negative(f[off:off + m - 1], out=e)
     e *= s[:-1]
     e *= s[1:]
     return s, d, e
@@ -221,25 +252,33 @@ def _scaled(t, h):
     """Flux, mass and the _symmetric form s, d, e of the whole grid: the
     matrix of a grid solved by bisection."""
     f, M = _assemble(t, h)
-    return (f, M) + _symmetric(f, M, 0, len(M))
+    return (f, M) + _symmetric(f, M, True, True)
 
 
-def _flux_quotient(u, flux, M, work=None):
+def _flux_quotient(u, t, h, work=None, unscale=False, level=None):
     """The flux Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of
-    the vector u, and its mass sum M u_i^2; work, when given, is a
-    2 x len(u) scratch array. The terms are formed block by block into whole
-    rows, and each sum is taken over its whole row."""
+    the vector u on the level (t, h), and its mass sum M u_i^2; work, when
+    given, is a 2 x len(u) scratch array. With unscale, u holds the symmetric
+    form y = u/s and is set to y s in place first. f and M are formed block
+    by block (_block_level), last block first, so that u_hi is unscaled
+    before the cell hi - 1 reads it; level, the whole grid's (f, M) when it
+    is assembled already, is read as one block instead. The terms go into
+    whole rows, and each sum is taken over its whole row."""
     sq, energy = work if work is not None else np.empty((2, len(u)))
-    for lo, hi in _blocks(len(u)):
-        c = min(hi, len(flux))  # the cells lo..c-1 start in the block
-        f = flux[lo:c]
-        # du borrows the block of the mass row until the masses overwrite it
+    scratch = _scratch(len(u)) if level is None else None
+    for lo, hi in [(0, len(u))] if level else reversed(_blocks(len(u))):
+        flux, M = level or _block_level(t, h, lo, hi, scratch)
+        ub = u[lo:hi]
+        if unscale:
+            ub *= _inv_sqrt(M, sq[lo:hi])
+        c = min(hi, len(u) - 1)  # the cells lo..c-1 start in the block
+        f = flux[1 if lo else 0:][:c - lo]  # flux starts at cell lo - 1 inside the grid
+        # s, then du, borrow the block of the mass row until the masses overwrite it
         du = np.subtract(u[lo + 1:c + 1], u[lo:c], out=sq[lo:c])
         np.multiply(f, du, out=energy[lo:c])
         energy[lo:c] *= du
-        ub = u[lo:hi]
         np.multiply(ub, ub, out=sq[lo:hi])
-        sq[lo:hi] *= M[lo:hi]
+        sq[lo:hi] *= M
     mass = float(sq.sum())
     if not 0.0 < mass < math.inf:
         raise UndefinedQuotientError("function has zero variance against m")
@@ -266,18 +305,20 @@ def _sign_changes(u, scale=None):
     return changes
 
 
-def _finish(u, f, M, work=None, count=False):
-    """M-normalise and sign-fix the columns of u in place, positive at the
-    first node above 1e-12 of the column's peak; return their
-    _flux_quotient values (work as in _flux_quotient) and, with count, their
-    _sign_changes, counted in the sweep that normalises."""
+def _finish(u, t, h, work=None, count=False, level=None):
+    """Set the columns of u, eigenvectors y of the symmetric form of the grid
+    (t, h), to y s in place, then M-normalise and sign-fix them, positive at
+    the first node above 1e-12 of the column's peak; return their
+    _flux_quotient values, taken in the sweep that unscales (work and level
+    as in _flux_quotient), and, with count, their _sign_changes, counted in
+    the sweep that normalises."""
     ray = np.empty(u.shape[1])
     changes = []
     if work is None:
         work = np.empty((2, len(u)))
     for j in range(u.shape[1]):
         uj = u[:, j]
-        ray[j], mass = _flux_quotient(uj, f, M, work)
+        ray[j], mass = _flux_quotient(uj, t, h, work, unscale=True, level=level)
         floor = 1e-12 * max(uj.max(), -uj.min())
         first = 0 if abs(uj[0]) > floor else int(np.argmax(np.abs(uj) > floor))
         scale = math.copysign(math.sqrt(mass), uj[first])
@@ -288,17 +329,16 @@ def _finish(u, f, M, work=None, count=False):
     return ray, changes
 
 
-def _solve_tridiagonal(scaled, k):
-    f, M, s, d, e = scaled
-    vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
-    u = vecs * s[:, None]
-    return _finish(u, f, M)[0], u
+def _solve_tridiagonal(t, h, k):
+    f, M, _, d, e = _scaled(t, h)
+    u = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
+    return _finish(u, t, h, level=(f, M))[0], u
 
 
-def _direct(scaled, k):
+def _direct(t, h, k):
     """lambda_0, lambda_1..lambda_k and the eigenvectors of lambda_1..lambda_k
-    (one column each) of the _scaled grid, solved directly."""
-    ray, u = _solve_tridiagonal(scaled, k)
+    (one column each) of the grid (t, h), solved directly."""
+    ray, u = _solve_tridiagonal(t, h, k)
     return float(ray[0]), ray[1:], u[:, 1:]
 
 
@@ -319,18 +359,22 @@ def _prolong(t, v, stride):
     return u
 
 
-def _inverse_iterate(work, y, shift):
-    """Inverse iteration from y on the symmetric tridiagonal matrix minus
-    shift, whose bands dl, dd, du are the rows of work (3 x len(y); factored
-    in place), until two successive estimates 1/||z|| of |lambda - shift|
-    agree to _STEP_RTOL of the eigenvalue; ConditioningError when _MAX_STEPS
-    do not get there.
+def _inverse_iterate(work, y, shift, jump=False):
+    """Inverse iteration in place on y, a contiguous vector that dgttrs
+    overwrites, with the symmetric tridiagonal matrix minus shift, whose
+    bands dl, dd, du are the rows of work (3 of len(y); factored in place),
+    until two successive estimates 1/||z|| of |lambda - shift| agree to
+    _STEP_RTOL of the eigenvalue. ConditioningError when _MAX_STEPS do not
+    get there, or, on a jump of several doublings, as soon as the change of
+    the estimate, shrinking at its latest rate, would not get there either
+    (from step 3 on, and only after the step's convergence test, so a
+    converging pair is never abandoned).
 
     The agreement is taken relative to |shift|, not to the estimate itself:
     the estimate carries a rounding noise of 1e-9 to 1e-7 of itself at 2^20
     cells, so a converged pair would often never agree to 1e-8 of it.
     """
-    dl, dd, du, du2, ipiv, info = dgttrf(work[0, :-1], work[1], work[2, :-1],
+    dl, dd, du, du2, ipiv, info = dgttrf(work[0][:-1], work[1], work[2][:-1],
                                          overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
@@ -338,55 +382,70 @@ def _inverse_iterate(work, y, shift):
     # successive norms, _MAX_STEPS steps stay far from overflow, and the
     # caller normalises the result (_finish)
     norm = math.sqrt(y.dot(y))  # np.linalg.norm(y), without its dispatch
-    gap = math.inf
+    gap = change = math.inf
+    tol = _STEP_RTOL * abs(shift)
     for step in range(1, _MAX_STEPS + 1):
         y = dgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=1)[0]
-        last, prev = gap, norm
+        last, prev, before = gap, norm, change
         norm = math.sqrt(y.dot(y))
         if not 0.0 < norm < math.inf:
             raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
         gap = prev / norm
-        if step >= _MIN_STEPS and abs(gap - last) <= _STEP_RTOL * abs(shift):
-            return y
+        change = abs(gap - last)  # inf at step 1
+        if step >= _MIN_STEPS and change <= tol:
+            return
+        # contracting at this step's rate, the change would still exceed tol
+        # at _MAX_STEPS (or it does not contract at all)
+        if jump and step > _MIN_STEPS and change * (change / before) ** (_MAX_STEPS - step) > tol:
+            raise ConditioningError(
+                f"inverse iteration at shift {shift!r} contracts too slowly at step {step}")
     raise ConditioningError(
         f"inverse iteration at shift {shift!r} did not converge in {_MAX_STEPS} steps")
 
 
-def _refine(level, u, shifts):
+def _shifted_rows(t, h, work, y, shift, level=None):
+    """Write the bands dl, dd, du of the symmetric form of the level (t, h),
+    minus shift, into the rows of work, and scale y to y/s in place, block
+    by block; level, the (f, M) of a level of one block, is read instead."""
+    nodes = len(t)
+    dl, dd, du = work
+    scratch = _scratch(nodes) if level is None else None
+    for lo, hi in _blocks(nodes):
+        # d and e reach one node past the block, for the cell hi - 1; s
+        # borrows the du row until e takes it, and the next block rewrites
+        # the d and s of node hi
+        top = min(hi + 1, nodes)
+        s, _, e = _symmetric(*(level or _block_level(t, h, lo, top, scratch)),
+                             lo == 0, top == nodes, (du[lo:top], dd[lo:top], dl[lo:top]))
+        y[lo:hi] /= s[:hi - lo]
+        du[lo:top - 1] = e
+        dd[lo:hi] -= shift
+
+
+def _refine(t, h, u, shifts, jump=False):
     """Polish prolonged eigenvectors u of lambda_1..lambda_k (one column
-    each) in place, given the level (f, M) of their grid (_assemble); return
-    their flux Rayleigh quotients.
+    each) in place on the level (t, h), the nodes and densities of their
+    grid; return their flux Rayleigh quotients.
 
     The column of pair j takes inverse iteration shifted by shifts[j - 1], its
     eigenvalue on the coarser grid, in the symmetric form y = u/s of the
-    direct solve, until it converges (_inverse_iterate). The form is rebuilt
-    block by block (_symmetric) wherever it is read: straight into the factor
-    rows, beside the scaling y = u/s, and for the unscaling u = y s. Pair j
-    must change sign exactly j times (Sturm oscillation: the off-diagonals
-    are negative on the support). Either failure raises ConditioningError.
+    direct solve, until it converges (_inverse_iterate; jump when the level
+    is several doublings above the grid u came from). The level holds no
+    arrays: each sweep that reads its flux and mass forms them block by
+    block (_block_level), once per block: the factor rows and y = u/s
+    (_shifted_rows), and the unscaling u = y s with the quotient (_finish).
+    A level of one block forms it once, for all its sweeps. Pair j must change sign exactly j times (Sturm oscillation: the
+    off-diagonals are negative on the support). Either failure raises
+    ConditioningError.
     """
-    f, M = level
-    nodes = len(M)
-    blocks = _blocks(nodes)
-    work = np.empty((3, nodes))
-    dl, dd, du = work
-    sbuf = np.empty(min(nodes, _BLOCK + 1))
+    # three rows apart, not one 3 x n block: each can reuse a freed grid-sized block
+    work = [np.empty(len(t)) for _ in range(3)]
+    level = _block_level(t, h, 0, len(t)) if len(_blocks(len(t))) == 1 else None
     for j, shift in enumerate(shifts):
         y = u[:, j]
-        for lo, hi in blocks:
-            # d and e reach one node past the block, for the cell hi - 1; the
-            # next block rewrites that d
-            top = min(hi + 1, nodes)
-            s, _, e = _symmetric(f, M, lo, top, (sbuf, dd[lo:top], dl[lo:top]))
-            du[lo:top - 1] = e
-            dd[lo:hi] -= shift
-            y[lo:hi] /= s[:hi - lo]
-        y = _inverse_iterate(work, y, shift)
-        # last block first: sbuf still holds its s from the loop above
-        for lo, hi in reversed(blocks):
-            s = sbuf[:hi - lo] if hi == nodes else _inv_sqrt(M[lo:hi], sbuf[:hi - lo])
-            np.multiply(y[lo:hi], s, out=u[lo:hi, j])
-    ray, changes = _finish(u, f, M, work[:2], count=True)
+        _shifted_rows(t, h, work, y, shift, level)
+        _inverse_iterate(work, y, shift, jump)
+    ray, changes = _finish(u, t, h, work[:2], count=True, level=level)
     for j, count in enumerate(changes, 1):
         if count != j:
             raise ConditioningError(
@@ -396,66 +455,66 @@ def _refine(level, u, shifts):
 
 def _eigenpairs(t, h, k):
     """lambda_0, the flux Rayleigh eigenvalues lambda_1..lambda_k and their
-    eigenvectors (one column each), the half-grid eigenvalues when the grid
-    was refined from its half grid, and the level (f, M) of the grid.
+    eigenvectors (one column each), and the half-grid eigenvalues when the
+    grid was refined from its half grid.
 
     A grid that _refines is reached in two refined levels from its base
     (_coarsest_cells, solved directly): the base pairs are prolonged straight
     to the half grid and refined there, shifted by the base eigenvalues, and
-    the half-grid pairs to the grid, shifted by the half-grid eigenvalues.
+    the half-grid pairs to the grid, shifted by the half-grid eigenvalues. A
+    refined level is its nodes and densities: the grid's own (t, h), and
+    contiguous copies of every other node of them for the half grid.
     When the refinement of a jump of several doublings raises
     ConditioningError, the solve climbs from the base one doubling at a time
     instead; a one-doubling level that raises is solved directly. lambda_0 is
     exactly 0 on a refined level, whose lambda_0 vector is the constant.
-    Every grid assembled passes _support_checks, the grid itself first.
+    Every grid solved passes _support_checks, the grid itself first.
     """
     _support_checks(h)
     n = len(t) - 1
     if not _refines(n, k):
-        scaled = _scaled(t, h)
-        return _direct(scaled, k) + (None, scaled[:2])
+        return _direct(t, h, k) + (None,)
     have = n // _coarsest_cells(n, k)  # stride of the finest level solved
     _support_checks(h[::have])
-    lam0, vals, v = _direct(_scaled(t[::have], h[::have]), k)
+    lam0, vals, v = _direct(t[::have], h[::have], k)
     goal = min(have // 2, 2)  # the half grid, then the grid
     while True:
         stride = have // goal
-        tg, hg = t[::goal], h[::goal]
+        # a strided level would slow every sweep over it; the copies (half
+        # the grid's size at most) are dropped before the grid is refined
+        tg, hg = (t, h) if goal == 1 else (t[::goal].copy(), h[::goal].copy())
         u = _prolong(tg, v, stride)
         if stride == 2:
             v = None  # a one-doubling level falls back to bisection, not to v
         if goal > 1:
             _support_checks(hg)
-        level = _assemble(tg, hg)
         half = vals
         try:
-            lam0, vals = 0.0, _refine(level, u, half)
+            lam0, vals = 0.0, _refine(tg, hg, u, half, jump=stride > 2)
         except ConditioningError:
             if stride > 2:
                 goal = have // 2
                 continue
-            # assembled again, bitwise as the level: far cheaper than bisection
-            lam0, vals, u = _direct(_scaled(tg, hg), k)
+            lam0, vals, u = _direct(tg, hg, k)
         if goal == 1:
-            return lam0, vals, u, half, level
-        # drop the level before the next level is assembled
-        have, goal, v, level = goal, goal // 2, u, None
+            return lam0, vals, u, half
+        have, goal, v = goal, goal // 2, u
 
 
-def _backward_errors(level, u, lams):
+def _backward_errors(t, h, u, lams):
     """||(T - lam) y||_inf / (||T||_inf ||y||_inf) per column, for T the
-    symmetric matrix of the level (f, M) and y = u/s its form of the column.
-    T is rebuilt block by block (_symmetric) with one halo node on each side,
+    symmetric matrix of the level (t, h) and y = u/s its form of the column.
+    T is formed block by block (_symmetric) with one halo node on each side,
     and the norms are maxima over the blocks."""
-    f, M = level
-    nodes = len(M)
+    nodes = len(t)
     rows = np.empty((6, min(nodes, _BLOCK + 2)))
     y, r, ey = rows[3:]
+    scratch = _scratch(nodes)
     tnorm = 0.0
     rmax, ymax = [0.0] * len(lams), [0.0] * len(lams)
     for lo, hi in _blocks(nodes):
         a, b = max(lo - 1, 0), min(hi + 1, nodes)
-        s, d, e = _symmetric(f, M, a, b, rows)
+        s, d, e = _symmetric(*_block_level(t, h, a, b, scratch), a == 0, b == nodes, rows)
         m, own = b - a, slice(lo - a, hi - a)  # the block's rows in the halo
         ye, re, ae = y[:m], r[:m], ey[:m - 1]
         np.abs(d, out=re)
@@ -489,13 +548,13 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     if k > cells:
         raise ParameterDomainError(
             f"k = {k} exceeds the {cells} cells of the coarsest grid solved")
-    lam0, lams, funcs, half, scaled = _eigenpairs(t, h, k)
+    lam0, lams, funcs, half = _eigenpairs(t, h, k)
     if half is None and has_half_grid(len(t) - 1):
         half = _eigenpairs(t[::2], h[::2], k)[1]
     return SpectralResult(
         eigenvalues=lams,
         eigenfunctions=funcs,
-        residuals=_backward_errors(scaled, funcs, lams),
+        residuals=_backward_errors(t, h, funcs, lams),
         lam0=lam0,
         half_eigenvalues=np.full(k, np.nan) if half is None else half,
     )
@@ -506,9 +565,10 @@ def rayleigh(w: WeightedInterval, u):
     quotient every eigenvalue of neumann_eigs is, so rayleigh(w, u) >=
     lambda_1 of the same grid. Without the recentring a constant component
     would add mass and no energy, and min-max would fail."""
-    f, M = _assemble(w.grid.nodes, w.h)
+    t, h = w.grid.nodes, w.h
+    f, M = _assemble(t, h)
     u = np.asarray(u, dtype=float)
-    return _flux_quotient(u - float(np.sum(M * u)) / float(np.sum(M)), f, M)[0]
+    return _flux_quotient(u - float(np.sum(M * u)) / float(np.sum(M)), t, h, level=(f, M))[0]
 
 
 def deficit(w: WeightedInterval, u):

@@ -304,6 +304,57 @@ def test_spectrum_pair_nodes_above_cap_exits_1(tmp_path, capsys):
     assert "(grid_n + 1) k <= 33554432" in err[0]
 
 
+# 2^45 cells: numpy's allocation of such a grid fails at once
+_HUGE_GRID = 2 ** 45
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--model", "--dim", "2"),
+    ("obata", "--dim", "2"),
+    ("sweep", "--dim", "2", "--family", "truncated-model"),
+])
+def test_oversized_grid_exits_1(run_cli, args):
+    # the grid build used to end in numpy's _ArrayMemoryError traceback;
+    # Grid.uniform refuses it before allocating, as the solver would
+    proc, out = run_cli(*args, "--grid", str(_HUGE_GRID))
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"grid needs 16 to 33554432 nodes, got {_HUGE_GRID + 1}" in err[0]
+    assert not (out / "results.csv").exists()
+
+
+def test_ray_grid_out_of_range_exits_1(run_cli, fixtures_dir, tmp_path):
+    # a ray's cell count reaches Grid.uniform unchecked: 2^45 used to end in
+    # _ArrayMemoryError and -5 in np.linspace's ValueError, both tracebacks
+    family = json.loads((fixtures_dir / "rigid.json").read_text())
+    for n in (_HUGE_GRID, -5):
+        family["rays"][0]["density"]["n"] = n
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps(family))
+        proc, _ = run_cli("localize", "--config", path)
+        assert proc.returncode == 1, n
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"grid needs 16 to 33554432 nodes, got {n + 1}" in err[0]
+
+
+def test_non_finite_or_non_positive_diameter_exits_1(tmp_path, capsys):
+    # an infinite diameter used to reach np.linspace, which warned before the
+    # grid check refused it
+    from obatalab import cli
+
+    for diam in ("inf", "-inf", "nan", "0", "-1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["spectrum", "--model", "--dim", "2", f"--diam={diam}",
+                             "--out", str(tmp_path / "out")])
+        assert code == 1, diam
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (diam, err)
+        assert "need 0 < D <= pi" in err[0]
+
+
 def test_negative_seed_exits_1(run_cli):
     # default_rng refuses a negative seed with a ValueError; the sweep spec
     # refuses it first, as invalid input

@@ -324,6 +324,34 @@ def test_cd_check_sample_pairs_capped_before_allocating():
     assert cd_check(w, sample_pairs=0) == cd_check(w)
 
 
+def test_uniform_grid_capped_before_allocating(monkeypatch):
+    # 2^45 cells used to fail inside np.linspace with _ArrayMemoryError, and
+    # -5 with its ValueError; the node count is checked first, against the
+    # solver's own cap
+    from obatalab import measures, spectral
+
+    assert measures.MAX_GRID_NODES == spectral.MAX_PAIR_NODES == 2 ** 25
+    tracemalloc.start()
+    try:
+        for n in (2 ** 45, -5, 14):
+            with pytest.raises(ParameterDomainError,
+                               match=f"grid needs 16 to 33554432 nodes, got {n + 1}$"):
+                Grid.uniform(math.pi, n)
+        for D in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ParameterDomainError, match="need 0 < D <= pi"):
+                Grid.uniform(D, 2 ** 45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    # the bounds themselves: 16 and n + 1 = cap build, one node more does not
+    monkeypatch.setattr(measures, "MAX_GRID_NODES", 1025)
+    assert Grid.uniform(1.0, 15).n == 15
+    assert Grid.uniform(1.0, 1024).n == 1024
+    with pytest.raises(ParameterDomainError, match="grid needs 16 to 1025 nodes, got 1026"):
+        Grid.uniform(1.0, 1025)
+
+
 def test_generate_cd_density_refuses_negative_seed():
     with pytest.raises(ParameterDomainError, match="seed must be non-negative"):
         generate_cd_density(2.0, -1, Grid.uniform(2.9, 512))

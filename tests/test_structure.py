@@ -7,7 +7,9 @@ deficit ledger is frozen. The Neumann solve bisects in one place, the base
 and fallback solve of the nested refinement, and reaches a grid from its
 base in two refined levels, not by recursion. The discrete Rayleigh quotient
 is written once, spectral._flux_quotient, and both the eigenvalues and
-rayleigh() take it. The CLI starts without the SciPy submodules that none of
+rayleigh() take it. A refined level holds no arrays of its own: its flux and
+mass are formed per block from the nodes and densities, by the one assembly,
+spectral._assemble. The CLI starts without the SciPy submodules that none of
 its commands use, and builds its argument parser once per process, on the
 first main() call."""
 import ast
@@ -167,3 +169,29 @@ def test_one_rayleigh_quotient():
     assert "_flux_quotient" in spectral["_finish"][1]
     assert "_flux_quotient" in spectral["rayleigh"][1]
     assert "first_diff" not in spectral["rayleigh"][1]
+
+
+def test_refined_levels_hold_no_arrays():
+    # a refined level is its nodes and densities (t, h): the solve builds no
+    # whole-level flux and mass (f, M) from the base up; each reader forms
+    # them per block (_block_level), and only a grid solved by bisection
+    # (_scaled) or rayleigh() assembles a whole grid
+    spectral = _functions(SRC / "spectral.py")
+    readers = ("_eigenpairs", "_refine", "_shifted_rows", "_finish", "_flux_quotient",
+               "_backward_errors")
+    for name in readers:
+        assert not {"_assemble", "_scaled"} & spectral[name][1], name
+    for name in ("_shifted_rows", "_flux_quotient", "_backward_errors"):
+        assert "_block_level" in spectral[name][1], name
+    assert sorted(name for name, (_, calls) in spectral.items()
+                  if "_assemble" in calls) == ["_block_level", "_scaled", "rayleigh"]
+    assert sorted(name for name, (_, calls) in spectral.items()
+                  if "_scaled" in calls) == ["_solve_tridiagonal"]
+    # the formula, cell widths dt and half-cell masses, is written once
+    formula_names = {"dt", "half_cell"}
+    writers = [f"{path.stem}.{fn.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for fn in ast.parse(path.read_text()).body if isinstance(fn, ast.FunctionDef)
+               if any(isinstance(node, ast.Name) and node.id in formula_names
+                      for node in ast.walk(fn))]
+    assert writers == ["spectral._assemble"]
