@@ -362,7 +362,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    parser = _Parser(prog="obatalab", description=__doc__.splitlines()[0])
+    parser = _Parser(
+        prog="obatalab", description=__doc__.splitlines()[0],
+        epilog="environment: OBATALAB_THREADS (default 1) is the number of threads "
+               "that run sweep points and the blocked sweeps of large solves, "
+               "capped at the CPUs the process may use; no result depends on it.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):

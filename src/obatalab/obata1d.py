@@ -1,17 +1,19 @@
 """Experiment drivers for deficit-versus-distance and diameter-deficit sweeps.
 
-Each sweep point is an independent job; jobs run on a worker pool bounded by
-OBATALAB_THREADS (default 1). Results are collected in submission order, and
-submissions are sorted by the sweep parameter, so output tables are
-deterministic regardless of completion order.
+Each sweep point is an independent job. The jobs run on the process-wide
+worker pool (pool.map: OBATALAB_THREADS threads, default 1, the calling
+thread taking its share), and each job's solve runs its blocked sweeps
+inline on the thread that took the job. Results are collected in the order
+of the sweep parameter, and a solve's values keep their bits for any thread
+count, so output tables do not depend on the pool's size or on the order in
+which jobs finish.
 """
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .errors import ParameterDomainError
 from .measures import Grid, WeightedInterval, first_diff, generate_cd_density, model_density
 from .spectral import (
@@ -60,24 +62,6 @@ def loglog_fit(x, y) -> FitResult:
     return FitResult(slope=float(coef[0]), intercept=float(coef[1]),
                      r_squared=float(r2), points=int(lx.size),
                      flagged=bool(r2 < 0.98))
-
-
-def _n_workers():
-    raw = os.environ.get("OBATALAB_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 1
-    return max(k, 1)
-
-
-def _run_jobs(fn, params):
-    k = _n_workers()
-    if k == 1:
-        return [fn(p) for p in params]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = [pool.submit(fn, p) for p in params]
-        return [f.result() for f in futures]
 
 
 def truncated_model(N, D, n) -> WeightedInterval:
@@ -207,7 +191,7 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
             _, d2, dw = cosine_distance(w, w.standardize(res.eigenfunctions[:, 0]))
             return lam - N, d2, dw, lam
 
-    rows = _run_jobs(job, params)
+    rows = pool.map(job, params)
     table = [(p,) + r for p, r in zip(params, rows)]
     kept = [row for row in table if row[1] <= 0.5]
     excluded = len(table) - len(kept)
@@ -256,7 +240,7 @@ def diameter_deficit_sweep(N, D_sweep=None, grid_n=4096) -> DiameterSweepResult:
     def job(D):
         return float(neumann_eigs(truncated_model(N, D, grid_n), k=1).richardson[0])
 
-    lams = np.array(_run_jobs(job, Ds))
+    lams = np.array(pool.map(job, Ds))
     eps = math.pi - np.array(Ds)
     gap = lams - N
     lower = asymptotic_rate_constant(N) * eps ** N
@@ -310,7 +294,7 @@ def upper_gap_check(N, D_sweep=None, grid_n=4096) -> UpperGapReport:
         cand = deficit(w, math.sqrt(N + 1.0) * np.cos(w.grid.nodes))
         return lam - N, cand
 
-    rows = _run_jobs(job, Ds)
+    rows = pool.map(job, Ds)
     eps = math.pi - np.array(Ds)
     gap = np.array([r[0] for r in rows])
     cand = np.array([r[1] for r in rows])

@@ -16,8 +16,10 @@ to the half grid and polished there by inverse iteration shifted by the base
 eigenvalues; the half-grid ones are interpolated to the grid and polished
 with the half-grid eigenvalues as shifts. Each pair iterates until two
 successive estimates of |lambda - shift| agree to 1e-8 of lambda (2 to 6
-steps); on a jump of several doublings, a pair whose estimates contract too
-slowly to get there by step 6 fails from step 3 on. A level where a pair
+steps); from step 3 on, a pair fails whose estimates contract too slowly to
+get there by step 6: at their latest rate on a jump of several doublings,
+and, once its change grows, even halving at each step left on a
+one-doubling level. A level where a pair
 does not converge, or has the wrong number of sign changes, fails: after a
 failed jump of several doublings the solve climbs from the base one
 doubling at a time, and a one-doubling level that fails is solved directly
@@ -27,16 +29,29 @@ directly. At most MAX_PAIRS pairs are computed, and at most MAX_PAIR_NODES
 values per grid-by-pairs array.
 
 A refined level is its nodes and densities (t, h): the grid's own, and
-contiguous copies of every other one for the half grid. It holds no arrays
-of its own. Each sweep that reads its flux and mass forms them once per
-block of about 2^15 nodes (_block_level: _assemble on the block's slice with
-a one-node halo), along with the symmetric form where it is needed
-(_symmetric): the factor rows with the scaling y = u/s, the unscaling u = y s
-with the flux quotient, and the backward errors. A level of one block forms
-that block once for all its sweeps. Blocking only regroups
-elementwise arithmetic, and every sum runs over a whole row, so each value
+contiguous copies of every other one for the half grid. A level of more than
+one block holds no arrays of its own. Each sweep that reads its flux and
+mass forms them once per block of about 2^15 nodes (_block_level: _assemble
+on the block's slice with a one-node halo), along with the symmetric form
+where it is needed (_symmetric): the factor rows with the scaling y = u/s,
+the unscaling u = y s with the flux quotient, and the backward errors. A
+refined level of one block is formed once, with its symmetric form, for all
+its sweeps and for the backward errors of the grid.
+
+The blocked sweeps (the factor rows, the flux quotient and unscaling, the
+sign count, the backward errors) and the prolongation run on the
+process-wide worker pool (pool.map: OBATALAB_THREADS threads, the caller's
+own among them). Each thread takes the next block from a shared counter and
+reuses its own scratch rows, made on the calling thread, and a block writes
+only its own nodes and the cells that start in them: the unscaling reads
+the next block's first node as it was before the sweep, and the sign count
+joins the blocks' (first sign, last sign, count) in block order. A solve
+inside a pool task, such as a job of an obata1d sweep, runs its sweeps
+inline; the inverse-iteration solves themselves (dgttrs) are serial.
+Blocking only regroups elementwise arithmetic, every sum runs over a whole
+row after its sweep, and maxima are joined in block order, so each value
 keeps the bits of the whole-grid form, which the grids solved by bisection
-(_scaled) still build.
+(_scaled) still build, for any thread count.
 
 The package has one discrete Rayleigh quotient, the flux form
 sum f (u_{i+1} - u_i)^2 / sum M u_i^2 (_flux_quotient). Every eigenvalue is
@@ -52,6 +67,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from . import pool
 from .errors import (
     ConditioningError,
     DegenerateDensityError,
@@ -122,6 +138,12 @@ _DIRECT_CELLS = 256
 # a refined level holds no arrays: its flux, mass and symmetric form are
 # formed in blocks of this many nodes (256 KiB per row) wherever they are read
 _BLOCK = 2 ** 15
+# a sweep over fewer blocks runs inline: the threads hand the interpreter lock
+# over at each numpy call, which on 2^15 values costs about what the call
+# does, and two or three blocks do not win it back (interleaved medians, one
+# thread against two, k = 1: 2^16 cells 11.7 and 12.9 ms, 98304 cells 18.6
+# and 20.0 ms, 2^17 cells 24.8 and 24.0 ms)
+_POOL_BLOCKS = 4
 # inverse iteration per refined pair: step bounds, and the agreement of two
 # successive |lambda - shift| estimates, relative to lambda, that ends it
 _MIN_STEPS, _MAX_STEPS, _STEP_RTOL = 2, 6, 1e-8
@@ -216,10 +238,19 @@ def _block_level(t, h, lo, hi, scratch=None):
     return f, M[lo - a:hi - a]
 
 
-def _scratch(nodes):
-    """Four rows for _block_level on any block of _blocks(nodes), widened by
-    up to one node on each side."""
-    return np.empty((4, min(nodes, _BLOCK + 4)))
+def _scratch(nodes, rows=4):
+    """Rows (four for _block_level) that hold any block of _blocks(nodes),
+    widened by up to one node on each side."""
+    return np.empty((rows, min(nodes, _BLOCK + 4)))
+
+
+def _sweep(fn, nodes, rows=4):
+    """[fn(lo, hi, scratch) for each block (lo, hi) of _blocks(nodes)] on the
+    worker pool (pool.map): each thread's share reuses its own scratch, rows
+    of _scratch(nodes, rows) made on the calling thread. A grid of fewer than
+    _POOL_BLOCKS blocks runs inline."""
+    return pool.map(lambda span, scratch: fn(*span, scratch), _blocks(nodes),
+                    lambda: _scratch(nodes, rows), _POOL_BLOCKS)
 
 
 def _symmetric(f, M, start, end, out=None):
@@ -259,26 +290,43 @@ def _flux_quotient(u, t, h, work=None, unscale=False, level=None):
     """The flux Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of
     the vector u on the level (t, h), and its mass sum M u_i^2; work, when
     given, is a 2 x len(u) scratch array. With unscale, u holds the symmetric
-    form y = u/s and is set to y s in place first. f and M are formed block
-    by block (_block_level), last block first, so that u_hi is unscaled
-    before the cell hi - 1 reads it; level, the whole grid's (f, M) when it
-    is assembled already, is read as one block instead. The terms go into
-    whole rows, and each sum is taken over its whole row."""
-    sq, energy = work if work is not None else np.empty((2, len(u)))
-    scratch = _scratch(len(u)) if level is None else None
-    for lo, hi in [(0, len(u))] if level else reversed(_blocks(len(u))):
-        flux, M = level or _block_level(t, h, lo, hi, scratch)
-        ub = u[lo:hi]
+    form y = u/s and is set to y s in place first. f and M are formed per
+    block (_block_level) on the worker pool (_sweep); level, the whole grid's
+    (f, M), with s = 1/sqrt(M) to unscale with, when it is formed already,
+    is read as one block instead. Each block unscales only its own nodes:
+    its last cell reads the next block's first node as it was before the
+    sweep, unscaled with the bits of its s. The terms go into whole rows, and
+    each sum is taken over its whole row."""
+    nodes = len(u)
+    sq, energy = work if work is not None else np.empty((2, nodes))
+    after = {} if level else {lo: u[lo] for lo, _ in _blocks(nodes)[1:]}
+
+    def block(lo, hi, scratch):
+        top = min(hi + 1, nodes)  # with the next block's first node
+        flux, M = level[:2] if level else _block_level(t, h, lo, top, scratch)
+        ub, nxt = u[lo:hi], after.get(hi)
         if unscale:
-            ub *= _inv_sqrt(M, sq[lo:hi])
-        c = min(hi, len(u) - 1)  # the cells lo..c-1 start in the block
+            s = level[2] if level else _inv_sqrt(M, scratch[0][:top - lo])
+            ub *= s[:hi - lo]
+            if nxt is not None:
+                nxt = nxt * s[hi - lo]
+        c = min(hi, nodes - 1)  # the cells lo..c-1 start in the block
         f = flux[1 if lo else 0:][:c - lo]  # flux starts at cell lo - 1 inside the grid
-        # s, then du, borrow the block of the mass row until the masses overwrite it
-        du = np.subtract(u[lo + 1:c + 1], u[lo:c], out=sq[lo:c])
+        # du borrows the block of the mass row until the masses overwrite it
+        inner = min(c + 1, hi)
+        np.subtract(u[lo + 1:inner], u[lo:inner - 1], out=sq[lo:inner - 1])
+        if nxt is not None:
+            sq[hi - 1] = nxt - u[hi - 1]
+        du = sq[lo:c]
         np.multiply(f, du, out=energy[lo:c])
         energy[lo:c] *= du
         np.multiply(ub, ub, out=sq[lo:hi])
-        sq[lo:hi] *= M
+        sq[lo:hi] *= M[:hi - lo]
+
+    if level:
+        block(0, nodes, None)
+    else:
+        _sweep(block, nodes)
     mass = float(sq.sum())
     if not 0.0 < mass < math.inf:
         raise UndefinedQuotientError("function has zero variance against m")
@@ -286,22 +334,25 @@ def _flux_quotient(u, t, h, work=None, unscale=False, level=None):
 
 
 def _sign_changes(u, scale=None):
-    """Sign changes along u, exact zeros skipped, counted block by block;
-    with scale, each block of u is first divided by it in place."""
-    changes, last = 0, None
-    for lo, hi in _blocks(len(u)):
-        block = u[lo:hi]
+    """Sign changes along u, exact zeros skipped; with scale, u is first
+    divided by it in place. Each block counts its own on the worker pool
+    (_sweep) and reports its first and last sign, and the blocks are joined
+    in block order."""
+    def block(lo, hi, scratch):
+        part = u[lo:hi]
         if scale is not None:
-            block /= scale
-        neg = block < 0.0
-        if not block.all():
-            neg = neg[block != 0.0]
+            part /= scale
+        neg = part < 0.0
+        if not part.all():
+            neg = neg[part != 0.0]
             if not len(neg):
-                continue
-        changes += int(np.count_nonzero(neg[1:] != neg[:-1]))
-        if last is not None and neg[0] != last:
-            changes += 1
-        last = neg[-1]
+                return None
+        return neg[0], neg[-1], int(np.count_nonzero(neg[1:] != neg[:-1]))
+
+    changes, last = 0, None
+    for first, end, count in filter(None, _sweep(block, len(u), 0)):
+        changes += count + int(last is not None and first != last)
+        last = end
     return changes
 
 
@@ -330,9 +381,9 @@ def _finish(u, t, h, work=None, count=False, level=None):
 
 
 def _solve_tridiagonal(t, h, k):
-    f, M, _, d, e = _scaled(t, h)
+    f, M, s, d, e = _scaled(t, h)
     u = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
-    return _finish(u, t, h, level=(f, M))[0], u
+    return _finish(u, t, h, level=(f, M, s))[0], u
 
 
 def _direct(t, h, k):
@@ -344,18 +395,30 @@ def _direct(t, h, k):
 
 def _prolong(t, v, stride):
     """Columns of v, given on the coarse grid t[::stride], interpolated
-    linearly to the nodes t; stride divides the cell count len(t) - 1."""
+    linearly to the nodes t; stride divides the cell count len(t) - 1. Runs
+    of coarse cells of about _BLOCK nodes go to the worker pool (from
+    _POOL_BLOCKS runs on), each share with its own scratch row of
+    interpolation weights."""
     tc = t[::stride]
-    theta = t[:-1].reshape(-1, stride)[:, 1:] - tc[:-1, None]
-    theta /= (tc[1:] - tc[:-1])[:, None]
+    run = max(_BLOCK // stride, 1)  # coarse cells per item
     u = np.empty((len(t), v.shape[1]), order="F")
-    for j in range(v.shape[1]):
-        vj = v[:, j]
-        cells = u[:-1, j].reshape(-1, stride)  # a view: the column is contiguous
-        cells[:, 0] = vj[:-1]
-        np.multiply(theta, (vj[1:] - vj[:-1])[:, None], out=cells[:, 1:])
-        cells[:, 1:] += vj[:-1, None]
-        u[-1, j] = vj[-1]
+
+    def cells(a, scratch):
+        b = min(a + run, len(tc) - 1)
+        theta = scratch[:(b - a) * (stride - 1)].reshape(b - a, stride - 1)
+        np.subtract(t[a * stride:b * stride].reshape(-1, stride)[:, 1:], tc[a:b, None], out=theta)
+        theta /= (tc[a + 1:b + 1] - tc[a:b])[:, None]
+        for j in range(v.shape[1]):
+            vj = v[a:b + 1, j]
+            # a view: the column is contiguous
+            fine = u[a * stride:b * stride, j].reshape(-1, stride)
+            fine[:, 0] = vj[:-1]
+            np.multiply(theta, (vj[1:] - vj[:-1])[:, None], out=fine[:, 1:])
+            fine[:, 1:] += vj[:-1, None]
+
+    pool.map(cells, range(0, len(tc) - 1, run), lambda: np.empty(run * (stride - 1)),
+             _POOL_BLOCKS)
+    u[-1] = v[-1]
     return u
 
 
@@ -365,10 +428,11 @@ def _inverse_iterate(work, y, shift, jump=False):
     bands dl, dd, du are the rows of work (3 of len(y); factored in place),
     until two successive estimates 1/||z|| of |lambda - shift| agree to
     _STEP_RTOL of the eigenvalue. ConditioningError when _MAX_STEPS do not
-    get there, or, on a jump of several doublings, as soon as the change of
-    the estimate, shrinking at its latest rate, would not get there either
-    (from step 3 on, and only after the step's convergence test, so a
-    converging pair is never abandoned).
+    get there, or as soon as the change of the estimate would not get there
+    either: on a jump of several doublings, shrinking at its latest rate; on
+    a one-doubling level, once it grows, even halving at every step left
+    (from step 3 on, and only after the step's convergence test). A change
+    near the tolerance may grow once and still converge: it is kept.
 
     The agreement is taken relative to |shift|, not to the estimate itself:
     the estimate carries a rounding noise of 1e-9 to 1e-7 of itself at 2^20
@@ -394,9 +458,12 @@ def _inverse_iterate(work, y, shift, jump=False):
         change = abs(gap - last)  # inf at step 1
         if step >= _MIN_STEPS and change <= tol:
             return
-        # contracting at this step's rate, the change would still exceed tol
-        # at _MAX_STEPS (or it does not contract at all)
-        if jump and step > _MIN_STEPS and change * (change / before) ** (_MAX_STEPS - step) > tol:
+        # a jump stops once, contracting at this step's rate, the change
+        # would still exceed tol at _MAX_STEPS (or it does not contract at
+        # all); a one-doubling level once its change grows and would still
+        # exceed tol at _MAX_STEPS even if it halved at every step left
+        rate = change / before if jump else 0.5 if change > before else 0.0
+        if step > _MIN_STEPS and change * rate ** (_MAX_STEPS - step) > tol:
             raise ConditioningError(
                 f"inverse iteration at shift {shift!r} contracts too slowly at step {step}")
     raise ConditioningError(
@@ -405,21 +472,31 @@ def _inverse_iterate(work, y, shift, jump=False):
 
 def _shifted_rows(t, h, work, y, shift, level=None):
     """Write the bands dl, dd, du of the symmetric form of the level (t, h),
-    minus shift, into the rows of work, and scale y to y/s in place, block
-    by block; level, the (f, M) of a level of one block, is read instead."""
+    minus shift, into the rows of work, and scale y to y/s in place, per
+    block on the worker pool (_sweep); level, the flux, mass and symmetric
+    form (f, M, s, d, e) of a level of one block, is read instead. A block
+    writes only its own nodes and the cells that start in them."""
     nodes = len(t)
     dl, dd, du = work
-    scratch = _scratch(nodes) if level is None else None
-    for lo, hi in _blocks(nodes):
-        # d and e reach one node past the block, for the cell hi - 1; s
-        # borrows the du row until e takes it, and the next block rewrites
-        # the d and s of node hi
+    if level:
+        s, d, e = level[2:]
+        y /= s
+        np.subtract(d, shift, out=dd)
+        dl[:-1] = e
+        du[:-1] = e
+        return
+
+    def block(lo, hi, scratch):
+        # s and d reach one node past the block, for the cell hi - 1, in the
+        # scratch rows the assembly is done with; e goes straight to dl
         top = min(hi + 1, nodes)
-        s, _, e = _symmetric(*(level or _block_level(t, h, lo, top, scratch)),
-                             lo == 0, top == nodes, (du[lo:top], dd[lo:top], dl[lo:top]))
+        s, d, e = _symmetric(*_block_level(t, h, lo, top, scratch), lo == 0, top == nodes,
+                             (scratch[0], scratch[2], dl[lo:top]))
         y[lo:hi] /= s[:hi - lo]
         du[lo:top - 1] = e
-        dd[lo:hi] -= shift
+        np.subtract(d[:hi - lo], shift, out=dd[lo:hi])
+
+    _sweep(block, nodes)
 
 
 def _refine(t, h, u, shifts, jump=False):
@@ -430,17 +507,22 @@ def _refine(t, h, u, shifts, jump=False):
     The column of pair j takes inverse iteration shifted by shifts[j - 1], its
     eigenvalue on the coarser grid, in the symmetric form y = u/s of the
     direct solve, until it converges (_inverse_iterate; jump when the level
-    is several doublings above the grid u came from). The level holds no
-    arrays: each sweep that reads its flux and mass forms them block by
-    block (_block_level), once per block: the factor rows and y = u/s
-    (_shifted_rows), and the unscaling u = y s with the quotient (_finish).
-    A level of one block forms it once, for all its sweeps. Pair j must change sign exactly j times (Sturm oscillation: the
-    off-diagonals are negative on the support). Either failure raises
-    ConditioningError.
+    is several doublings above the grid u came from). A level of more than
+    one block holds no arrays: each sweep that reads its flux and mass forms
+    them per block (_block_level) on the worker pool: the factor rows and
+    y = u/s (_shifted_rows), and the unscaling u = y s with the quotient
+    (_finish). A level of one block is formed once, with its symmetric form,
+    for all its sweeps, and returned with the quotients for the backward
+    errors (None otherwise). Pair j must change sign exactly j times (Sturm
+    oscillation: the off-diagonals are negative on the support). Either
+    failure raises ConditioningError.
     """
     # three rows apart, not one 3 x n block: each can reuse a freed grid-sized block
     work = [np.empty(len(t)) for _ in range(3)]
-    level = _block_level(t, h, 0, len(t)) if len(_blocks(len(t))) == 1 else None
+    level = None
+    if len(_blocks(len(t))) == 1:
+        f, M = _block_level(t, h, 0, len(t))
+        level = (f, M) + _symmetric(f, M, True, True)
     for j, shift in enumerate(shifts):
         y = u[:, j]
         _shifted_rows(t, h, work, y, shift, level)
@@ -450,13 +532,14 @@ def _refine(t, h, u, shifts, jump=False):
         if count != j:
             raise ConditioningError(
                 f"refined pair {j} changes sign {count} times, not {j}")
-    return ray
+    return ray, level
 
 
 def _eigenpairs(t, h, k):
     """lambda_0, the flux Rayleigh eigenvalues lambda_1..lambda_k and their
-    eigenvectors (one column each), and the half-grid eigenvalues when the
-    grid was refined from its half grid.
+    eigenvectors (one column each), the half-grid eigenvalues when the grid
+    was refined from its half grid, and the grid's level from _refine when
+    it was refined and is one block (None otherwise).
 
     A grid that _refines is reached in two refined levels from its base
     (_coarsest_cells, solved directly): the base pairs are prolonged straight
@@ -473,7 +556,7 @@ def _eigenpairs(t, h, k):
     _support_checks(h)
     n = len(t) - 1
     if not _refines(n, k):
-        return _direct(t, h, k) + (None,)
+        return _direct(t, h, k) + (None, None)
     have = n // _coarsest_cells(n, k)  # stride of the finest level solved
     _support_checks(h[::have])
     lam0, vals, v = _direct(t[::have], h[::have], k)
@@ -490,40 +573,43 @@ def _eigenpairs(t, h, k):
             _support_checks(hg)
         half = vals
         try:
-            lam0, vals = 0.0, _refine(tg, hg, u, half, jump=stride > 2)
+            vals, level = _refine(tg, hg, u, half, jump=stride > 2)
+            lam0 = 0.0
         except ConditioningError:
             if stride > 2:
                 goal = have // 2
                 continue
-            lam0, vals, u = _direct(tg, hg, k)
+            (lam0, vals, u), level = _direct(tg, hg, k), None
         if goal == 1:
-            return lam0, vals, u, half
-        have, goal, v = goal, goal // 2, u
+            return lam0, vals, u, half, level
+        # the half grid's level is dropped before the grid is refined
+        have, goal, v, level = goal, goal // 2, u, None
 
 
-def _backward_errors(t, h, u, lams):
+def _backward_errors(t, h, u, lams, level=None):
     """||(T - lam) y||_inf / (||T||_inf ||y||_inf) per column, for T the
     symmetric matrix of the level (t, h) and y = u/s its form of the column.
-    T is formed block by block (_symmetric) with one halo node on each side,
-    and the norms are maxima over the blocks."""
+    T is formed per block (_symmetric) with one halo node on each side, on
+    the worker pool (_sweep); level, the (f, M, s, d, e) of a level of one
+    block, is read instead. The norms are maxima of the blocks' maxima,
+    taken in block order."""
     nodes = len(t)
-    rows = np.empty((6, min(nodes, _BLOCK + 2)))
-    y, r, ey = rows[3:]
-    scratch = _scratch(nodes)
-    tnorm = 0.0
-    rmax, ymax = [0.0] * len(lams), [0.0] * len(lams)
-    for lo, hi in _blocks(nodes):
+
+    def block(lo, hi, scratch):
         a, b = max(lo - 1, 0), min(hi + 1, nodes)
-        s, d, e = _symmetric(*_block_level(t, h, a, b, scratch), a == 0, b == nodes, rows)
+        s, d, e = level[2:] if level else _symmetric(
+            *_block_level(t, h, a, b, scratch), a == 0, b == nodes,
+            (scratch[0], scratch[2], scratch[4]))
         m, own = b - a, slice(lo - a, hi - a)  # the block's rows in the halo
-        ye, re, ae = y[:m], r[:m], ey[:m - 1]
+        # y and r take the rows of f and M, which the form is done with
+        ye, re, ae = scratch[1][:m], scratch[3][:m], scratch[5][:m - 1]
         np.abs(d, out=re)
         np.abs(e, out=ae)
         re[:-1] += ae
         re[1:] += ae
-        tnorm = max(tnorm, re[own].max())
-        for j, lam in enumerate(lams):
-            np.divide(u[a:b, j], s, out=ye)
+        tmax, rs, ys = re[own].max(), [], []
+        for lam, uj in zip(lams, u.T):
+            np.divide(uj[a:b], s, out=ye)
             np.subtract(d, lam, out=re)
             re *= ye
             np.multiply(e, ye[1:], out=ae)
@@ -531,8 +617,17 @@ def _backward_errors(t, h, u, lams):
             np.multiply(e, ye[:-1], out=ae)
             re[1:] += ae
             ro = re[own]  # a halo row misses a neighbour's term
-            rmax[j] = max(rmax[j], ro.max(), -ro.min())
-            ymax[j] = max(ymax[j], ye.max(), -ye.min())
+            rs.append((ro.max(), -ro.min()))
+            ys.append((ye.max(), -ye.min()))
+        return tmax, rs, ys
+
+    tnorm = 0.0
+    rmax, ymax = [0.0] * len(lams), [0.0] * len(lams)
+    for bt, rs, ys in _sweep(block, nodes, 6):
+        tnorm = max(tnorm, bt)
+        for j, (r, y) in enumerate(zip(rs, ys)):
+            rmax[j] = max(rmax[j], *r)
+            ymax[j] = max(ymax[j], *y)
     return np.array([rj / (tnorm * yj) for rj, yj in zip(rmax, ymax)])
 
 
@@ -548,13 +643,13 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     if k > cells:
         raise ParameterDomainError(
             f"k = {k} exceeds the {cells} cells of the coarsest grid solved")
-    lam0, lams, funcs, half = _eigenpairs(t, h, k)
+    lam0, lams, funcs, half, level = _eigenpairs(t, h, k)
     if half is None and has_half_grid(len(t) - 1):
         half = _eigenpairs(t[::2], h[::2], k)[1]
     return SpectralResult(
         eigenvalues=lams,
         eigenfunctions=funcs,
-        residuals=_backward_errors(t, h, funcs, lams),
+        residuals=_backward_errors(t, h, funcs, lams, level),
         lam0=lam0,
         half_eigenvalues=np.full(k, np.nan) if half is None else half,
     )

@@ -1,8 +1,6 @@
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -353,19 +351,19 @@ def test_eigen_comparison_overlap_dichotomy():
 # determinism
 
 
-def test_thread_pool_size_does_not_change_results():
-    env = dict(os.environ)
-    rows = {}
+def test_thread_pool_size_does_not_change_results(monkeypatch, run_cli):
+    # the sweep points run on the worker pool, and so do the blocked sweeps
+    # of a 2^17-cell solve (five blocks): the table and the spectrum's
+    # artifacts keep their bits for any thread count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    rows, files = {}, {}
     for threads in ("1", "4"):
-        code = (
-            "import numpy as np\n"
-            "from obatalab.obata1d import diameter_deficit_sweep\n"
-            "r = diameter_deficit_sweep(2.0, grid_n=1024)\n"
-            "print(repr(r.gap.tolist()))\n"
-        )
-        env["OBATALAB_THREADS"] = threads
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        rows[threads] = out.stdout
+        monkeypatch.setenv("OBATALAB_THREADS", threads)
+        rows[threads] = repr(diameter_deficit_sweep(2.0, grid_n=1024).gap.tolist())
+        proc, out = run_cli("spectrum", "--model", "--dim", "3", "--k", "2",
+                            "--grid", "131072", out=f"spectrum-{threads}")
+        assert proc.returncode == 0, proc.stderr
+        files[threads] = (proc.stdout, (out / "summary.json").read_bytes(),
+                          (out / "results.csv").read_bytes())
     assert rows["1"] == rows["4"]
+    assert files["1"] == files["4"]

@@ -1,5 +1,7 @@
 import functools
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -129,21 +131,26 @@ def test_pair_node_cap_refuses_before_allocating():
     assert peak < 2 ** 16
 
 
-def test_peak_memory_of_a_nested_solve():
+def test_peak_memory_of_a_nested_solve(monkeypatch):
     # a refined level is the grid's nodes and densities (contiguous copies of
     # every other one for the half grid, dropped before the grid is refined),
     # its flux, mass and symmetric form are formed per block, and scratch
     # rows are reused: about 6.5 arrays of n + 1 values at the peak (the
-    # k = 2 columns, one factorization's bands and pivots), under 7.5
+    # k = 2 columns, one factorization's bands and pivots), under 7.5. With
+    # two threads each has its own scratch rows of one block, and the peak
+    # stays under the same bound
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     n = 2 ** 18
     w = model_density(3.0, Grid.uniform(math.pi, n))
-    tracemalloc.start()
-    try:
-        neumann_eigs(w, k=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7.5 * 8 * (n + 1), peak / (8 * (n + 1))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OBATALAB_THREADS", threads)
+        tracemalloc.start()
+        try:
+            neumann_eigs(w, k=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 8 * (n + 1), (threads, peak / (8 * (n + 1)))
 
 
 def _bits(a):
@@ -303,6 +310,19 @@ def test_blocked_backward_errors_match_whole_grid(nodes):
         got = spectral._backward_errors(w.grid.nodes, w.h, res.eigenfunctions, lam)
         want = _whole_grid_backward_errors(*level, res.eigenfunctions, lam)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_one_block_grid_forms_each_level_once(monkeypatch):
+    # on a grid of one block each level's flux, mass and symmetric form are
+    # formed once: the base (bisected), the half grid and the grid, whose
+    # form its backward errors read too; each pair's factor rows and the
+    # unscaling take them from there
+    assembled = _count_calls(monkeypatch, "_assemble")
+    formed = _count_calls(monkeypatch, "_symmetric")
+    res = neumann_eigs(model_density(3.0, Grid.uniform(math.pi, 4096)), k=2)
+    assert assembled == [257, 2049, 4097]
+    assert formed == [256, 2048, 4096]  # their fluxes, one per cell
+    assert np.all(res.residuals <= 1e-13)
 
 
 def test_blocked_sweeps_match_whole_grid():
@@ -575,15 +595,8 @@ def test_nested_matches_direct_on_rough_densities(name, monkeypatch):
             assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10
 
 
-_ABANDONED_JUMP_SOLVES = {"notch": 23, "square0.9": 20, "square0.999": 21}
-
-
-@pytest.mark.parametrize("name", sorted(_ABANDONED_JUMP_SOLVES))
-def test_failing_jump_is_abandoned_early(name, monkeypatch):
-    # the jump from the base straight to the half grid fails on these
-    # densities; once its |lambda - shift| estimates contract too slowly to
-    # converge within _MAX_STEPS, it is abandoned at step 3 instead of
-    # running all 6, and the climb gives the same pairs as before
+def _count_steps(monkeypatch):
+    # [nodes, dgttrs solves] per factorization, in order
     steps = []
     factor, solve = spectral.dgttrf, spectral.dgttrs
 
@@ -597,12 +610,104 @@ def test_failing_jump_is_abandoned_early(name, monkeypatch):
 
     monkeypatch.setattr(spectral, "dgttrf", counted_factor)
     monkeypatch.setattr(spectral, "dgttrs", counted_solve)
+    return steps
+
+
+# dgttrs solves of neumann_eigs(k = 1) at 16384 cells
+_ABANDONED_JUMP_SOLVES = {"notch": 23, "square0.9": 17, "square0.999": 18}
+
+
+@pytest.mark.parametrize("name", sorted(_ABANDONED_JUMP_SOLVES))
+def test_failing_jump_is_abandoned_early(name, monkeypatch):
+    # the jump from the base straight to the half grid fails on these
+    # densities; once its |lambda - shift| estimates contract too slowly to
+    # converge within _MAX_STEPS, it is abandoned at step 3 instead of
+    # running all 6, and the climb gives the same pairs as before
+    steps = _count_steps(monkeypatch)
     res = neumann_eigs(_rough_density(name, 16384), k=1)
     assert steps[0] == [8193, 3], steps  # the jump to the half grid
-    # three solves fewer than the 26, 23 and 24 of running the jump to 6 steps
+    # three solves fewer than the 26, 23 and 24 of running the jump to 6
+    # steps; on the square waves the climb's 2049-node level, whose change
+    # grows from step 2 to 3, far above the tolerance, stops at step 3 as
+    # well (three fewer again), while the notch's, which contracts, runs on
+    assert [2049, 6 if name == "notch" else 3] in steps, steps
     assert sum(count for _, count in steps) == _ABANDONED_JUMP_SOLVES[name], steps
     w = _rough_density(name, 16384)
     assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, 1) - 1.0)) <= 1e-10
+
+
+def test_one_doubling_level_keeps_a_change_that_grows_near_tolerance(monkeypatch):
+    # on square0.999 at 65536 cells, k = 3, the second pair of the grid level
+    # takes the half-grid shift to changes of 1.03, 1.44 and 0.56 times the
+    # tolerance at steps 2, 3 and 4: it grows once, near the tolerance, and
+    # converges, so the grid stays refined (the bisected levels are the base
+    # and two levels of the climb, not the grid)
+    bisections = _count_calls(monkeypatch, "eigh_tridiagonal")
+    steps = _count_steps(monkeypatch)
+    w = _rough_density("square0.999", 2 ** 16)
+    res = neumann_eigs(w, k=3)
+    assert bisections == [257, 8193, 16385]
+    assert steps[-3:] == [[65537, 2], [65537, 4], [65537, 2]], steps
+    assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, 3) - 1.0)) <= 1e-10
+
+
+_THREAD_NODES = [_B - 1, _B + 1, 2 * _B + 1, 3 * _B + 7]
+_SMOOTH = ["model", "truncated", "seeded"]
+
+
+def _thread_density(name, n):
+    if name == "truncated":
+        return truncated_model(3.0, math.pi - 2.0 ** -5, n)
+    if name == "seeded":
+        return generate_cd_density(3.0, 2, Grid.uniform(2.8, n))
+    return _rough_density(name, n)  # the model for "model"
+
+
+@pytest.mark.parametrize("name", _SMOOTH + [c for c in _ROUGH_CASES if c != "model"])
+def test_thread_count_keeps_every_bit(name, monkeypatch):
+    # the blocked sweeps run on the worker pool with 1, 2 and 3 threads (the
+    # caller and up to two pool threads, each with its own scratch): every
+    # field of neumann_eigs, rayleigh and deficit keeps its bits, on one
+    # block, just past it, on two blocks (inline), on four (the last of 7
+    # nodes) and, for the smooth densities, on 2^18 cells; k = 1..3 on each
+    # grid of a smooth density, and in turn over the grids of a rough one
+    # (its fallbacks are bisections)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    smooth = name in _SMOOTH
+    for i, nodes in enumerate(_THREAD_NODES + [2 ** 18 + 1] * smooth):
+        w = _thread_density(name, nodes - 1)
+        got = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("OBATALAB_THREADS", threads)
+            fields = []
+            for k in (1, 2, 3) if smooth else (1 + i % 3,):
+                res = neumann_eigs(w, k=k)
+                fields += [res.eigenvalues, res.eigenfunctions, res.residuals,
+                           res.lam0, res.half_eigenvalues]
+            u = res.eigenfunctions[:, 0]
+            fields += [rayleigh(w, u), deficit(w, u)]
+            got[threads] = [_bits(np.atleast_1d(f)).tobytes() for f in fields]
+        assert got["2"] == got["1"], nodes
+        assert got["3"] == got["1"], nodes
+
+
+def test_sweeps_of_fewer_than_four_blocks_run_inline(monkeypatch):
+    # on two or three blocks the pool's thread handoffs cost more than they
+    # save, so with two threads every block of a 3-block grid (and of its
+    # 2-block half grid) is formed on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setenv("OBATALAB_THREADS", "2")
+    threads, inner = set(), spectral._block_level
+
+    def traced(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_block_level", traced)
+    nodes = 3 * _B + 1
+    assert len(spectral._blocks(nodes)) == 3 < spectral._POOL_BLOCKS
+    neumann_eigs(model_density(3.0, Grid.uniform(math.pi, nodes - 1)), k=2)
+    assert threads == {threading.get_ident()}
 
 
 @functools.lru_cache(maxsize=None)
