@@ -1,12 +1,14 @@
 """Spectral-gap stability toolkit for one-dimensional weighted intervals.
 
 Modules:
-  measures      grids, CD(K,N) densities, distortion coefficients, checkers
+  measures      grids, CD(K,N) densities, distortion coefficients, checkers,
+                and the one CSV reader (read_csv)
   isoperimetry  diameter-constrained model profiles and comparison constants
   spectral      Neumann eigenproblems, Green operator, cosine decomposition
   obata1d       deficit/distance and diameter/deficit experiment sweeps
   localization  discrete ray-family pipeline up to the final assembly (localize)
   plotting      deterministic SVG rendering of sweep tables
+  pool          the process-wide worker pool of the solver's blocked sweeps
   cli           batch front-end (entry point: obatalab)
 """
 

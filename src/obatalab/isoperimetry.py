@@ -185,9 +185,17 @@ def profile(q: ProfileQuery, n_scan=129, tol=BRACKET_TOL) -> ProfileResult:
 
     g is smooth in b but not proven unimodal, so the scan guards the
     refinement against secondary minima. `n_scan` must be an integer >= 2
-    and `tol`, the final bracket width in b, finite and positive.
+    and `tol`, the final bracket width in b, finite and positive. A float
+    division by zero, overflow or invalid operation on the way, as when the
+    window masses of a tiny D or a huge N underflow to 0, raises
+    ParameterDomainError instead of returning a NaN or inf.
     """
-    val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan, tol)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan, tol)
+    except FloatingPointError as exc:
+        raise ParameterDomainError(
+            f"profile cannot be computed in float64 at N = {q.N:g}, D = {q.D:g} ({exc})") from exc
     return ProfileResult(float(val[0]), float(b[0]), float(R[0]), evals)
 
 

@@ -26,7 +26,7 @@ from .errors import (
     ParameterDomainError,
     UndefinedQuotientError,
 )
-from .measures import Grid, WeightedInterval, first_diff, load_density_csv, model_density
+from .measures import Grid, WeightedInterval, first_diff, load_density_csv, model_density, read_csv
 from .spectral import asymptotic_rate_constant
 
 SCHEMA = "rayfam-v1"
@@ -72,12 +72,14 @@ class Ray:
         n = len(self.w.grid.nodes)
         if len(self.u) != n or len(self.e) != n:
             raise ParameterDomainError("u and e must be sampled on the ray grid")
+        if not (np.isfinite(self.u).all() and np.isfinite(self.e).all()):
+            raise ParameterDomainError("u and e samples must be finite")
         if np.any(self.e < 0):
             raise ParameterDomainError("orthogonal energy density must be >= 0")
-        if self.weight <= 0:
-            raise ParameterDomainError("ray weights must be positive")
-        if self.a < 0 or self.b < 0:
-            raise ParameterDomainError("pole offsets must be >= 0")
+        if not 0 < self.weight < math.inf:
+            raise ParameterDomainError("ray weights must be positive and finite")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ParameterDomainError("pole offsets must be finite and >= 0")
         if self.w.grid.D > math.pi + 1e-12:
             raise ParameterDomainError("ray length cannot exceed pi")
         if abs(self.w.total_mass - 1.0) > 1e-6:
@@ -96,8 +98,8 @@ class RayFamily:
             raise ParameterDomainError("dimension parameter N must exceed 1 and be finite")
         if not self.rays:
             raise ParameterDomainError("family needs at least one ray")
-        if self.unspanned_mass < 0:
-            raise ParameterDomainError("unspanned mass must be >= 0")
+        if not 0 <= self.unspanned_mass < math.inf:
+            raise ParameterDomainError("unspanned mass must be finite and >= 0")
         total = math.fsum(r.weight for r in self.rays) + self.unspanned_mass
         if abs(total - 1.0) > 1e-9:
             raise NormalizationError(
@@ -697,9 +699,12 @@ def localize(f: RayFamily, beta=None, gamma=None) -> Localization:
 
 
 def _build_density(kind, params, N, D, base):
-    n = int(params.get("n", 4096))
+    n = float(params.get("n", 4096))
+    if not n.is_integer():
+        raise ConfigError(f"density n must be a whole number, got {n!r}")
+    n = int(n)
     if kind == "model":
-        if abs(D - math.pi) > 1e-9:
+        if not abs(D - math.pi) <= 1e-9:
             raise ConfigError("model density requires D = pi")
         w = model_density(N, Grid.uniform(math.pi, n))
     elif kind == "truncated":
@@ -709,7 +714,7 @@ def _build_density(kind, params, N, D, base):
         if not path:
             raise ConfigError("csv density needs a path")
         w = load_density_csv(os.path.join(base, path), K=N - 1.0, N=N)
-        if abs(w.grid.D - D) > 1e-9:
+        if not abs(w.grid.D - D) <= 1e-9:
             raise ConfigError(
                 f"density file spans {w.grid.D}, ray declares D={D}"
             )
@@ -747,23 +752,15 @@ def _build_e(kind, params, grid, base):
 
 
 def _load_on_grid(what, params, grid, base):
-    # second column of a `t,<what>` CSV whose first column is the ray grid
+    # the `what` column of a `t,<what>` CSV (read_csv) whose t column is the ray grid
     path = params.get("path")
     if not path:
         raise ConfigError(f"csv {what} needs a path")
-    full = os.path.join(base, path)
-    try:
-        data = np.loadtxt(full, delimiter=",", skiprows=1, dtype=float)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{full}: unreadable samples file ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError(f"{full}: expected two columns")
-    if not np.all(np.isfinite(data[:, :2])):
-        raise ConfigError(f"{path}: non-finite sample")
-    tt = data[:, 0]
+    cols = read_csv(os.path.join(base, path), ("t", what))
+    tt = cols["t"]
     if len(tt) != len(grid.nodes) or np.max(np.abs(tt - grid.nodes)) > 1e-9:
         raise ConfigError(f"{path}: samples do not match the ray grid")
-    return data[:, 1]
+    return cols[what]
 
 
 def load_family(path) -> RayFamily:
@@ -794,11 +791,11 @@ def load_family(path) -> RayFamily:
             dspec = dict(item["density"])
             uspec = dict(item["u"])
             espec = dict(item.get("e", {"kind": "zero"}))
+            w = _build_density(dspec.pop("kind", None), dspec, N, D, base)
+            u = _build_u(uspec.pop("kind", None), uspec, N, w.grid, base)
+            e = _build_e(espec.pop("kind", None), espec, w.grid, base)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: ray {k} malformed ({exc})") from exc
-        w = _build_density(dspec.pop("kind", None), dspec, N, D, base)
-        u = _build_u(uspec.pop("kind", None), uspec, N, w.grid, base)
-        e = _build_e(espec.pop("kind", None), espec, w.grid, base)
         try:
             rays.append(Ray(weight=weight, w=w, u=u, e=e, a=a, b=b))
         except (ParameterDomainError, NormalizationError) as exc:

@@ -12,8 +12,10 @@ diameter D to the model as D -> pi.
 The generator builds exact CD(N-1, N) densities h = w^{N-1} from
 w'' = -(1 + a) w with a piecewise-constant excess a >= 0: on each piece w is
 a closed-form rotation, so the samples do not depend on the grid.
+
+It also owns reading CSV input: read_csv is the one parser of the density
+files, ray samples and plotted tables.
 """
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -154,23 +156,36 @@ def second_diff(t, u):
     return out
 
 
-def load_density_csv(path, K, N):
-    """Parse a `t,h` CSV into a WeightedInterval. Rejects malformed input."""
+def read_csv(path, names=()):
+    """Columns of a CSV file by header name, each a contiguous float array.
+
+    The header row must begin with names; every data row holds one finite
+    value per header name (np.loadtxt, no comment lines). Any failure is
+    one ConfigError."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["t", "h"]:
-                raise ConfigError(f"{path}: expected header 't,h'")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    except (OSError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: unreadable density file ({exc})") from exc
-    if len(rows) < 16:
-        raise ConfigError(f"{path}: need at least 16 rows, got {len(rows)}")
-    t = np.array([r[0] for r in rows])
-    h = np.array([r[1] for r in rows])
-    if not (np.isfinite(t).all() and np.isfinite(h).all()):
+        with open(path) as fh:
+            header = [c.strip() for c in fh.readline().split(",")]
+            body = fh.read()
+        if header[:len(names)] != list(names):
+            raise ConfigError(f"{path}: expected header '{','.join(names)}'")
+        if not body.strip():
+            raise ConfigError(f"{path}: no data rows")
+        data = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable file, or a ragged or non-numeric row ({exc})") from exc
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: ragged rows of {data.shape[1]} values, {len(header)} names")
+    if not np.isfinite(data).all():
         raise ConfigError(f"{path}: non-finite value")
+    return dict(zip(header, data.T.copy()))
+
+
+def load_density_csv(path, K, N):
+    """Parse a `t,h` CSV (read_csv) into a WeightedInterval. Rejects malformed input."""
+    cols = read_csv(path, ("t", "h"))
+    t, h = cols["t"], cols["h"]
+    if len(t) < 16:
+        raise ConfigError(f"{path}: need at least 16 rows, got {len(t)}")
     if np.any(np.diff(t) <= 0):
         raise ConfigError(f"{path}: t column must be strictly increasing")
     if np.any(h < 0):

@@ -4,35 +4,14 @@ The renderer is intentionally dumb: fixed 640x480 viewport, fixed margins,
 no timestamps, all coordinates printed with one format. Identical tables
 produce identical bytes, so plots can be golden-file tested.
 """
-import csv
 import math
 
 from .errors import ConfigError
+from .measures import read_csv
 from .obata1d import loglog_fit
 
 WIDTH, HEIGHT = 640, 480
 ML, MR, MT, MB = 70, 24, 24, 56
-
-
-def _read_table(path):
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise ConfigError(f"{path}: unreadable table ({exc})") from exc
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: table has no data rows")
-    header = [c.strip() for c in rows[0]]
-    cols = {name: [] for name in header}
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ConfigError(f"{path}: ragged row {row!r}")
-        for name, val in zip(header, row):
-            try:
-                cols[name].append(float(val))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: bad value {val!r}") from exc
-    return cols
 
 
 def _axis(vals, log):
@@ -59,11 +38,11 @@ def render_plot(table, out_path, x, y, loglog=False, annotate=False):
     written into the plot; the slope is computed by the same routine the
     sweep drivers use, so the annotation always matches their FitResult.
     """
-    cols = _read_table(table)
+    cols = read_csv(table)
     for name in (x, y):
         if name not in cols:
             raise ConfigError(f"table has no column {name!r}")
-    xs, ys = cols[x], cols[y]
+    xs, ys = cols[x].tolist(), cols[y].tolist()
 
     xc, xlo, xhi = _axis(xs, loglog)
     yc, ylo, yhi = _axis(ys, loglog)

@@ -199,16 +199,19 @@ def _assemble(t, h, out=None):
 
 
 def _support_checks(h):
+    """Refuse h >= 0 whose cell midpoints 0.5 (h_i + h_{i+1}) vanish between
+    its first and last positive node, or on an end cell. A midpoint rounds to
+    0 only where h_i is at most the least subnormal, so only those cells are
+    formed."""
     pos = h > 0
     first = int(pos.argmax())
     if not pos[first]:
         raise DegenerateDensityError("density is identically zero")
     last = len(h) - 1 - int(pos[::-1].argmax())
-    hmid = h[:-1] + h[1:]
-    hmid *= 0.5
-    if not hmid[first:last].all():
+    c = np.flatnonzero(h[first:last] <= 5e-324) + first  # the least subnormal
+    if not (0.5 * (h[c] + h[c + 1])).all():
         raise DisconnectedSupportError("density vanishes on an interior subinterval")
-    if hmid[0] == 0.0 or hmid[-1] == 0.0:
+    if 0.5 * (h[0] + h[1]) == 0.0 or 0.5 * (h[-2] + h[-1]) == 0.0:
         raise DegenerateDensityError(
             "density vanishes on a whole end cell, leaving an end node without mass")
 
@@ -281,9 +284,15 @@ def _symmetric(f, M, start, end, out=None):
 
 def _scaled(t, h):
     """Flux, mass and the _symmetric form s, d, e of the whole grid: the
-    matrix of a grid solved by bisection."""
+    matrix of a grid solved by bisection. DegenerateDensityError when the
+    form is not finite, as when the masses of a tiny diameter underflow."""
     f, M = _assemble(t, h)
-    return (f, M) + _symmetric(f, M, True, True)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s, d, e = _symmetric(f, M, True, True)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise DegenerateDensityError(
+            "the symmetric form of the grid is not finite (masses or fluxes out of float range)")
+    return f, M, s, d, e
 
 
 def _flux_quotient(u, t, h, work=None, unscale=False, level=None):
@@ -382,7 +391,10 @@ def _finish(u, t, h, work=None, count=False, level=None):
 
 def _solve_tridiagonal(t, h, k):
     f, M, s, d, e = _scaled(t, h)
-    u = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
+    try:
+        u = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
+    except np.linalg.LinAlgError as exc:  # stebz fails on the huge forms of tiny diameters
+        raise ConditioningError(f"tridiagonal bisection failed ({exc})") from exc
     return _finish(u, t, h, level=(f, M, s))[0], u
 
 

@@ -432,6 +432,46 @@ def test_non_finite_input_exits_1(run_cli, tmp_path):
         assert "non-finite" in proc.stderr, args
 
 
+@pytest.mark.parametrize("args, message", [
+    (("spectrum", "--model", "--dim", "2", "--diam", "1e-300"), "not finite"),
+    (("spectrum", "--model", "--dim", "2", "--diam", "1e-80"), "bisection failed"),
+    (("profile", "--dim", "2", "--diam", "1e-300", "--v", "0.5"), "cannot be computed"),
+    (("profile", "--dim", "1e300", "--diam", "3", "--v", "0.5"), "cannot be computed"),
+])
+def test_out_of_float_range_exits_1(run_cli, args, message):
+    # the spectrum used to end in a ValueError or LinAlgError traceback, the
+    # profile in exit 0 with "value": Infinity or NaN after numpy warnings
+    proc, out = run_cli(*args)
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert message in err[0]
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("rays", 0, "weight"), math.nan),
+    (("rays", 0, "a"), math.nan),
+    (("unspanned_mass",), math.nan),
+    (("rays", 0, "density", "n"), "abc"),
+    (("rays", 0, "density", "n"), 4096.7),
+    (("rays", 0, "u", "scale"), "abc"),
+])
+def test_malformed_ray_family_exits_1(run_cli, fixtures_dir, tmp_path, keys, value):
+    # exit 2 with "nan > nan", exit 0 with NaN in the summary, or a traceback
+    family = json.loads((fixtures_dir / "rigid.json").read_text())
+    target = family
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps(family))
+    proc, _ = run_cli("localize", "--config", path)
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 def test_zero_mass_end_node_exits_1(run_cli, tmp_path):
     # h vanishing on a whole end cell leaves a node without lumped mass
     t = np.linspace(0.0, 2.0, 65)
@@ -525,3 +565,11 @@ def test_render_plot_errors(tmp_path):
     ragged = _write_table(tmp_path / "r.csv", ["1,2", "3"])
     with pytest.raises(ConfigError, match="ragged"):
         render_plot(ragged, str(tmp_path / "o.svg"), x="x", y="y")
+
+
+def test_render_plot_refuses_non_finite_table(tmp_path):
+    # a NaN or inf cell used to be drawn at a coordinate of "nan" or "inf"
+    for cell in ("nan", "inf"):
+        table = _write_table(tmp_path / "t.csv", ["1,2", f"3,{cell}"])
+        with pytest.raises(ConfigError, match="non-finite"):
+            render_plot(table, str(tmp_path / "o.svg"), x="x", y="y")

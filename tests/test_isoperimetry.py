@@ -283,6 +283,16 @@ def test_profile_large_dimension_is_warning_free():
     assert r.value == pytest.approx(math.sqrt(1e6 / (2.0 * math.pi)), rel=1e-5)
 
 
+@pytest.mark.parametrize("N, D", [(2.0, 1e-300), (1e300, 3.0), (100.0, 1e-4)])
+def test_profile_out_of_float_range_raises(N, D):
+    # window masses underflow to 0: the value used to come back inf or NaN,
+    # after numpy's divide-by-zero or invalid-value warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match="cannot be computed in float64"):
+            profile(ProfileQuery(N, D, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # profile ODE
 

@@ -134,6 +134,51 @@ def test_load_family_error_paths(tmp_path):
         load_family(_write_family(p, rays=[bad_ray]))
 
 
+def _family_with(where, field, value):
+    """A rayfam-v1 document of one ray with every number the schema reads,
+    field of where (the family, the ray or one of its specs) set to value."""
+    ray = _ray_doc(u={"kind": "perturbed", "scale": 1.0, "s": 0.0},
+                   e={"kind": "const", "value": 0.0})
+    doc = {"unspanned_mass": 0.0, "rays": [ray]}
+    target = doc if where == "family" else ray if where == "ray" else ray[where]
+    target[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("family", "unspanned_mass", math.nan),
+    ("ray", "weight", math.nan),
+    ("ray", "a", math.nan),
+    ("ray", "b", math.inf),
+    ("density", "n", None),
+    ("density", "n", math.nan),
+    ("density", "n", "abc"),
+    ("density", "n", 256.7),
+    ("u", "scale", math.nan),
+    ("u", "scale", "abc"),
+    ("u", "s", math.nan),
+    ("u", "s", "abc"),
+    ("e", "value", math.nan),
+    ("e", "value", "abc"),
+])
+def test_load_family_refuses_non_finite_or_malformed_field(tmp_path, where, field, value):
+    # NaN used to pass every check (to a Chebyshev failure, or to NaN in the
+    # summary), a non-numeric value escaped as ValueError or TypeError, and
+    # n = 256.7 was truncated to 256
+    with pytest.raises(ConfigError):
+        load_family(_write_family(tmp_path / "fam.json", **_family_with(where, field, value)))
+
+
+def test_ray_refuses_non_finite_samples():
+    w = _model_ray_family(n=64).rays[0].w
+    good = np.zeros(65)
+    bad = good.copy()
+    bad[7] = math.nan
+    for u, e in ((bad, good), (good, bad)):
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            Ray(weight=1.0, w=w, u=u, e=e)
+
+
 def test_load_family_csv_grid_mismatch(tmp_path):
     # u samples on the wrong grid are rejected at load time
     n = 64
@@ -147,6 +192,18 @@ def test_load_family_csv_grid_mismatch(tmp_path):
         load_family(_write_family(
             p, rays=[_ray_doc(density={"kind": "model", "n": n},
                               u={"kind": "csv", "path": "u.csv"})]))
+
+
+def test_load_family_csv_header_checked(tmp_path):
+    # a samples file must name its columns t,<u or e>; its header used to be skipped unread
+    n = 64
+    t = Grid.uniform(math.pi, n).nodes
+    (tmp_path / "u.csv").write_text("t,h\n" + "".join(
+        f"{float(x)!r},{float(v)!r}\n" for x, v in zip(t, np.cos(t))))
+    with pytest.raises(ConfigError, match="expected header 't,u'"):
+        load_family(_write_family(
+            tmp_path / "fam.json", rays=[_ray_doc(density={"kind": "model", "n": n},
+                                                  u={"kind": "csv", "path": "u.csv"})]))
 
 
 # --------------------------------------------------------------------------

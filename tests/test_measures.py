@@ -26,6 +26,7 @@ from obatalab.measures import (
     load_density_csv,
     model_density,
     omega,
+    read_csv,
     sigma_coeff,
     sinpow_cum,
     tau_coeff,
@@ -106,6 +107,48 @@ def test_load_density_csv_rejects_garbage(tmp_path):
         p.write_text("t,h\n" + "\n".join(",".join(r) for r in rows) + "\n")
         with pytest.raises(ConfigError, match="non-finite"):
             load_density_csv(p, K=0.0, N=2.0)
+
+
+def test_read_csv_columns_match_float_parse(fixtures_dir):
+    # every committed CSV reads to the bits float() gives, column by column
+    for path in sorted(fixtures_dir.glob("*.csv")):
+        lines = path.read_text().splitlines()
+        names = lines[0].split(",")
+        cols = read_csv(path, names[:1])
+        assert list(cols) == names
+        for k, name in enumerate(names):
+            want = np.array([float(line.split(",")[k]) for line in lines[1:]])
+            assert np.array_equal(cols[name], want), (path.name, name)
+            assert cols[name].flags.c_contiguous
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x\n0,1\n", "expected header 't,h'"),
+    ("t,h\n", "no data rows"),
+    ("t,h\n\n\n", "no data rows"),
+    ("t,h\n0,1\n1\n", "ragged"),
+    ("t,h\n0,1,2\n1,1,2\n", "ragged"),
+    ("t,h\n0,1\n#1,1\n", "non-numeric"),
+    ("t,h\n0,1\n1,nope\n", "non-numeric"),
+    ("t,h\n0,1\n1,inf\n", "non-finite"),
+])
+def test_read_csv_refusals(tmp_path, text, message):
+    p = tmp_path / "in.csv"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        read_csv(p, ("t", "h"))
+
+
+def test_read_csv_unreadable_file(tmp_path):
+    with pytest.raises(ConfigError, match="unreadable"):
+        read_csv(tmp_path / "missing.csv")
+
+
+def test_read_csv_skips_blank_lines_and_spaces(tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_text(" t , h \n0, 1\n\n2 ,3\n")
+    cols = read_csv(p, ("t", "h"))
+    assert cols["t"].tolist() == [0.0, 2.0] and cols["h"].tolist() == [1.0, 3.0]
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,33 @@ def test_zero_mass_end_node_raises():
                 neumann_eigs(w, k=1)
 
 
+def test_support_check_midpoint_rounding_to_zero():
+    # 0.5 (5e-324 + 0) rounds to 0: that interior cell has no mass, as when
+    # the check formed every midpoint; 0.5 (1e-323 + 0) = 5e-324 does not
+    h = np.ones(65)
+    h[30], h[31] = 5e-324, 0.0
+    with pytest.raises(DisconnectedSupportError):
+        spectral._support_checks(h)
+    h[30] = 1e-323
+    spectral._support_checks(h)
+    h = np.ones(65)
+    h[-2:] = (5e-324, 0.0)
+    with pytest.raises(DegenerateDensityError, match="end cell"):
+        spectral._support_checks(h)
+
+
+def test_tiny_diameter_refused_before_bisection():
+    # on D = 1e-300 the lumped masses underflow to 0, so s = 1/sqrt(M) is
+    # inf; the form used to reach eigh_tridiagonal, which raised ValueError.
+    # On D = 1e-80 the form is finite and LAPACK's bisection fails instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDensityError, match="not finite"):
+            neumann_eigs(model_density(2.0, Grid.uniform(1e-300, 4096)), k=1)
+        with pytest.raises(ConditioningError, match="bisection failed"):
+            neumann_eigs(model_density(2.0, Grid.uniform(1e-80, 4096)), k=1)
+
+
 def test_richardson_gap_grid_independent():
     # ROADMAP item 1: the gap lambda_1 - N of the truncated model no longer
     # drifts with n (bisection's eps n^2 floor moved it 13% at N=3, 2^-7)

@@ -9,9 +9,10 @@ base in two refined levels, not by recursion. The discrete Rayleigh quotient
 is written once, spectral._flux_quotient, and both the eigenvalues and
 rayleigh() take it. A refined level holds no arrays of its own: its flux and
 mass are formed per block from the nodes and densities, by the one assembly,
-spectral._assemble. The CLI starts without the SciPy submodules that none of
-its commands use, and builds its argument parser once per process, on the
-first main() call."""
+spectral._assemble. CSV input, density files, ray samples and plotted
+tables alike, is parsed by one function, measures.read_csv. The CLI starts
+without the SciPy submodules that none of its commands use, and builds its
+argument parser once per process, on the first main() call."""
 import ast
 import dataclasses
 import json
@@ -195,3 +196,23 @@ def test_refined_levels_hold_no_arrays():
                if any(isinstance(node, ast.Name) and node.id in formula_names
                       for node in ast.walk(fn))]
     assert writers == ["spectral._assemble"]
+
+
+def test_csv_parsed_only_by_read_csv():
+    # density files, ray samples and plotted tables share one parser; the
+    # CLI's csv.writer is the only other use of the csv module
+    parsers = {("csv", "reader"), ("csv", "DictReader"), ("np", "loadtxt"),
+               ("np", "genfromtxt")}
+    paths = sorted(SRC.glob("*.py"))
+    callers = [f"{path.stem}.{fn.name}"
+               for path in paths
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and (getattr(node.func.value, "id", ""), node.func.attr) in parsers]
+    assert callers == ["measures.read_csv"]
+    importers = [path.stem for path in paths
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and "csv" in (a.name for a in node.names)]
+    assert importers == ["cli"]
