@@ -2,7 +2,9 @@
 
 Modules:
   measures      grids, CD(K,N) densities, distortion coefficients, checkers,
-                and the one CSV reader (read_csv)
+                the one CSV reader (read_csv), the one Richardson step
+                (extrapolate) and the N and D rules (require_dimension,
+                require_diameter)
   isoperimetry  diameter-constrained model profiles and comparison constants
   spectral      Neumann eigenproblems, Green operator, cosine decomposition
   obata1d       deficit/distance and diameter/deficit experiment sweeps

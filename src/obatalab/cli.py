@@ -25,17 +25,12 @@ import numpy as np
 
 from .errors import ConfigError, NonCDInputError, ObataLabError
 from .isoperimetry import BRACKET_TOL, RESIDUAL_TOL, ProfileQuery, profile
-from .localization import load_family, localize
+from .localization import (ENERGY_IDENTITY_SLACK, FLAG_FACTOR, IDENTITY_SLACK, VOLUME_SLACK,
+                           load_family, localize)
 from .measures import Grid, cd_check, load_density_csv, model_density
-from .obata1d import (
-    FAMILIES,
-    GROWTH_LIMIT,
-    SLOPE_SLACK,
-    ExperimentSpec,
-    deficit_distance_sweep,
-    diameter_deficit_sweep,
-    upper_gap_check,
-)
+from .obata1d import (DEFICIT_GUARD, FAMILIES, FIT_FLAG_R2, GROWTH_LIMIT, SLOPE_SLACK,
+                      ExperimentSpec, deficit_distance_sweep, diameter_deficit_sweep,
+                      upper_gap_check)
 from .plotting import render_plot
 from .spectral import MAX_PAIRS, neumann_eigs
 
@@ -198,7 +193,7 @@ def _run_obata(config: RunConfig) -> _Artifact:
             "upper_gap_spread": ug.spread,
             "upper_candidate_max_ratio": ug.candidate_max_ratio,
         },
-        tolerances={"direction_slack": 0.0, "fit_flag_r2": 0.98},
+        tolerances={"direction_slack": 0.0, "fit_flag_r2": FIT_FLAG_R2},
         plot={"x": "eps", "y": "gap", "loglog": True, "annotate": True},
         exit_code=0 if ds.all_hold else 2,
     )
@@ -235,8 +230,8 @@ def _run_sweep(config: RunConfig) -> _Artifact:
             "excluded": res.excluded,
             "slope_l2": res.fit_l2.slope,
         },
-        tolerances={"deficit_guard": 0.5, "constant_growth_limit": GROWTH_LIMIT,
-                    "slope_slack": SLOPE_SLACK, "fit_flag_r2": 0.98},
+        tolerances={"deficit_guard": DEFICIT_GUARD, "constant_growth_limit": GROWTH_LIMIT,
+                    "slope_slack": SLOPE_SLACK, "fit_flag_r2": FIT_FLAG_R2},
         plot={"x": "delta", "y": "dist_w12", "loglog": True, "annotate": True},
         exit_code=2 if res.rate_violated else 0,
     )
@@ -292,10 +287,10 @@ def _run_localize(config: RunConfig) -> _Artifact:
             "flags": flags,
         },
         tolerances={
-            "identity_slack": 1e-10,
-            "energy_identity_slack": 1e-6,
-            "flag_factor": 10.0,
-            "volume_slack": 1e-9,
+            "identity_slack": IDENTITY_SLACK,
+            "energy_identity_slack": ENERGY_IDENTITY_SLACK,
+            "flag_factor": FLAG_FACTOR,
+            "volume_slack": VOLUME_SLACK,
         },
         exit_code=2 if flagged else 0,
     )

@@ -6,6 +6,7 @@ closed one-window profile I_N. C_{N,D} is the explicit comparison constant
 (int_0^{pi/2} cos^{N-1} / int_0^{D/2} cos^{N-1})^{1/N} and its D -> pi
 asymptotics (pi-D)^N/(C^2-1) -> 2^{N-2} N^2 omega_N are reproduced numerically.
 """
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .errors import ParameterDomainError
-from .measures import omega, sinpow_cum
+from .measures import extrapolate, omega, require_diameter, require_dimension, sinpow_cum
 
 BRACKET_TOL = 1e-9  # default width in b of profile's final bracket
 RESIDUAL_TOL = 1e-12  # relative split residual that solve_R guarantees
@@ -36,10 +37,8 @@ class ProfileQuery:
     v: float
 
     def __post_init__(self):
-        if not 1 < self.N < math.inf:
-            raise ParameterDomainError("N must exceed 1 and be finite")
-        if not 0.0 < self.D <= math.pi:
-            raise ParameterDomainError("need 0 < D <= pi")
+        require_dimension(self.N)
+        require_diameter(self.D)
         if not 0.0 < self.v < 1.0:
             raise ParameterDomainError("need 0 < v < 1")
 
@@ -74,7 +73,10 @@ def _solve_R(N, b, v, D):
     against its distance to the poles and the difference would cancel; both
     keep their relative accuracy. R is seeded by `_sinpow_inv` and polished
     by at most four Newton steps clipped to [b, b + D], stopping once every
-    step is within two ulps of R.
+    step is within two ulps of R. A window mass that underflows to 0 raises
+    FloatingPointError (_in_float64 turns it into ParameterDomainError),
+    unless the window is narrower in float64 than the smallest normal
+    double, so that any R in it is within a subnormal distance of the root.
     """
     b = np.asarray(b, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -89,6 +91,9 @@ def _solve_R(N, b, v, D):
         return np.where(x - b <= 0.25 * np.minimum(b, np.pi - x), gauss, diff)
 
     mass = integral(b + D)
+    if np.count_nonzero(mass) < mass.size and np.any(
+            (mass == 0.0) & (b + D - b >= np.finfo(float).tiny)):
+        raise FloatingPointError("window mass underflows to 0")
     rhs = v * mass
     left = 2.0 * b + D <= np.pi
     x = _sinpow_inv(N, np.where(left, Sb + rhs, Sb_far - rhs))
@@ -109,9 +114,22 @@ def _g(N, b, v, D):
     return np.abs(np.sin(R)) ** (N - 1) / mass, R  # |sin|: R may pass 0 or pi by 1e-9
 
 
+@contextlib.contextmanager
+def _in_float64(N, D):
+    """The guard of profile, solve_R, g_eval and bbg_ratio_check: a float
+    division by zero, overflow or invalid operation, or a window mass that
+    underflows to 0, as for a tiny D or a huge N, raises ParameterDomainError
+    instead of giving a NaN, an inf or a RuntimeWarning."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ParameterDomainError(
+            f"profile cannot be computed in float64 at N = {N:g}, D = {D:g} ({exc})") from exc
+
+
 def _check_split(N, b, v, D):
-    if not 1 < N < math.inf:
-        raise ParameterDomainError("N must exceed 1 and be finite")
+    require_dimension(N)
     if not 0.0 <= v <= 1.0:
         raise ParameterDomainError("volume fraction v must lie in [0, 1]")
     if not (D > 0.0 and b >= -1e-12 and b + D <= math.pi + 1e-9):
@@ -127,13 +145,15 @@ def solve_R(N, b, v, D):
     side to doubles where that is larger (R within one ulp of the root).
     """
     _check_split(N, b, v, D)
-    return float(_solve_R(N, b, v, D)[0])
+    with _in_float64(N, D):
+        return float(_solve_R(N, b, v, D)[0])
 
 
 def g_eval(N, b, v, D):
     """g(b, v) = sin^{N-1}(R(b,v)) / int_b^{b+D} sin^{N-1}."""
     _check_split(N, b, v, D)
-    return float(_g(N, b, v, D)[0])
+    with _in_float64(N, D):
+        return float(_g(N, b, v, D)[0])
 
 
 def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
@@ -185,17 +205,11 @@ def profile(q: ProfileQuery, n_scan=129, tol=BRACKET_TOL) -> ProfileResult:
 
     g is smooth in b but not proven unimodal, so the scan guards the
     refinement against secondary minima. `n_scan` must be an integer >= 2
-    and `tol`, the final bracket width in b, finite and positive. A float
-    division by zero, overflow or invalid operation on the way, as when the
-    window masses of a tiny D or a huge N underflow to 0, raises
-    ParameterDomainError instead of returning a NaN or inf.
+    and `tol`, the final bracket width in b, finite and positive. A query
+    that float64 cannot evaluate raises ParameterDomainError (_in_float64).
     """
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan, tol)
-    except FloatingPointError as exc:
-        raise ParameterDomainError(
-            f"profile cannot be computed in float64 at N = {q.N:g}, D = {q.D:g} ({exc})") from exc
+    with _in_float64(q.N, q.D):
+        val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan, tol)
     return ProfileResult(float(val[0]), float(b[0]), float(R[0]), evals)
 
 
@@ -207,8 +221,7 @@ class OdeResidualReport:
 
 def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
     """Finite-difference check of (I_N^{N/(N-1)})'' I_N^{(N-2)/(N-1)} = -N."""
-    if not 1 < N < math.inf:
-        raise ParameterDomainError("N must exceed 1 and be finite")
+    require_dimension(N)
     if not step > 0.0:
         raise ParameterDomainError("step must be positive")
     vs = np.asarray(v_grid, dtype=float)
@@ -223,10 +236,8 @@ def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
 
 
 def _check_constant(N, D):
-    if not 1 < N < math.inf:
-        raise ParameterDomainError("N must exceed 1 and be finite")
-    if not 0.0 < D <= math.pi:
-        raise ParameterDomainError("need 0 < D <= pi")
+    require_dimension(N)
+    require_diameter(D)
 
 
 def bbg_constant(N, D):
@@ -254,9 +265,10 @@ def bbg_ratio_check(N, D, v_grid):
     C = bbg_constant(N, D)
     if not np.all((vs > 0.0) & (vs < 1.0)):
         raise ParameterDomainError("need 0 < v < 1 for every v")
-    num = _profile_lanes(N, D, vs)[0]
-    den = _g(N, 0.0, vs, math.pi)[0]
-    return float(np.min(num / den - C))
+    with _in_float64(N, D):
+        num = _profile_lanes(N, D, vs)[0]
+        den = _g(N, 0.0, vs, math.pi)[0]
+        return float(np.min(num / den - C))
 
 
 @dataclass(frozen=True)
@@ -275,11 +287,7 @@ def asymptotic_constant(N, D_sweep) -> AsymptoticResult:
         raise ParameterDomainError("D_sweep must increase strictly toward pi")
     eps = math.pi - Ds
     ratios = tuple(float(e ** N / c_squared_minus_one(N, math.pi - e)) for e in eps)
-    if len(ratios) >= 2:
-        e1, e2 = eps[-2], eps[-1]
-        r1, r2 = ratios[-2], ratios[-1]
-        limit = r2 + (r2 - r1) * e2 ** 2 / (e1 ** 2 - e2 ** 2)
-    else:
-        limit = ratios[-1]
+    limit = (extrapolate(ratios[-1], ratios[-2], eps[-1], eps[-2])[0] if len(ratios) >= 2
+             else ratios[-1])
     target = 2.0 ** (N - 2.0) * N * N * omega(N)
     return AsymptoticResult(ratios, float(limit), float(target))

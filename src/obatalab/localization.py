@@ -26,10 +26,20 @@ from .errors import (
     ParameterDomainError,
     UndefinedQuotientError,
 )
-from .measures import Grid, WeightedInterval, first_diff, load_density_csv, model_density, read_csv
+from .measures import (Grid, WeightedInterval, first_diff, load_density_csv, model_density,
+                       read_csv, require_dimension)
 from .spectral import asymptotic_rate_constant
 
 SCHEMA = "rayfam-v1"
+# The chain's tolerances, which localize reports in summary.json. IDENTITY_SLACK
+# is the rounding deadband of the deficit identity and of every bound and flag
+# threshold; a scaling diagnostic flags a value above FLAG_FACTOR times its
+# envelope; the orthogonal energy may exceed the deficit by ENERGY_IDENTITY_SLACK,
+# and a ball measure leave its model bracket by VOLUME_SLACK.
+IDENTITY_SLACK = 1e-10
+ENERGY_IDENTITY_SLACK = 1e-6
+FLAG_FACTOR = 10.0
+VOLUME_SLACK = 1e-9
 
 
 def default_beta(N):
@@ -80,8 +90,6 @@ class Ray:
             raise ParameterDomainError("ray weights must be positive and finite")
         if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
             raise ParameterDomainError("pole offsets must be finite and >= 0")
-        if self.w.grid.D > math.pi + 1e-12:
-            raise ParameterDomainError("ray length cannot exceed pi")
         if abs(self.w.total_mass - 1.0) > 1e-6:
             raise NormalizationError("ray densities must have unit mass")
 
@@ -94,8 +102,7 @@ class RayFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(self.rays))
-        if not 1 < self.N < math.inf:
-            raise ParameterDomainError("dimension parameter N must exceed 1 and be finite")
+        require_dimension(self.N)
         if not self.rays:
             raise ParameterDomainError("family needs at least one ray")
         if not 0 <= self.unspanned_mass < math.inf:
@@ -181,12 +188,12 @@ def global_deficit(f: RayFamily) -> DeficitLedger:
     )
     # delta - localized = sum q int e + N (sum q c^2 - 1) identically, so the
     # normalization drift allowed by the deadband must be credited here.
-    if delta - N * (total - 1.0) < localized - 1e-10:
+    if delta - N * (total - 1.0) < localized - IDENTITY_SLACK:
         raise NonCDInputError(
             f"deficit {delta} below localized sum {localized}: not a CD family"
         )
     etotal = math.fsum(q * e for q, e in zip(weights, emass))
-    if etotal > delta + 1e-6:
+    if etotal > delta + ENERGY_IDENTITY_SLACK:
         raise NonCDInputError(
             f"orthogonal energy {etotal} exceeds deficit {delta}"
         )
@@ -253,7 +260,7 @@ def select_long_rays(f: RayFamily, ledger: DeficitLedger, beta=None) -> LongRayR
     long_contrib = math.fsum(
         weights[i] * ledger.delta_q[i] * c2[i] for i in Q_long
     )
-    slack = (1e-10 + max(0.0, -long_contrib)) / threshold
+    slack = (IDENTITY_SLACK + max(0.0, -long_contrib)) / threshold
     bound = delta ** (1.0 - beta) + slack
     ok = excluded_c2 <= bound
     if not ok:
@@ -297,7 +304,7 @@ def bad_set_energy(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport) -> B
     if delta_eff > 1.0:
         # the (N+1) delta^{1-beta} bound is only claimed in the delta <= 1 regime
         return BadSetReport(value=float(value), bound=None, ok=True)
-    bound = (f.N + 1.0) * delta_eff ** (1.0 - sel.beta) + 1e-10
+    bound = (f.N + 1.0) * delta_eff ** (1.0 - sel.beta) + IDENTITY_SLACK
     ok = value <= bound
     if not ok:
         raise NonCDInputError(
@@ -382,7 +389,7 @@ def variance_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport,
         + d ** ((beta - gamma) * min(2.0 / N, 1.0))
     )
     ratio = _envelope_ratio(var, envelope, 1e-25)
-    flagged = var > 10.0 * envelope + 1e-10
+    flagged = var > FLAG_FACTOR * envelope + IDENTITY_SLACK
     return VarianceReport(
         variance=float(var), cbar=float(cbar), envelope=float(envelope),
         ratio=float(ratio), flagged=bool(flagged), beta=float(beta),
@@ -425,14 +432,14 @@ def long_mass_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport, gam
         + d ** (1.0 - beta - gamma)
     )
     ratio = _envelope_ratio(lhs, envelope, 1e-25)
-    flagged = lhs > 10.0 * envelope + 1e-10
+    flagged = lhs > FLAG_FACTOR * envelope + IDENTITY_SLACK
 
     unsp_env = (
         d ** (gamma / N)
         + d ** ((beta - gamma) / (2.0 * N))
         + d ** ((1.0 - beta - gamma) / 2.0)
     )
-    unsp_flag = f.unspanned_mass > 10.0 * unsp_env + 1e-10
+    unsp_flag = f.unspanned_mass > FLAG_FACTOR * unsp_env + IDENTITY_SLACK
     return MassReport(
         lhs=float(lhs), one_minus_mass=float(one_minus),
         envelope=float(envelope), ratio=float(ratio), flagged=bool(flagged),
@@ -545,7 +552,7 @@ class VolumeReport:
 
 
 def volume_control(geometry: SuspensionGeometry, r) -> VolumeReport:
-    """m_N([0,r]) <= m(B_r(P_N)) <= m_N([0, r + delta_pole]), slack 1e-9."""
+    """m_N([0,r]) <= m(B_r(P_N)) <= m_N([0, r + delta_pole]), slack VOLUME_SLACK."""
     if not 0 < r < geometry.pole_distance:
         raise ParameterDomainError(
             f"radius must lie in (0, {geometry.pole_distance})"
@@ -553,8 +560,8 @@ def volume_control(geometry: SuspensionGeometry, r) -> VolumeReport:
     ball = geometry.ball(r)
     lower = geometry.model_ball(r)
     upper = geometry.model_ball(min(r + geometry.delta_pole, math.pi))
-    ok_lower = ball >= lower - 1e-9
-    ok_upper = ball <= upper + 1e-9
+    ok_lower = ball >= lower - VOLUME_SLACK
+    ok_upper = ball <= upper + VOLUME_SLACK
     if not (ok_lower and ok_upper):
         raise NonCDInputError(
             f"ball measure {ball} at r={r} outside [{lower}, {upper}]"
@@ -584,7 +591,7 @@ def pole_concentration(geometry: SuspensionGeometry, Q_long, delta=None, beta=No
         if beta is None:
             beta = default_beta(geometry.N)
         d = max(delta, 0.0)
-        threshold = 10.0 * d ** (beta / geometry.N) + 1e-10
+        threshold = FLAG_FACTOR * d ** (beta / geometry.N) + IDENTITY_SLACK
         flagged = max(max_start, max_end) > threshold
     return PoleReport(max_start=max_start, max_end=max_end,
                       threshold=threshold, flagged=bool(flagged))

@@ -14,7 +14,10 @@ w'' = -(1 + a) w with a piecewise-constant excess a >= 0: on each piece w is
 a closed-form rotation, so the samples do not depend on the grid.
 
 It also owns reading CSV input: read_csv is the one parser of the density
-files, ray samples and plotted tables.
+files, ray samples and plotted tables. And it owns the Richardson step,
+extrapolate, which every extrapolated value takes, and the two parameter
+rules of CD(N - 1, N) on [0, D]: require_dimension (1 < N < inf) and
+require_diameter (0 < D <= pi), which every validator of N or D calls.
 """
 import math
 from dataclasses import dataclass, field
@@ -44,7 +47,15 @@ MAX_GRID_NODES = 2 ** 25
 # grids and weighted intervals
 
 
-def _require_diameter(D):
+def require_dimension(N):
+    """The dimension rule of CD(N - 1, N): 1 < N < inf."""
+    if not 1 < N < math.inf:
+        raise ParameterDomainError(
+            f"need N > 1 and finite: dimension parameter N must exceed 1, got {N}")
+
+
+def require_diameter(D):
+    """The diameter rule 0 < D <= pi, with 1e-12 of rounding allowed above pi."""
     if not 0.0 < D <= math.pi + 1e-12:
         raise ParameterDomainError("need 0 < D <= pi")
 
@@ -60,7 +71,7 @@ class Grid:
     def __post_init__(self):
         t = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", t)
-        _require_diameter(self.D)
+        require_diameter(self.D)
         if t.ndim != 1 or len(t) < 16:
             raise ParameterDomainError("grid needs at least 16 nodes")
         if abs(t[0]) > 1e-12:
@@ -77,7 +88,7 @@ class Grid:
         """n equal cells on [0, D]; D and the node count are checked before
         the nodes are built."""
         D, n = float(D), int(n)
-        _require_diameter(D)
+        require_diameter(D)
         if not 16 <= n + 1 <= MAX_GRID_NODES:
             raise ParameterDomainError(
                 f"grid needs 16 to {MAX_GRID_NODES} nodes, got {n + 1}")
@@ -100,7 +111,7 @@ class WeightedInterval:
     h: np.ndarray
     K: float
     N: float
-    total_mass: float = field(default=None)
+    total_mass: float = field(init=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -109,14 +120,10 @@ class WeightedInterval:
             raise ParameterDomainError("density sample count must match grid nodes")
         if np.any(h < 0):
             raise ParameterDomainError("density must be non-negative")
-        if not 1 < self.N < math.inf:
-            raise ParameterDomainError("dimension parameter N must exceed 1 and be finite")
+        require_dimension(self.N)
         if not math.isfinite(self.K):
             raise ParameterDomainError("curvature parameter K must be finite")
-        if self.total_mass is None:
-            object.__setattr__(
-                self, "total_mass", float(np.trapezoid(h, self.grid.nodes))
-            )
+        object.__setattr__(self, "total_mass", float(np.trapezoid(h, self.grid.nodes)))
 
     def mean(self, f):
         """Normalised m-moment int f h dt / total_mass of node samples f."""
@@ -154,6 +161,16 @@ def second_diff(t, u):
     out = np.zeros_like(u)
     out[1:-1] = 2.0 * ((u[2:] - u[1:-1]) / dr - (u[1:-1] - u[:-2]) / dl) / (dl + dr)
     return out
+
+
+def extrapolate(fine, coarse, h_fine=1.0, h_coarse=2.0):
+    """One Richardson step (Richardson 1911) on values with an O(h^2) error,
+    taken at steps h_fine < h_coarse: (fine + (fine - coarse) h_fine^2 /
+    (h_coarse^2 - h_fine^2), |fine - coarse|), the extrapolated value and the
+    raw difference. The default steps, a grid and its half grid, give
+    fine + (fine - coarse)/3. Scalars or arrays."""
+    return (fine + (fine - coarse) * h_fine ** 2 / (h_coarse ** 2 - h_fine ** 2),
+            abs(fine - coarse))
 
 
 def read_csv(path, names=()):
@@ -251,9 +268,7 @@ class CoefficientQuery:
 
 
 def _validate_query(q):
-    if not 1 < q.N < math.inf:
-        raise ParameterDomainError(
-            f"coefficient dimension N must exceed 1 and be finite, got {q.N}")
+    require_dimension(q.N)
     if not 0.0 <= q.t <= 1.0:
         raise ParameterDomainError(f"interpolation parameter t must lie in [0,1], got {q.t}")
     if q.theta < 0:
@@ -397,16 +412,15 @@ def cd_check(w: WeightedInterval, sample_pairs=0, tol=1e-8) -> CdVerdict:
     return CdVerdict(True, None, float(max(violation, 0.0)), len(violations))
 
 
-def cd_check_differential(w: WeightedInterval, tol=None) -> CdVerdict:
+def cd_check_differential(w: WeightedInterval) -> CdVerdict:
     """Differential form: (N-1)(h^{1/(N-1)})''/h^{1/(N-1)} <= -K + tol.
 
     Second-order central differences at interior nodes. A density that
     satisfies the inequality with equality (the model) leaves a scheme
-    residual of (N-1)*step^2/12 on the violating side, so the default
-    tolerance scales with the grid instead of being a fixed constant.
+    residual of (N-1)*step^2/12 on the violating side, so the tolerance,
+    max(1e-6, (N-1)*step^2/4), scales with the grid instead of being fixed.
     """
-    if tol is None:
-        tol = max(1e-6, 0.25 * (w.N - 1.0) * w.grid.max_step**2)
+    tol = max(1e-6, 0.25 * (w.N - 1.0) * w.grid.max_step**2)
     t = w.grid.nodes
     h = w.h
     if np.any(h[1:-1] <= 0):

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import pool
 from .errors import ParameterDomainError
-from .measures import Grid, WeightedInterval, first_diff, generate_cd_density, model_density
+from .measures import (Grid, WeightedInterval, first_diff, generate_cd_density, model_density,
+                       require_dimension)
 from .spectral import (
     asymptotic_rate_constant,
     cosine_distance,
@@ -29,10 +30,14 @@ FAMILIES = ("truncated-model", "perturbed-cosine", "seeded-generated")
 
 # The rate dist_W12 <= C delta^target is one-sided: a sweep breaks it only when
 # C = dist_W12/delta^target grows as delta shrinks, or a power law that fits
-# (r_squared >= 0.98) has a slower rate. A seeded family scatters around its
-# constant, and the slope of a poor fit through that scatter is no rate.
+# (r_squared >= FIT_FLAG_R2) has a slower rate. A seeded family scatters around
+# its constant, and the slope of a poor fit through that scatter is no rate.
 GROWTH_LIMIT = 10.0
 SLOPE_SLACK = 0.1
+FIT_FLAG_R2 = 0.98
+# a sweep keeps only rows with delta <= DEFICIT_GUARD: the stability statement
+# is a small-deficit theorem, with an unspecified delta_0(N)
+DEFICIT_GUARD = 0.5
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class FitResult:
     intercept: float
     r_squared: float
     points: int
-    flagged: bool  # r_squared < 0.98
+    flagged: bool  # r_squared < FIT_FLAG_R2
 
 
 def loglog_fit(x, y) -> FitResult:
@@ -61,7 +66,7 @@ def loglog_fit(x, y) -> FitResult:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return FitResult(slope=float(coef[0]), intercept=float(coef[1]),
                      r_squared=float(r2), points=int(lx.size),
-                     flagged=bool(r2 < 0.98))
+                     flagged=bool(r2 < FIT_FLAG_R2))
 
 
 def truncated_model(N, D, n) -> WeightedInterval:
@@ -97,8 +102,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family!r}")
-        if not 1 < self.N < math.inf:
-            raise ParameterDomainError("need N > 1 and finite")
+        require_dimension(self.N)
         if self.seed < 0:
             raise ParameterDomainError(f"seed must be non-negative, got {self.seed}")
         sweep = tuple(float(s) for s in self.sweep) or _default_sweep(self.family)
@@ -155,8 +159,7 @@ class SweepResult:
 def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
     """Table of (param, delta, dist_L2, dist_W12, lambda1) plus power-law fits.
 
-    Instances with delta > 0.5 are excluded: the stability statement is a
-    small-deficit theorem and carries an unspecified delta_0(N) guard.
+    Instances with delta > DEFICIT_GUARD are excluded.
     """
     N, n = spec.N, spec.grid_n
     require_half_grid(n)
@@ -175,8 +178,6 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
     else:
         if spec.family == "truncated-model":
             def density(D):
-                if not 0 < D <= math.pi:
-                    raise ParameterDomainError("truncated-model wants 0 < D <= pi")
                 return truncated_model(N, D, n)
         else:
             seed_of = {eps: spec.seed + k for k, eps in enumerate(params)}
@@ -193,7 +194,7 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
 
     rows = pool.map(job, params)
     table = [(p,) + r for p, r in zip(params, rows)]
-    kept = [row for row in table if row[1] <= 0.5]
+    kept = [row for row in table if row[1] <= DEFICIT_GUARD]
     excluded = len(table) - len(kept)
     if len(kept) < 2:
         raise ParameterDomainError("small-deficit guard left fewer than 2 points")
@@ -231,7 +232,7 @@ def diameter_deficit_sweep(N, D_sweep=None, grid_n=4096) -> DiameterSweepResult:
     """lambda_1 - N against pi - D on truncated models, with the exact-direction
     check C_N (pi - D)^N <= lambda_1 - N at every point."""
     if D_sweep is None:
-        D_sweep = [math.pi - 2.0 ** (-k) for k in range(3, 8)]
+        D_sweep = _default_sweep("truncated-model")
     Ds = sorted(float(D) for D in D_sweep)
     if any(not 0 < D < math.pi for D in Ds):
         raise ParameterDomainError("diameter sweep wants 0 < D < pi")

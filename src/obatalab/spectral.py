@@ -58,7 +58,7 @@ sum f (u_{i+1} - u_i)^2 / sum M u_i^2 (_flux_quotient). Every eigenvalue is
 that quotient of its eigenvector, which converges cleanly as O(grid^2) where
 bisection eigenvalues carry an error of about eps n^2. rayleigh() takes it of
 any function, so by min-max it is >= lambda_1; deficit() extrapolates it on
-(n, n/2) as richardson does the eigenvalues.
+(n, n/2) through measures.extrapolate, as richardson does the eigenvalues.
 """
 import math
 from dataclasses import dataclass
@@ -76,8 +76,9 @@ from .errors import (
     ParameterDomainError,
     UndefinedQuotientError,
 )
-from .isoperimetry import bbg_constant, c_squared_minus_one
-from .measures import MAX_GRID_NODES, Grid, WeightedInterval, first_diff, omega, second_diff
+from .isoperimetry import c_squared_minus_one
+from .measures import (MAX_GRID_NODES, Grid, WeightedInterval, extrapolate, first_diff,
+                       omega, second_diff)
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class SpectralResult:
         bitwise. On a grid solved directly the half grid is solved directly
         as well. NaN unless has_half_grid(n) holds for the n cells of the grid
     err_bar: |lambda(n) - lambda(n/2)| per pair; NaN without the half grid
-    richardson: lambda(n) + (lambda(n) - lambda(n/2))/3, which removes the
-        O(dt^2) term of the scheme; NaN without the half grid
+    richardson: lambda(n) + (lambda(n) - lambda(n/2))/3 (measures.extrapolate),
+        which removes the O(dt^2) term of the scheme; NaN without the half grid
     """
 
     eigenvalues: np.ndarray
@@ -119,11 +120,11 @@ class SpectralResult:
 
     @property
     def err_bar(self):
-        return np.abs(self.eigenvalues - self.half_eigenvalues)
+        return extrapolate(self.eigenvalues, self.half_eigenvalues)[1]
 
     @property
     def richardson(self):
-        return self.eigenvalues + (self.eigenvalues - self.half_eigenvalues) / 3.0
+        return extrapolate(self.eigenvalues, self.half_eigenvalues)[0]
 
 
 # neumann_eigs computes at most this many pairs: a direct solve grows with
@@ -681,13 +682,12 @@ def rayleigh(w: WeightedInterval, u):
 def deficit(w: WeightedInterval, u):
     """delta(u) = R(n) + (R(n) - R(n/2))/3 - N for R the rayleigh quotient on
     the grid and on its half grid (every other node, as neumann_eigs takes
-    it): the O(grid^2) term of R cancels as it does in richardson."""
+    it): extrapolate cancels the O(grid^2) term of R as in richardson."""
     g = w.grid
     require_half_grid(g.n)
     half = WeightedInterval(grid=Grid(D=g.D, n=g.n // 2, nodes=g.nodes[::2]),
                             h=w.h[::2], K=w.K, N=w.N)
-    ray = rayleigh(w, u)
-    return ray + (ray - rayleigh(half, np.asarray(u, dtype=float)[::2])) / 3.0 - w.N
+    return extrapolate(rayleigh(w, u), rayleigh(half, np.asarray(u, dtype=float)[::2]))[0] - w.N
 
 
 @dataclass(frozen=True)
@@ -752,8 +752,9 @@ class GreenResult:
     boundary_max: bool   # argmax of h fell on an endpoint (op proceeds)
 
 
-def green_apply(w: WeightedInterval, z, x0=None) -> GreenResult:
-    """v0(t) = int_{x0}^t sin(t - s) z(s) ds through spline antiderivatives.
+def green_apply(w: WeightedInterval, z) -> GreenResult:
+    """v0(t) = int_{x0}^t sin(t - s) z(s) ds through spline antiderivatives,
+    from the node x0 of the largest density (the first, on a tie).
 
     sin(t-s) is split as sin t cos s - cos t sin s so both factors integrate
     once; the antiderivatives are cubic-spline exact to O(grid^4). Enforces
@@ -768,8 +769,7 @@ def green_apply(w: WeightedInterval, z, x0=None) -> GreenResult:
 
     imax = int(np.argmax(w.h))  # ties resolve to the smaller t
     boundary = imax in (0, len(t) - 1)
-    if x0 is None:
-        x0 = float(t[imax])
+    x0 = float(t[imax])
     Ic = CubicSpline(t, np.cos(t) * z).antiderivative()
     Is = CubicSpline(t, np.sin(t) * z).antiderivative()
     cz = Ic(t) - Ic(x0)

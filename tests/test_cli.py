@@ -573,3 +573,64 @@ def test_render_plot_refuses_non_finite_table(tmp_path):
         table = _write_table(tmp_path / "t.csv", ["1,2", f"3,{cell}"])
         with pytest.raises(ConfigError, match="non-finite"):
             render_plot(table, str(tmp_path / "o.svg"), x="x", y="y")
+
+
+def test_reported_tolerances_are_the_applied_constants(run_cli, fixtures_dir):
+    # summary.json states each tolerance by the constant that its module
+    # applies, never by a copy; the two literals are model_lambda1_rel, the
+    # caller's check of a model lambda_1, and direction_slack, the exact
+    # comparison lower <= gap
+    import ast
+    import inspect
+
+    from obatalab import cli, isoperimetry, localization, obata1d, spectral
+
+    applied = {
+        "bracket_tol": (isoperimetry, "BRACKET_TOL"),
+        "residual_tol": (isoperimetry, "RESIDUAL_TOL"),
+        "max_pairs": (spectral, "MAX_PAIRS"),
+        "fit_flag_r2": (obata1d, "FIT_FLAG_R2"),
+        "deficit_guard": (obata1d, "DEFICIT_GUARD"),
+        "constant_growth_limit": (obata1d, "GROWTH_LIMIT"),
+        "slope_slack": (obata1d, "SLOPE_SLACK"),
+        "identity_slack": (localization, "IDENTITY_SLACK"),
+        "energy_identity_slack": (localization, "ENERGY_IDENTITY_SLACK"),
+        "flag_factor": (localization, "FLAG_FACTOR"),
+        "volume_slack": (localization, "VOLUME_SLACK"),
+        "cd_tol": (cli, "CD_TOL"),
+    }
+    literals = {"model_lambda1_rel": 1e-5, "direction_slack": 0.0}
+    runs = [("profile", "--dim", "3", "--diam", "3.0", "--v", "0.37"),
+            ("spectrum", "--model", "--dim", "2", "--grid", "256"),
+            ("obata", "--dim", "2", "--grid", "256"),
+            ("sweep", "--dim", "2", "--family", "perturbed-cosine", "--grid", "512"),
+            ("localize", "--config", fixtures_dir / "rigid.json"),
+            ("check-density", fixtures_dir / "model_n2.csv", "--dim", "2")]
+    seen = set()
+    for i, argv in enumerate(runs):
+        proc, out = run_cli(*argv, out=f"out{i}")
+        assert proc.returncode == 0, (argv, proc.stderr)
+        for key, value in _summary(out)["tolerances"].items():
+            if key in literals:
+                assert value == literals[key]
+            else:
+                module, name = applied[key]
+                assert value == getattr(module, name), key
+            seen.add(key)
+    assert seen == set(applied) | set(literals)
+    # cli's tolerance dicts name the constants, and each is read where it is
+    # applied; RESIDUAL_TOL is the bound solve_R guarantees, which the
+    # isoperimetry tests check
+    stated = {}
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.keyword) and node.arg == "tolerances":
+            stated.update(zip((k.value for k in node.value.keys), node.value.values))
+    assert sorted(k for k, v in stated.items() if isinstance(v, ast.Constant)) == sorted(literals)
+    for key, (module, name) in applied.items():
+        assert getattr(stated[key], "id", None) == name, key
+        if name == "RESIDUAL_TOL":
+            continue
+        reads = [node for node in ast.walk(ast.parse(inspect.getsource(module)))
+                 if isinstance(node, ast.Name) and node.id == name
+                 and isinstance(node.ctx, ast.Load)]
+        assert reads, name

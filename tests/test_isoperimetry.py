@@ -293,6 +293,23 @@ def test_profile_out_of_float_range_raises(N, D):
             profile(ProfileQuery(N, D, 0.5))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve_R(100.0, 0.0, 0.5, 1e-4),
+    lambda: g_eval(100.0, 0.0, 0.5, 1e-4),
+    lambda: bbg_ratio_check(100.0, 1e-4, [0.3, 0.5]),
+], ids=["solve_R", "g_eval", "bbg_ratio_check"])
+def test_underflowing_window_mass_raises(call):
+    # at N = 100 the mass of the window [0, 1e-4] underflows to 0: solve_R
+    # returned 0.0 where the root is 1e-4 * 0.5^{1/100}, and g_eval and
+    # bbg_ratio_check NaN after an invalid-value warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match="window mass underflows to 0"):
+            call()
+        # the centred window of the same width keeps its mass
+        assert solve_R(100.0, math.pi / 2 - 5e-5, 0.5, 1e-4) == pytest.approx(math.pi / 2)
+
+
 # ---------------------------------------------------------------------------
 # profile ODE
 

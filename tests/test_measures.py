@@ -25,8 +25,11 @@ from obatalab.measures import (
     generate_cd_density,
     load_density_csv,
     model_density,
+    extrapolate,
     omega,
     read_csv,
+    require_diameter,
+    require_dimension,
     sigma_coeff,
     sinpow_cum,
     tau_coeff,
@@ -207,6 +210,45 @@ def test_infinite_dimension_message_says_finite(build):
     # every two-sided N check tells the user that N must also be finite
     with pytest.raises(ParameterDomainError, match="finite"):
         build()
+
+
+def test_one_dimension_rule_and_one_diameter_rule():
+    # every N check is require_dimension, with one message, and every
+    # diameter check require_diameter, which allows 1e-12 of rounding above pi
+    for N in (1.0, 0.5, -math.inf, math.inf, math.nan):
+        with pytest.raises(ParameterDomainError,
+                           match=f"^need N > 1 and finite: dimension parameter N must exceed 1, got {N}$"):
+            require_dimension(N)
+    require_dimension(1.0 + 1e-12)
+    for D in (0.0, -1.0, math.nan, math.inf, math.pi + 2e-12):
+        with pytest.raises(ParameterDomainError, match="^need 0 < D <= pi$"):
+            require_diameter(D)
+    require_diameter(math.pi + 1e-12)
+    # the isoperimetric queries take the allowance as D = pi
+    assert iso.bbg_constant(3.0, math.pi + 1e-12) == 1.0
+    assert iso.profile(iso.ProfileQuery(3.0, math.pi + 1e-12, 0.37)).value == \
+        iso.profile(iso.ProfileQuery(3.0, math.pi, 0.37)).value
+
+
+def test_extrapolate_is_the_richardson_step():
+    # the default steps, a grid and its half grid, give fine + (fine - coarse)/3
+    # bit for bit, and any two steps cancel an O(h^2) error
+    rng = np.random.default_rng(5)
+    fine, coarse = rng.uniform(1.0, 2.0, 64), rng.uniform(1.0, 2.0, 64)
+    value, bar = extrapolate(fine, coarse)
+    assert np.array_equal(value, fine + (fine - coarse) / 3.0)
+    assert np.array_equal(bar, np.abs(fine - coarse))
+    h, H = 0.01, 0.03
+    value, bar = extrapolate(2.0 + 5.0 * h * h, 2.0 + 5.0 * H * H, h, H)
+    assert value == pytest.approx(2.0, abs=1e-15)
+    assert bar == pytest.approx(5.0 * (H * H - h * h), rel=1e-12)
+
+
+def test_total_mass_is_taken_from_h():
+    g = Grid.uniform(1.0, 64)
+    with pytest.raises(TypeError):
+        WeightedInterval(grid=g, h=np.ones(65), K=0.0, N=2.0, total_mass=2.0)
+    assert WeightedInterval(grid=g, h=np.ones(65), K=0.0, N=2.0).total_mass == pytest.approx(1.0)
 
 
 def test_coefficient_query_validation():

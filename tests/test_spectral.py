@@ -507,6 +507,27 @@ def test_nested_matches_direct_solve():
             assert rayleigh(w, res.eigenfunctions[:, j]) == pytest.approx(lam, rel=1e-12)
 
 
+def test_eigenvalues_match_long_double_reference():
+    # inverse iteration in long double on the same flux / lumped-mass pencil
+    # (tests/oracles/longdouble.py), shifted from the continuous model values
+    # j (j + N - 1): the nested and the direct solve agree with it to rounding
+    from oracles.longdouble import eigenpair, sign_changes
+
+    N = 3.0
+    for w in (model_density(N, Grid.uniform(math.pi, 1024)),
+              truncated_model(N, math.pi - 2.0 ** -5, 1024)):
+        ref = []
+        for j in (1, 2, 3):
+            lam, u = eigenpair(w.grid.nodes, w.h, j * (j + N - 1.0))
+            assert sign_changes(u) == j
+            ref.append(lam)
+        ref = np.array(ref)
+        nested = neumann_eigs(w, k=3).eigenvalues
+        direct = _direct_eigenvalues(w, 3)
+        for lams in (nested, direct):
+            assert float(np.max(np.abs(lams / ref - 1.0))) <= 1e-14
+
+
 def test_nested_base_grows_with_k():
     # the base is the coarsest exact halving with at least max(256, 8 k^{3/2})
     # cells; below that, and on odd grids, the grid and its half are direct

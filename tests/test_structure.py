@@ -10,7 +10,10 @@ is written once, spectral._flux_quotient, and both the eigenvalues and
 rayleigh() take it. A refined level holds no arrays of its own: its flux and
 mass are formed per block from the nodes and densities, by the one assembly,
 spectral._assemble. CSV input, density files, ray samples and plotted
-tables alike, is parsed by one function, measures.read_csv. The CLI starts
+tables alike, is parsed by one function, measures.read_csv. The Richardson
+step is written once, measures.extrapolate, and so are the rules 1 < N < inf
+and 0 < D <= pi, measures.require_dimension and measures.require_diameter,
+which every validator of N or D calls. The CLI starts
 without the SciPy submodules that none of its commands use, and builds its
 argument parser once per process, on the first main() call."""
 import ast
@@ -141,7 +144,8 @@ def test_bisection_only_in_the_base_solve():
 def _functions(path):
     """name -> (source, names called) of each top-level function of path."""
     text = path.read_text()
-    return {fn.name: (ast.get_source_segment(text, fn),
+    lines = text.splitlines()
+    return {fn.name: ("\n".join(lines[fn.lineno - 1:fn.end_lineno]),
                       {getattr(node.func, "id", "") for node in ast.walk(fn)
                        if isinstance(node, ast.Call)})
             for fn in ast.parse(text).body if isinstance(fn, ast.FunctionDef)}
@@ -216,3 +220,74 @@ def test_csv_parsed_only_by_read_csv():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Import) and "csv" in (a.name for a in node.names)]
     assert importers == ["cli"]
+
+
+def _defs(path):
+    """(module.name, node) of each top-level function and method of path."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{path.stem}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{path.stem}.{node.name}.{fn.name}", fn
+
+
+def _operands(node):
+    """node and the operands of its chain of binary operations."""
+    if isinstance(node, ast.BinOp):
+        return [node, *_operands(node.left), *_operands(node.right)]
+    return [node]
+
+
+def _is_richardson_step(node):
+    # x + (x - y) c: a value corrected by a multiple of its change
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(isinstance(op, ast.BinOp) and isinstance(op.op, ast.Sub)
+                    and ast.dump(op.left) == ast.dump(node.left)
+                    for op in _operands(node.right)))
+
+
+def _is_dimension_rule(node):
+    # 1 < N ...
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+            and node.left.value == 1 and isinstance(node.ops[0], ast.Lt))
+
+
+def _is_diameter_rule(node):
+    # 0 < D <= pi ...
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+            and node.left.value == 0 and [type(op) for op in node.ops] == [ast.Lt, ast.LtE]
+            and "pi" in ast.unparse(node.comparators[-1]))
+
+
+def test_one_extrapolation_step_and_one_rule_per_parameter():
+    # Richardson's step is written once, measures.extrapolate; the dimension
+    # rule 1 < N < inf once, measures.require_dimension, and the diameter rule
+    # 0 < D <= pi once, measures.require_diameter; every validator of N or D
+    # calls them
+    defs = {name: list(ast.walk(fn))
+            for path in sorted(SRC.glob("*.py")) for name, fn in _defs(path)}
+    assert len(defs) >= 150
+
+    def sites(matches):
+        return sorted(name for name, nodes in defs.items() if any(map(matches, nodes)))
+
+    def callers(callee):
+        return sites(lambda node: isinstance(node, ast.Call)
+                     and getattr(node.func, "id", "") == callee)
+
+    assert sites(_is_richardson_step) == ["measures.extrapolate"]
+    assert callers("extrapolate") == [
+        "isoperimetry.asymptotic_constant", "spectral.SpectralResult.err_bar",
+        "spectral.SpectralResult.richardson", "spectral.deficit"]
+    assert sites(_is_dimension_rule) == ["measures.require_dimension"]
+    assert callers("require_dimension") == [
+        "isoperimetry.ProfileQuery.__post_init__", "isoperimetry._check_constant",
+        "isoperimetry._check_split", "isoperimetry.profile_ode_residual",
+        "localization.RayFamily.__post_init__", "measures.WeightedInterval.__post_init__",
+        "measures._validate_query", "obata1d.ExperimentSpec.__post_init__"]
+    assert sites(_is_diameter_rule) == ["measures.require_diameter"]
+    assert callers("require_diameter") == [
+        "isoperimetry.ProfileQuery.__post_init__", "isoperimetry._check_constant",
+        "measures.Grid.__post_init__", "measures.Grid.uniform"]
