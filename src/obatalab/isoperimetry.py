@@ -11,13 +11,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betainc, betaincinv
 
 from .errors import ParameterDomainError
 from .measures import extrapolate, omega, require_diameter, require_dimension, sinpow_cum
 
 BRACKET_TOL = 1e-9  # default width in b of profile's final bracket
 RESIDUAL_TOL = 1e-12  # relative split residual that solve_R guarantees
+# profile refuses a smaller D: below it a window ending near pi is within a
+# few ulps of its start, and profile(2, D, 1/2) missed 1/(2 sin(D/2)) by 6e-11
+# at D = 7e-16; from this floor up it is within 1e-15
+MIN_PROFILE_DIAMETER = 1e-15
 _REFINE_POINTS = 16  # interior points per bracket in each refinement step
 # 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun, table 25.4),
 # tabulated so that importing makes no LAPACK call. On a window no longer than
@@ -52,74 +56,145 @@ class ProfileResult:
 
 
 def _sinpow_inv(N, S):
-    """Seed for the x in [0, pi] with sinpow_cum(N, x) = S: the inverse
-    incomplete beta on the branch `sinpow_cum` evaluates there, and the
-    leading term x^N/N of its series near the poles, where sin^2 x would
-    underflow."""
+    """Seed for the x in [0, pi] with sinpow_cum(N, x) = S, evaluated per
+    element on one branch. Where c^2 = I^{-1}_{|1 - S/half|}(1/2, N/2) is
+    below 1/(N+1), near pi/2, the seed is arccos(+-c). Every other element
+    takes the inverse incomplete beta on the branch `sinpow_cum` evaluates
+    there, arcsin of sqrt(I^{-1}_{near/half}(N/2, 1/2)) for the mass `near`
+    to the nearer pole, or the leading term x^N/N of its series near the
+    poles, where sin^2 x would underflow; reflected to pi - x past half."""
     half = 0.5 * omega(N)
-    near = np.clip(np.minimum(S, 2.0 * half - S), 0.0, half)  # mass to the nearer pole
+    S = np.asarray(S, dtype=float)
     c = np.sqrt(betaincinv(0.5, N / 2.0, np.minimum(np.abs(half - S) / half, 1.0)))
-    s = np.sqrt(betaincinv(N / 2.0, 0.5, near / half))
-    x = np.where(N * near < 1e-5 ** N, (N * near) ** (1.0 / N), np.arcsin(s))
-    edge = np.where(S <= half, x, np.pi - x)
-    return np.where(c * c < 1.0 / (N + 1.0), np.arccos(np.copysign(c, half - S)), edge)
+    out = np.empty_like(S)
+    mid = c * c < 1.0 / (N + 1.0)
+    if np.count_nonzero(mid):
+        out[mid] = np.arccos(np.copysign(c[mid], half - S[mid]))
+    edge = ~mid
+    if np.count_nonzero(edge):
+        Se = S[edge]
+        near = np.clip(np.minimum(Se, 2.0 * half - Se), 0.0, half)  # mass to the nearer pole
+        pole = N * near < 1e-5 ** N
+        x = np.empty_like(Se)
+        x[pole] = (N * near[pole]) ** (1.0 / N)
+        x[~pole] = np.arcsin(np.sqrt(betaincinv(N / 2.0, 0.5, near[~pole] / half)))
+        out[edge] = np.subtract(np.pi, x, out=x, where=Se > half)
+    return out
+
+
+def _integral(N, b, Sb, x):
+    """int_b^x sin^{N-1}, elementwise over windows [b, x] in [0, pi], given
+    Sb = sinpow_cum(N, stack([b, pi - b])).
+
+    It is a difference of S_N taken from the nearer pole: one `sinpow_cum`
+    of x where b + x <= pi, else of pi - x. Where [b, x] is short against its
+    distance to the poles and that difference would cancel, it is a
+    Gauss-Legendre sum instead. The sum is formed only when some window is
+    short, and then over every window, so its bits do not depend on which
+    windows are short. Both keep their relative accuracy.
+    """
+    near = b + x <= np.pi
+    Sx = sinpow_cum(N, np.where(near, x, np.pi - x))
+    out = np.where(near, Sx - Sb[0], Sb[1] - Sx)
+    short = x - b <= 0.25 * np.minimum(b, np.pi - x)
+    if np.count_nonzero(short):
+        mid, half = 0.5 * (x + b), 0.5 * (x - b)
+        nodes = mid[..., None] + half[..., None] * _GL_NODES
+        gauss = half * (np.abs(np.sin(nodes)) ** (N - 1) @ _GL_WEIGHTS)
+        out = np.where(short, gauss, out)
+    return out
+
+
+def _newton(f, df, rhs, x, lo, hi):
+    """At most four Newton steps on f(x) = rhs clipped to [lo, hi], stopping
+    once every step is within two ulps of x."""
+    for _ in range(4):
+        d = df(x)
+        step = (f(x) - rhs) / np.where(d > 0.0, d, np.inf)
+        x = np.clip(x - step, lo, hi)
+        if np.all(np.abs(step) <= 2.0 * np.spacing(x)):
+            break
+    return x
+
+
+def _solve_short(N, b, v, D):
+    """(R, sin^{N-1} R, mass) on windows [b, b + D] no longer than a quarter
+    of their distance to the poles, solved for the offset r = R - b.
+
+    sin(b + t) is taken as sin b cos t + cos b sin t, so the density at
+    b + t keeps its relative accuracy where b + t itself would round to the
+    ulp of b (near pi, that rounding is a relative error of the window
+    ulp(pi) / D). On such a window the Gauss-Legendre sums are exact to
+    rounding.
+    """
+    sb, cb = np.sin(b)[..., None], np.cos(b)[..., None]
+
+    def density(t):  # sin^{N-1}(b + t) for t[..., None]
+        return np.abs(sb * np.cos(t) + cb * np.sin(t)) ** (N - 1)
+
+    def integral(r):  # int_b^{b+r} sin^{N-1}
+        half = 0.5 * np.asarray(r)[..., None]
+        return half * density(half * (1.0 + _GL_NODES)) @ _GL_WEIGHTS
+
+    def df(r):
+        return density(np.asarray(r)[..., None])[..., 0]
+
+    mass = integral(D)
+    r = _newton(integral, df, v * mass, v * D, 0.0, D)
+    r = np.where(v <= 0.0, 0.0, np.where(v >= 1.0, D, r))
+    return b + r, df(r), mass
 
 
 def _solve_R(N, b, v, D):
-    """R(b, v) and the window mass int_b^{b+D} sin^{N-1}, vectorized over b and v.
+    """(R(b, v), sin^{N-1} R, int_b^{b+D} sin^{N-1}), vectorized over b and v.
 
-    Integrals over [b, x] are differences of S_N taken from the nearer pole
-    (from pi when b + x > pi), or a Gauss-Legendre sum where [b, x] is short
-    against its distance to the poles and the difference would cancel; both
-    keep their relative accuracy. R is seeded by `_sinpow_inv` and polished
-    by at most four Newton steps clipped to [b, b + D], stopping once every
-    step is within two ulps of R. A window mass that underflows to 0 raises
+    Integrals over [b, x] come from `_integral`. R is seeded by
+    `_sinpow_inv` and polished by `_newton` within [b, b + D]. A window no
+    longer than a quarter of its distance to the poles is solved instead by
+    `_solve_short`, in offsets from b: (b + D) - b and the root near pi
+    would round to the ulp of b, and the relative error ulp(b) / D grows
+    without bound as D -> 0. A window mass that underflows to 0 raises
     FloatingPointError (_in_float64 turns it into ParameterDomainError),
     unless the window is narrower in float64 than the smallest normal
     double, so that any R in it is within a subnormal distance of the root.
     """
     b = np.asarray(b, dtype=float)
     v = np.asarray(v, dtype=float)
-    Sb, Sb_far = sinpow_cum(N, np.stack([b, np.pi - b]))
-
-    def integral(x):  # int_b^x sin^{N-1}
-        Sx, Sx_far = sinpow_cum(N, np.stack([x, np.pi - x]))
-        diff = np.where(b + x <= np.pi, Sx - Sb, Sb_far - Sx_far)
-        mid, half = 0.5 * (x + b), 0.5 * (x - b)
-        nodes = mid[..., None] + half[..., None] * _GL_NODES
-        gauss = half * (np.abs(np.sin(nodes)) ** (N - 1) @ _GL_WEIGHTS)
-        return np.where(x - b <= 0.25 * np.minimum(b, np.pi - x), gauss, diff)
-
-    mass = integral(b + D)
+    Sb = sinpow_cum(N, np.stack([b, np.pi - b]))
+    mass = _integral(N, b, Sb, b + D)
     if np.count_nonzero(mass) < mass.size and np.any(
             (mass == 0.0) & (b + D - b >= np.finfo(float).tiny)):
         raise FloatingPointError("window mass underflows to 0")
     rhs = v * mass
     left = 2.0 * b + D <= np.pi
-    x = _sinpow_inv(N, np.where(left, Sb + rhs, Sb_far - rhs))
-    R = np.clip(np.where(left, x, np.pi - x), b, b + D)
-    for _ in range(4):
-        df = np.abs(np.sin(R)) ** (N - 1)
-        step = (integral(R) - rhs) / np.where(df > 0.0, df, np.inf)
-        R = np.clip(R - step, b, b + D)
-        if np.all(np.abs(step) <= 2.0 * np.spacing(R)):
-            break
+    x = _sinpow_inv(N, np.where(left, Sb[0] + rhs, Sb[1] - rhs))
+
+    def density(R):  # |sin|: R may pass 0 or pi by 1e-9
+        return np.abs(np.sin(R)) ** (N - 1)
+
+    R = _newton(lambda R: _integral(N, b, Sb, R), density, rhs,
+                np.clip(np.where(left, x, np.pi - x), b, b + D), b, b + D)
     R = np.where(v <= 0.0, b, np.where(v >= 1.0, b + D, R))
-    return R, mass
+    out = R, density(R), mass
+    short = D <= 0.25 * np.minimum(b, np.pi - (b + D))
+    if np.count_nonzero(short):
+        out = tuple(np.where(short, s, o) for s, o in zip(_solve_short(N, b, v, D), out))
+    return out
 
 
 def _g(N, b, v, D):
     """(g(b, v), R(b, v)), vectorized over b and v."""
-    R, mass = _solve_R(N, b, v, D)
-    return np.abs(np.sin(R)) ** (N - 1) / mass, R  # |sin|: R may pass 0 or pi by 1e-9
+    R, num, mass = _solve_R(N, b, v, D)
+    return num / mass, R
 
 
 @contextlib.contextmanager
 def _in_float64(N, D):
     """The guard of profile, solve_R, g_eval and bbg_ratio_check: a float
-    division by zero, overflow or invalid operation, or a window mass that
-    underflows to 0, as for a tiny D or a huge N, raises ParameterDomainError
-    instead of giving a NaN, an inf or a RuntimeWarning."""
+    division by zero, overflow or invalid operation, a window mass that
+    underflows to 0, as for a tiny D or a huge N, or a profile D below
+    MIN_PROFILE_DIAMETER raises ParameterDomainError instead of giving a
+    NaN, an inf, a RuntimeWarning or a value off by more than 1e-12."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             yield
@@ -172,6 +247,8 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
         raise ParameterDomainError("n_scan must be an integer >= 2")
     if not 0.0 < tol < math.inf:
         raise ParameterDomainError("tol must be finite and positive")
+    if D < MIN_PROFILE_DIAMETER:
+        raise FloatingPointError(f"D is below the floor {MIN_PROFILE_DIAMETER:g}")
     vs = np.asarray(vs, dtype=float)
     if D >= math.pi:
         val, R = _g(N, 0.0, vs, math.pi)
@@ -240,21 +317,46 @@ def _check_constant(N, D):
     require_diameter(D)
 
 
-def bbg_constant(N, D):
-    """C_{N,D} = (int_0^{pi/2} cos^{N-1} / int_0^{D/2} cos^{N-1})^{1/N} >= 1."""
+def _cap_masses(N, D):
+    """(half, tail): int_0^{pi/2} and int_{D/2}^{pi/2} of cos^{N-1}. The cap
+    int_0^{D/2} cos^{N-1} is half - tail while tail <= half / 2, where the
+    difference loses at most one bit; below that it is `_log_cap`."""
     _check_constant(N, D)
-    half = float(sinpow_cum(N, math.pi / 2))
-    tail = float(sinpow_cum(N, (math.pi - D) / 2))  # int_{D/2}^{pi/2} cos^{N-1}
-    return ((half) / (half - tail)) ** (1.0 / N)
+    return float(sinpow_cum(N, math.pi / 2)), float(sinpow_cum(N, (math.pi - D) / 2))
+
+
+def _log_cap(N, D):
+    """log int_0^{a} cos^{N-1} at a = D/2, taken directly:
+    log(omega/2 * I_{sin^2 a}(1/2, N/2)), or where N a^2 < 1e-5 the series
+    log(a (1 - (N-1) a^2/6 + ((N-1)^2/8 - (N-1)/12) a^4/5)), which holds
+    also where a or the cap underflow."""
+    a, m = 0.5 * D, N - 1.0
+    if N * a * a < 1e-5:
+        return (math.log(D) - math.log(2.0)
+                + math.log1p(-m * a * a / 6.0 + (m * m / 8.0 - m / 12.0) * a ** 4 / 5.0))
+    return math.log(0.5 * omega(N) * float(betainc(0.5, N / 2.0, math.sin(a) ** 2)))
+
+
+def bbg_constant(N, D):
+    """C_{N,D} = (int_0^{pi/2} cos^{N-1} / int_0^{D/2} cos^{N-1})^{1/N} >= 1;
+    inf where it exceeds the float range (N near 1 and D below 1e-300)."""
+    half, tail = _cap_masses(N, D)
+    if tail <= 0.5 * half:
+        return (half / (half - tail)) ** (1.0 / N)
+    with np.errstate(over="ignore"):
+        return float(np.exp((math.log(half) - _log_cap(N, D)) / N))
 
 
 def c_squared_minus_one(N, D):
-    """C_{N,D}^2 - 1 without cancellation (log1p/expm1 route)."""
-    _check_constant(N, D)
-    half = float(sinpow_cum(N, math.pi / 2))
-    tail = float(sinpow_cum(N, (math.pi - D) / 2))
-    x = tail / (half - tail)
-    return float(np.expm1((2.0 / N) * np.log1p(x)))
+    """C_{N,D}^2 - 1 without cancellation (log1p/expm1 route); inf where it
+    exceeds the float range."""
+    half, tail = _cap_masses(N, D)
+    if tail <= 0.5 * half:
+        log_ratio = np.log1p(tail / (half - tail))
+    else:
+        log_ratio = math.log(half) - _log_cap(N, D)  # log1p(tail / cap) = log(half / cap)
+    with np.errstate(over="ignore"):
+        return float(np.expm1((2.0 / N) * log_ratio))
 
 
 def bbg_ratio_check(N, D, v_grid):

@@ -19,6 +19,7 @@ extrapolate, which every extrapolated value takes, and the two parameter
 rules of CD(N - 1, N) on [0, D]: require_dimension (1 < N < inf) and
 require_diameter (0 < D <= pi), which every validator of N or D calls.
 """
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,7 +77,7 @@ class Grid:
             raise ParameterDomainError("grid needs at least 16 nodes")
         if abs(t[0]) > 1e-12:
             raise ParameterDomainError("grid must start at t = 0")
-        if np.any(np.diff(t) <= 0):
+        if np.any(t[1:] <= t[:-1]):
             raise ParameterDomainError("grid nodes must be strictly increasing")
         if abs(t[-1] - self.D) > 1e-12:
             raise ParameterDomainError("last node must equal D")
@@ -220,38 +221,45 @@ def _sinpow_series(N, x):
     return x ** N / N - (N - 1) * x ** (N + 2) / (6 * (N + 2)) + c4 * x ** (N + 4) / (N + 4)
 
 
+@functools.lru_cache(maxsize=256)
 def omega(N):
-    """omega_N = int_0^pi sin^{N-1} = B(N/2, 1/2), closed form."""
+    """omega_N = int_0^pi sin^{N-1} = B(N/2, 1/2), closed form, once per N."""
     return float(beta_fn(N / 2.0, 0.5))
 
 
 def sinpow_cum(N, x):
     """S_N(x) = int_0^x sin^{N-1} t dt on [0, pi], via the incomplete beta.
 
-    Vectorized. Where sin^2 x <= N/(N+1) it is omega/2 * I_{sin^2 x}(N/2, 1/2)
-    (reflected about pi/2), with the series below x = 1e-5 and above
-    pi - 1e-5 where the beta ratio loses relative accuracy. Closer to pi/2
-    that ratio is ill-conditioned, so it takes the complement
+    Vectorized; each element takes one of three branches, and only its own
+    branch is evaluated on it. Where sin^2 x > N/(N+1), near pi/2, the ratio
+    below is ill-conditioned, so those elements take the complement
     omega/2 * (1 - sign(cos x) * I_{cos^2 x}(1/2, N/2)); the switch at
     N/(N+1) is the a/(a+b) rule of DiDonato & Morris (ACM TOMS Alg. 708,
-    1992). The relative error is a few ulps on (0, pi).
+    1992). Below x = 1e-5 and above pi - 1e-5, where the beta ratio loses
+    relative accuracy, the elements take the series of `_sinpow_series`
+    (about the nearer pole). Every other element is
+    omega/2 * I_{sin^2 x}(N/2, 1/2), reflected about pi/2. The relative
+    error is a few ulps on (0, pi).
     """
     x = np.asarray(x, dtype=float)
     w = omega(N)
     split = N / (N + 1.0)
-    s2, c = np.sin(x) ** 2, np.cos(x)
-    edge = 0.5 * w * betainc(N / 2.0, 0.5, np.minimum(s2, split))
-    mid = 0.5 * w * (1.0 - np.sign(c) * betainc(0.5, N / 2.0, np.minimum(c * c, 1.0 - split)))
-    out = np.where(s2 > split, mid, np.where(x <= np.pi / 2, edge, w - edge))
-    # the series sees 0 outside its band, where x^N would overflow at large N
-    small = x < 1e-5
-    if np.any(small):
-        xs = np.maximum(np.where(small, x, 0.0), 0.0)
-        out = np.where(small, _sinpow_series(N, xs), out)
-    tail = x > np.pi - 1e-5
-    if np.any(tail):
-        xs = np.maximum(np.where(tail, np.pi - x, 0.0), 0.0)
-        out = np.where(tail, w - _sinpow_series(N, xs), out)
+    s2 = np.sin(x) ** 2
+    out = np.empty_like(x)
+    mid = s2 > split
+    small, tail = x < 1e-5, x > np.pi - 1e-5
+    edge = ~(mid | small | tail)
+    if np.count_nonzero(mid):
+        c = np.cos(x[mid])
+        out[mid] = 0.5 * w * (1.0 - np.sign(c) * betainc(0.5, N / 2.0, np.minimum(c * c, 1.0 - split)))
+    if np.count_nonzero(edge):
+        Se = 0.5 * w * betainc(N / 2.0, 0.5, s2[edge])
+        out[edge] = np.subtract(w, Se, out=Se, where=x[edge] > np.pi / 2)  # reflect
+    # x^N would overflow at large N outside the series band
+    if np.count_nonzero(small):
+        out[small] = _sinpow_series(N, np.maximum(x[small], 0.0))
+    if np.count_nonzero(tail):
+        out[tail] = w - _sinpow_series(N, np.maximum(np.pi - x[tail], 0.0))
     return out if out.ndim else float(out)
 
 
@@ -317,13 +325,18 @@ def tau_coeff(q: CoefficientQuery):
 
 
 def model_density(N, grid: Grid) -> WeightedInterval:
-    """h_N(t) = sin^{N-1}(t)/omega_N sampled on grid (grid.D <= pi)."""
-    wN = omega(N)
-    s = np.sin(grid.nodes)
+    """h_N(t) = sin^{N-1}(t)/omega_N sampled on grid (grid.D <= pi), built in
+    place in one array."""
+    t = grid.nodes
+    h = np.sin(t)
     # sin(pi) evaluates to ~1.2e-16; the density really vanishes at the pole,
     # and a spurious positive value there trips the theta = pi coefficient.
-    s[np.abs(grid.nodes - math.pi) < 1e-12] = 0.0
-    h = np.clip(s, 0.0, None) ** (N - 1) / wN
+    # Only nodes past pi - 1e-6 can be within 1e-12 of it.
+    k = np.searchsorted(t, math.pi - 1e-6)
+    h[k:][np.abs(t[k:] - math.pi) < 1e-12] = 0.0
+    np.clip(h, 0.0, None, out=h)
+    h **= N - 1
+    h /= omega(N)
     return WeightedInterval(grid=grid, h=h, K=N - 1.0, N=float(N))
 
 

@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obatalab import isoperimetry as iso
 from obatalab.errors import ParameterDomainError
@@ -79,6 +79,10 @@ def test_solve_R_residual_contract_over_scan():
 @given(N=st.floats(1.0, 8.0, exclude_min=True),
        D=st.floats(0.0, math.pi, exclude_min=True),
        b_frac=st.floats(0.0, 1.0), v1=st.floats(0.0, 1.0), v2=st.floats(0.0, 1.0))
+# windows short against their pole distance, solved in offsets from b
+@example(N=3.0, D=1e-13, b_frac=(math.pi - 1e-3) / (math.pi - 1e-13), v1=0.1, v2=0.9)
+@example(N=2.0, D=1e-9, b_frac=0.6, v1=0.3, v2=0.5)
+@example(N=5.0, D=0.2, b_frac=0.7, v1=0.0, v2=1.0)
 def test_solve_R_contract_property(N, D, b_frac, v1, v2):
     b = (math.pi - D) * b_frac
     v1, v2 = sorted((v1, v2))
@@ -293,6 +297,31 @@ def test_profile_out_of_float_range_raises(N, D):
             profile(ProfileQuery(N, D, 0.5))
 
 
+def test_profile_short_windows_match_closed_forms():
+    # at v = 1/2 the centred window is optimal: I = 1/(2 sin(D/2)) at N = 2 and
+    # 2/(D + sin D) at N = 3. The window mass used to take its width from
+    # (b + D) - b, rounded to the ulp of b: N = 2 read 1.4e-10 low at D = 1e-6,
+    # 3.1e-4 at 1e-13 and 32% at 3e-16
+    Ds = [1e-6, 1e-10, 1e-13, *np.geomspace(iso.MIN_PROFILE_DIAMETER, 1.0, 31)]
+    with mp.workdps(30):
+        for D in Ds:
+            d = mp.mpf(D)
+            for N, exact in ((2.0, 1 / (2 * mp.sin(d / 2))), (3.0, 2 / (d + mp.sin(d)))):
+                got = profile(ProfileQuery(N, D, 0.5)).value
+                assert abs(got - exact) <= 1e-12 * exact, (N, D)
+
+
+def test_profile_refuses_diameters_below_the_floor():
+    # a window ending near pi is a few ulps wide there: profile(2, 7e-16, 1/2)
+    # missed 1/(2 sin(D/2)) by 6e-11 and below 2.2e-16 it divided by zero
+    for call in (lambda D: profile(ProfileQuery(2.0, D, 0.5)),
+                 lambda D: bbg_ratio_check(2.0, D, [0.5])):
+        for D in (0.99 * iso.MIN_PROFILE_DIAMETER, 3e-16, 1e-20):
+            with pytest.raises(ParameterDomainError, match="below the floor 1e-15"):
+                call(D)
+    assert profile(ProfileQuery(2.0, iso.MIN_PROFILE_DIAMETER, 0.5)).value > 0.0
+
+
 @pytest.mark.parametrize("call", [
     lambda: solve_R(100.0, 0.0, 0.5, 1e-4),
     lambda: g_eval(100.0, 0.0, 0.5, 1e-4),
@@ -411,6 +440,52 @@ def test_c_squared_minus_one_domain():
         for fn in (c_squared_minus_one, bbg_constant):
             with pytest.raises(ParameterDomainError):
                 fn(N, 2.0)
+
+
+def test_bbg_small_diameter_closed_form():
+    # at N = 2, C_{2,D} = sin(D/2)^{-1/2}. The cap int_0^{D/2} cos used to be
+    # half - tail, off by 6.7e-13 at D = 1e-4 and 4.4e-5 at 1e-12
+    with mp.workdps(30):
+        for D in np.geomspace(1e-12, math.pi, 61):
+            s = mp.sin(mp.mpf(D) / 2)
+            assert abs(bbg_constant(2.0, D) - s ** -0.5) <= 1e-13 * s ** -0.5, D
+            assert abs(c_squared_minus_one(2.0, D) - (1 / s - 1)) <= 1e-13 * (1 / s - 1), D
+
+
+@pytest.mark.parametrize("N", [1.5, 3.0, 7.5, 100.0])
+def test_bbg_matches_mpmath_on_both_cap_forms(N):
+    # the cap is half - tail while tail <= half / 2 and is taken directly
+    # below that. The reference, in units of half: the cap I_{sin^2 a}(1/2, N/2)
+    # and the tail I_{cos^2 a}(N/2, 1/2), a = D/2 (mpmath's quad of cos^99
+    # loses digits)
+    with mp.workdps(40):
+        for D in (1e-10, 1e-4, 0.1, 0.5, 1.0, 2.0, 3.0):
+            a = mp.mpf(D) / 2
+            cap = mp.betainc(0.5, N / 2, 0, mp.sin(a) ** 2, regularized=True)
+            tail = mp.betainc(N / 2, 0.5, 0, mp.cos(a) ** 2, regularized=True)
+            exact = ((cap + tail) / cap) ** (1 / mp.mpf(N))
+            assert abs(bbg_constant(N, D) - exact) <= 1e-13 * exact, D
+            exact2 = mp.expm1(2 / mp.mpf(N) * mp.log1p(tail / cap))
+            assert abs(c_squared_minus_one(N, D) - exact2) <= 1e-12 * exact2, D
+
+
+def test_bbg_answers_at_every_diameter():
+    # from about D = 1e-16 down, half - tail was 0 and bbg_constant,
+    # c_squared_minus_one and lichnerowicz_check raised ZeroDivisionError
+    from obatalab.measures import Grid, model_density
+    from obatalab.spectral import lichnerowicz_check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (1.0001, 2.0, 3.0, 50.0):
+            for D in (5e-324, 1e-320, 1e-300, 1e-100, 1e-16):
+                assert bbg_constant(N, D) > 1.0
+                assert c_squared_minus_one(N, D) > 0.0
+            for D in (1e-300, 1e-16):
+                rep = lichnerowicz_check(model_density(N, Grid.uniform(D, 16)), N + 1.0)
+                assert rep.margin < 0.0 and not rep.diam_ok
+    # C_{2,D} = sin(D/2)^{-1/2} is finite all the way down; C^2 - 1 overflows
+    assert bbg_constant(2.0, 5e-324) == pytest.approx(float((mp.mpf(5e-324) / 2) ** -0.5), rel=1e-13)
+    assert c_squared_minus_one(2.0, 5e-324) == math.inf
 
 
 # ---------------------------------------------------------------------------

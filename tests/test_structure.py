@@ -291,3 +291,63 @@ def test_one_extrapolation_step_and_one_rule_per_parameter():
     assert callers("require_diameter") == [
         "isoperimetry.ProfileQuery.__post_init__", "isoperimetry._check_constant",
         "measures.Grid.__post_init__", "measures.Grid.uniform"]
+
+
+def _special_calls_per_name(fn, special):
+    """For each name assigned in fn, the scipy.special functions its value
+    calls, directly or through names assigned before it."""
+    reach = {}
+
+    def calls(expr):
+        found = set()
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") in special:
+                found.add(node.func.id)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found |= reach.get(node.id, set())
+        return found
+
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple) else
+                         zip(target.elts, node.value.elts) if isinstance(node.value, ast.Tuple)
+                         else [(elt, node.value) for elt in target.elts])
+                for name, value in pairs:
+                    if isinstance(name, ast.Name):
+                        reach[name.id] = reach.get(name.id, set()) | calls(value)
+    return calls
+
+
+def _where_with_special_in_both_arms(source, name):
+    """np.where calls in function `name` of `source` whose kept and discarded
+    arms both evaluate a scipy.special function."""
+    tree = ast.parse(source)
+    special = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+               for alias in node.names}
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    calls = _special_calls_per_name(fn, special)
+    return [ast.unparse(node) for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "where" and len(node.args) == 3
+            and calls(node.args[1]) and calls(node.args[2])]
+
+
+def test_kernels_evaluate_no_discarded_special_function():
+    # sinpow_cum and _sinpow_inv evaluate each incomplete beta only on the
+    # elements that keep it, never on both arms of an np.where
+    for module, name in (("measures.py", "sinpow_cum"), ("isoperimetry.py", "_sinpow_inv")):
+        assert _where_with_special_in_both_arms((SRC / module).read_text(), name) == []
+    # the check sees the two-branch form through the names it assigns
+    two_branch = """
+from scipy.special import betainc
+def sinpow_cum(N, x):
+    s2, c = np.sin(x) ** 2, np.cos(x)
+    edge = betainc(N / 2.0, 0.5, s2)
+    mid = 1.0 - betainc(0.5, N / 2.0, c * c)
+    return np.where(s2 > 0.5, mid, np.where(x <= 1.5, edge, 2.0 - edge))
+"""
+    found = _where_with_special_in_both_arms(two_branch, "sinpow_cum")
+    assert found and found[0].startswith("np.where(s2 > 0.5, mid, ")
