@@ -6,6 +6,13 @@ writes results.csv and summary.json into --out; summary.json carries the
 config hash and the tolerances in force and is byte-stable across repeated
 runs (volatile data like runtime goes to the run_info.json sidecar).
 
+Every run replaces its artifacts: measures.replace_file removes the old file
+and writes a new one, so a shorter table leaves no stale rows, an artifact
+path that is a symlink becomes a regular file (its target is not written),
+and ext4 skips the flush it makes when a truncated file is rewritten. A run
+that draws no plot removes plot.svg; a log-log plot of a column with a value
+<= 0 is skipped with one printed line, and the run keeps its exit code.
+
 main() may be called many times in one process, as a batch script does: it
 builds its parser on the first call and reuses it for every later one, and
 it returns an exit code instead of ending the process, also for -h/--help.
@@ -14,6 +21,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -27,7 +35,7 @@ from .errors import ConfigError, NonCDInputError, ObataLabError
 from .isoperimetry import BRACKET_TOL, RESIDUAL_TOL, ProfileQuery, profile
 from .localization import (ENERGY_IDENTITY_SLACK, FLAG_FACTOR, IDENTITY_SLACK, VOLUME_SLACK,
                            load_family, localize)
-from .measures import Grid, cd_check, load_density_csv, model_density
+from .measures import Grid, cd_check, load_density_csv, model_density, replace_file
 from .obata1d import (DEFICIT_GUARD, FAMILIES, FIT_FLAG_R2, GROWTH_LIMIT, SLOPE_SLACK,
                       ExperimentSpec, deficit_distance_sweep, diameter_deficit_sweep,
                       upper_gap_check)
@@ -76,11 +84,12 @@ def _cell(x):
 def _write_artifacts(config: RunConfig, art: _Artifact, runtime):
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "results.csv")
-    with open(csv_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(art.header)
-        for row in art.rows:
-            writer.writerow([_cell(x) for x in row])
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(art.header)
+    for row in art.rows:
+        writer.writerow([_cell(x) for x in row])
+    replace_file(csv_path, table.getvalue())
 
     from obatalab import __version__
 
@@ -97,15 +106,22 @@ def _write_artifacts(config: RunConfig, art: _Artifact, runtime):
         "tolerances": art.tolerances,
         "results": art.results,
     }
-    with open(os.path.join(config.out, "summary.json"), "w", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(os.path.join(config.out, "run_info.json"), "w", newline="\n") as fh:
-        json.dump({"runtime_seconds": runtime}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    for name, doc in (("summary.json", summary), ("run_info.json", {"runtime_seconds": runtime})):
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        replace_file(os.path.join(config.out, name), text)
 
-    if art.plot is not None and art.rows:
-        render_plot(csv_path, os.path.join(config.out, "plot.svg"), **art.plot)
+    svg_path = os.path.join(config.out, "plot.svg")
+    plot = art.plot if art.rows else None
+    if plot and plot["loglog"]:
+        bad = [name for name in (plot["x"], plot["y"])
+               if not all(row[art.header.index(name)] > 0 for row in art.rows)]
+        if bad:
+            print(f"plot.svg skipped: column {bad[0]!r} has a value <= 0 for its log axis")
+            plot = None
+    if plot is None:
+        replace_file(svg_path)
+    else:
+        render_plot(csv_path, svg_path, **plot)
 
 
 def _run_profile(config: RunConfig) -> _Artifact:

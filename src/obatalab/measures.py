@@ -13,14 +13,16 @@ The generator builds exact CD(N-1, N) densities h = w^{N-1} from
 w'' = -(1 + a) w with a piecewise-constant excess a >= 0: on each piece w is
 a closed-form rotation, so the samples do not depend on the grid.
 
-It also owns reading CSV input: read_csv is the one parser of the density
-files, ray samples and plotted tables. And it owns the Richardson step,
-extrapolate, which every extrapolated value takes, and the two parameter
-rules of CD(N - 1, N) on [0, D]: require_dimension (1 < N < inf) and
-require_diameter (0 < D <= pi), which every validator of N or D calls.
+It also owns file I/O: read_csv is the one parser of the density files,
+ray samples and plotted tables, and replace_file the one writer of the CLI
+artifacts. And it owns the Richardson step, extrapolate, which every
+extrapolated value takes, and the two parameter rules of CD(N - 1, N) on
+[0, D]: require_dimension (1 < N < inf) and require_diameter (0 < D <= pi),
+which every validator of N or D calls.
 """
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +198,23 @@ def read_csv(path, names=()):
     if not np.isfinite(data).all():
         raise ConfigError(f"{path}: non-finite value")
     return dict(zip(header, data.T.copy()))
+
+
+def replace_file(path, text=None):
+    """Remove the file (or symlink) at path, then write text to a new file there.
+
+    The old file is never truncated in place: ext4 flushes a file that was
+    truncated and rewritten when it is closed, about 120 us a file against
+    20 us to remove it and create a new one. A rename over the old file is
+    flushed too. A symlink is replaced, not written through. With text None
+    the file is only removed."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    if text is not None:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 def load_density_csv(path, K, N):

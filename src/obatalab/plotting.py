@@ -7,7 +7,7 @@ produce identical bytes, so plots can be golden-file tested.
 import math
 
 from .errors import ConfigError
-from .measures import read_csv
+from .measures import read_csv, replace_file
 from .obata1d import loglog_fit
 
 WIDTH, HEIGHT = 640, 480
@@ -118,7 +118,5 @@ def render_plot(table, out_path, x, y, loglog=False, annotate=False):
         )
 
     parts.append("</svg>")
-    payload = "\n".join(parts) + "\n"
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write(payload)
+    replace_file(out_path, "\n".join(parts) + "\n")
     return out_path

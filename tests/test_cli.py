@@ -517,10 +517,70 @@ def test_rerun_byte_identical(run_cli, fixtures_dir):
 def test_sweep_rerun_identical_with_plot(run_cli):
     args = ("sweep", "--dim", "2", "--family", "perturbed-cosine",
             "--grid", "512")
-    _, out1 = run_cli(*args, out="a")
+    run_cli(*args, out="a")
+    _, out1 = run_cli(*args, out="a")  # a second run into the same --out
     _, out2 = run_cli(*args, out="b")
     for name in ("summary.json", "results.csv", "plot.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _artifact_bytes(out):
+    return {name: (out / name).read_bytes()
+            for name in ("results.csv", "summary.json", "plot.svg") if (out / name).exists()}
+
+
+def test_shorter_rerun_leaves_no_stale_rows(run_cli):
+    args = ("sweep", "--dim", "2", "--family", "perturbed-cosine", "--grid", "512")
+    run_cli(*args, "--points", "0.2,0.1,0.05,0.025,0.0125,0.00625", out="a")
+    _, out = run_cli(*args, "--points", "0.2,0.1,0.05,0.025,0.0125", out="a")
+    _, fresh = run_cli(*args, "--points", "0.2,0.1,0.05,0.025,0.0125", out="b")
+    assert len((out / "results.csv").read_text().splitlines()) == 6
+    assert _artifact_bytes(out) == _artifact_bytes(fresh)
+
+
+def test_run_without_plot_removes_stale_plot(run_cli):
+    _, out = run_cli("sweep", "--dim", "2", "--family", "perturbed-cosine", "--grid", "512")
+    assert (out / "plot.svg").exists()
+    proc, out = run_cli("spectrum", "--model", "--dim", "2", "--grid", "512")
+    assert proc.returncode == 0
+    assert not (out / "plot.svg").exists()
+
+
+def test_non_positive_gap_skips_plot_and_keeps_verdict(tmp_path, fixtures_dir):
+    # at N = 5.5 the diameter sweep's gap goes <= 0 (a false VIOLATED verdict,
+    # ROADMAP item 2); the log-log plot of it used to end the run in exit 1,
+    # and the dilated model's NaN power in a RuntimeWarning
+    root = fixtures_dir.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plot.svg").write_text("stale")
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "obatalab.cli",
+                           "obata", "--dim", "5.5", "--out", str(out)],
+                          capture_output=True, text=True, cwd=str(root), env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    first, last = proc.stdout.splitlines()
+    assert first.endswith("lower bound VIOLATED")
+    assert last == "plot.svg skipped: column 'gap' has a value <= 0 for its log axis"
+    assert (out / "summary.json").exists() and (out / "results.csv").exists()
+    assert not (out / "plot.svg").exists()
+
+
+def test_artifact_symlink_is_replaced_not_followed(run_cli, tmp_path):
+    # an artifact path that is a symlink is replaced by a regular file; the
+    # file it pointed to is left as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "elsewhere.csv"
+    target.write_text("keep\n")
+    (out / "results.csv").symlink_to(target)
+    proc, out = run_cli("spectrum", "--model", "--dim", "2", "--grid", "512")
+    assert proc.returncode == 0
+    assert not (out / "results.csv").is_symlink()
+    assert _results_header(out) == "index,eigenvalue,richardson,residual,err_bar"
+    assert target.read_text() == "keep\n"
 
 
 # --------------------------------------------------------------------------

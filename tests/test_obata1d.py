@@ -95,6 +95,11 @@ def test_model_family_constructors():
     assert d.total_mass == pytest.approx(1.0, abs=1e-12)
     assert d.h[-1] == 0.0
     assert d.h[0] == 0.0
+    # sin(pi t / D) at the last node is -3.2e-16 here: for non-integer N its
+    # power was NaN, with a RuntimeWarning
+    d = dilated_model(5.5, math.pi - 0.2, 4096)
+    assert np.all(np.isfinite(d.h)) and np.all(d.h >= 0.0)
+    assert d.h[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +305,40 @@ def test_upper_gap_linear_bound():
     # sqrt(N+1) cos has deficit O(eps)
     assert rep.candidate_max_ratio < 10.0
     assert np.all(rep.candidate_deficit > 0)
+
+
+@pytest.mark.parametrize("N", [2.0, 3.0, 5.5])
+def test_neumann_solve_matches_closed_form_models(N):
+    # the closed forms that upper_gap_check and the perturbed-cosine sweep take
+    # instead of a solve: the dilated model sin^{N-1}(pi t / D) is the model
+    # rescaled by pi / D, so lambda_1 = N (pi/D)^2, and the model's own is N
+    for D in (math.pi - 0.2, math.pi - 0.1, math.pi - 0.05):
+        lam = neumann_eigs(dilated_model(N, D, 4096), k=1).richardson[0]
+        assert abs(lam / (N * (math.pi / D) ** 2) - 1.0) <= 1e-11, D
+    lam = neumann_eigs(model_density(N, Grid.uniform(math.pi, 4096)), k=1).richardson[0]
+    assert abs(lam / N - 1.0) <= 1e-11
+
+
+def test_closed_form_paths_solve_nothing(monkeypatch):
+    from obatalab import obata1d, spectral
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return neumann_eigs(*args, **kwargs)
+
+    monkeypatch.setattr(obata1d, "neumann_eigs", counting)
+    monkeypatch.setattr(spectral, "neumann_eigs", counting)
+    rep = upper_gap_check(3.0, grid_n=512)
+    assert calls == []
+    assert np.array_equal(rep.gap, 3.0 * (math.pi / (math.pi - rep.eps)) ** 2 - 3.0)
+    res = deficit_distance_sweep(ExperimentSpec(N=2.0, family="perturbed-cosine", grid_n=512))
+    assert calls == []
+    assert np.all(res.lambda1 == 2.0)
+    # the wrapper is live: the truncated-model sweep solves each of its 5 points
+    deficit_distance_sweep(ExperimentSpec(N=2.0, family="truncated-model", grid_n=512))
+    assert len(calls) == 5
 
 
 def test_upper_gap_validation():

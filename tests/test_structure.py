@@ -10,7 +10,8 @@ is written once, spectral._flux_quotient, and both the eigenvalues and
 rayleigh() take it. A refined level holds no arrays of its own: its flux and
 mass are formed per block from the nodes and densities, by the one assembly,
 spectral._assemble. CSV input, density files, ray samples and plotted
-tables alike, is parsed by one function, measures.read_csv. The Richardson
+tables alike, is parsed by one function, measures.read_csv, and every
+artifact is written by one, measures.replace_file. The Richardson
 step is written once, measures.extrapolate, and so are the rules 1 < N < inf
 and 0 < D <= pi, measures.require_dimension and measures.require_diameter,
 which every validator of N or D calls. The CLI starts
@@ -220,6 +221,29 @@ def test_csv_parsed_only_by_read_csv():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Import) and "csv" in (a.name for a in node.names)]
     assert importers == ["cli"]
+
+
+def _opens(path):
+    """(module.function, mode) of each open() call in path's functions."""
+    for name, fn in _defs(path):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "open":
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+                yield name, modes[0].value if modes else "r"
+
+
+def test_files_written_only_by_replace_file():
+    # artifacts are replaced, never truncated in place: the package's one
+    # open() for writing is measures.replace_file's, and cli and plotting
+    # open no file of their own (os.open, Path.write_text and the like alike)
+    paths = sorted(SRC.glob("*.py"))
+    writers = [name for path in paths for name, mode in _opens(path)
+               if set(mode) & set("wax+")]
+    assert writers == ["measures.replace_file"]
+    opener = re.compile(r"\bopen\(|\.write_(text|bytes)\(|\bshutil\.|\bos\.(rename|replace)\(")
+    front = [SRC / "cli.py", SRC / "plotting.py"]
+    assert _hits(front, opener) == []
+    assert all("replace_file(" in path.read_text() for path in front)
 
 
 def _defs(path):
