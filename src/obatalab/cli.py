@@ -9,9 +9,14 @@ runs (volatile data like runtime goes to the run_info.json sidecar).
 Every run replaces its artifacts: measures.replace_file removes the old file
 and writes a new one, so a shorter table leaves no stale rows, an artifact
 path that is a symlink becomes a regular file (its target is not written),
-and ext4 skips the flush it makes when a truncated file is rewritten. A run
-that draws no plot removes plot.svg; a log-log plot of a column with a value
-<= 0 is skipped with one printed line, and the run keeps its exit code.
+and ext4 skips the flush it makes when a truncated file is rewritten.
+
+The obata and sweep runs draw plot.svg, a log-log plot of two columns of
+their table, from the rows in memory and annotated with the handler's own
+FitResult. plotting.render_plot decides whether it can be drawn (every
+plotted value finite and > 0); when it cannot, the run prints one line,
+writes no plot and keeps its exit code. A run that draws no plot removes
+plot.svg.
 
 main() may be called many times in one process, as a batch script does: it
 builds its parser on the first call and reuses it for every later one, and
@@ -83,13 +88,12 @@ def _cell(x):
 
 def _write_artifacts(config: RunConfig, art: _Artifact, runtime):
     os.makedirs(config.out, exist_ok=True)
-    csv_path = os.path.join(config.out, "results.csv")
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")
     writer.writerow(art.header)
     for row in art.rows:
         writer.writerow([_cell(x) for x in row])
-    replace_file(csv_path, table.getvalue())
+    replace_file(os.path.join(config.out, "results.csv"), table.getvalue())
 
     from obatalab import __version__
 
@@ -111,17 +115,15 @@ def _write_artifacts(config: RunConfig, art: _Artifact, runtime):
         replace_file(os.path.join(config.out, name), text)
 
     svg_path = os.path.join(config.out, "plot.svg")
-    plot = art.plot if art.rows else None
-    if plot and plot["loglog"]:
-        bad = [name for name in (plot["x"], plot["y"])
-               if not all(row[art.header.index(name)] > 0 for row in art.rows)]
-        if bad:
-            print(f"plot.svg skipped: column {bad[0]!r} has a value <= 0 for its log axis")
+    plot = art.plot
+    if plot is not None:
+        try:
+            render_plot(dict(zip(art.header, zip(*art.rows))), svg_path, **plot)
+        except ConfigError as exc:
+            print(f"plot.svg skipped: {exc}")
             plot = None
     if plot is None:
         replace_file(svg_path)
-    else:
-        render_plot(csv_path, svg_path, **plot)
 
 
 def _run_profile(config: RunConfig) -> _Artifact:
@@ -142,16 +144,19 @@ def _run_profile(config: RunConfig) -> _Artifact:
     )
 
 
+def _load_density(path, p):
+    """The t,h density file at path, for CD(kappa, N) with kappa N - 1 unless --kappa."""
+    N = p["dim"]
+    kappa = p.get("kappa")
+    return load_density_csv(path, K=N - 1.0 if kappa is None else kappa, N=N)
+
+
 def _build_interval(config: RunConfig):
     p = config.params
-    N = p["dim"]
     if p.get("density"):
-        kappa = p.get("kappa")
-        if kappa is None:
-            kappa = N - 1.0
-        return load_density_csv(p["density"], K=kappa, N=N)
+        return _load_density(p["density"], p)
     D = math.pi if p.get("diam") is None else p["diam"]
-    return model_density(N, Grid.uniform(D, config.grid))
+    return model_density(p["dim"], Grid.uniform(D, config.grid))
 
 
 def _run_spectrum(config: RunConfig) -> _Artifact:
@@ -192,17 +197,16 @@ def _run_obata(config: RunConfig) -> _Artifact:
         for e, g, lo, h in zip(ds.eps, ds.gap, ds.lower, ds.holds)
     ]
     status = "ok" if ds.all_hold else "VIOLATED"
-    print(
-        f"diameter sweep N={N:g}: slope {ds.fit.slope:.4f} "
-        f"(target {N:g}), lower bound {status}"
-    )
+    fit = ds.fit
+    slope = "none (fewer than two positive gaps)" if fit is None else f"{fit.slope:.4f}"
+    print(f"diameter sweep N={N:g}: slope {slope} (target {N:g}), lower bound {status}")
     return _Artifact(
         header=("eps", "gap", "lower", "holds", "ratio"),
         rows=rows,
         results={
-            "slope": ds.fit.slope,
-            "intercept": ds.fit.intercept,
-            "r_squared": ds.fit.r_squared,
+            "slope": None if fit is None else fit.slope,
+            "intercept": None if fit is None else fit.intercept,
+            "r_squared": None if fit is None else fit.r_squared,
             "all_hold": ds.all_hold,
             "ratio_range": list(ds.ratio_range),
             "upper_gap_max_ratio": ug.max_ratio,
@@ -210,7 +214,7 @@ def _run_obata(config: RunConfig) -> _Artifact:
             "upper_candidate_max_ratio": ug.candidate_max_ratio,
         },
         tolerances={"direction_slack": 0.0, "fit_flag_r2": FIT_FLAG_R2},
-        plot={"x": "eps", "y": "gap", "loglog": True, "annotate": True},
+        plot={"x": "eps", "y": "gap", "fit": fit},
         exit_code=0 if ds.all_hold else 2,
     )
 
@@ -248,7 +252,7 @@ def _run_sweep(config: RunConfig) -> _Artifact:
         },
         tolerances={"deficit_guard": DEFICIT_GUARD, "constant_growth_limit": GROWTH_LIMIT,
                     "slope_slack": SLOPE_SLACK, "fit_flag_r2": FIT_FLAG_R2},
-        plot={"x": "delta", "y": "dist_w12", "loglog": True, "annotate": True},
+        plot={"x": "delta", "y": "dist_w12", "fit": res.fit},
         exit_code=2 if res.rate_violated else 0,
     )
 
@@ -314,11 +318,7 @@ def _run_localize(config: RunConfig) -> _Artifact:
 
 def _run_check_density(config: RunConfig) -> _Artifact:
     p = config.params
-    N = p["dim"]
-    kappa = p.get("kappa")
-    if kappa is None:
-        kappa = N - 1.0
-    w = load_density_csv(p["file"], K=kappa, N=N)
+    w = _load_density(p["file"], p)
     verdict = cd_check(w, sample_pairs=int(p.get("pairs") or 0), tol=CD_TOL)
     if verdict.passed:
         print(f"PASS: CD({w.K:g},{w.N:g}) holds on {verdict.checked} triples")

@@ -9,6 +9,15 @@ is localize(), which runs the whole chain once and returns a Localization
 holding every stage report; each stage reads what it needs from the
 reports of the stages before it.
 
+Each policy of the chain is decided in one place. A deficit delta <= 0 (a
+rigid family, up to rounding) counts as 0 at every stage: every threshold,
+envelope and ratio reads DeficitLedger.delta_plus, so the rule is written
+once (assemble_main only reports the raw delta). localize alone resolves the
+default exponents beta and gamma; every stage takes them as required
+arguments or reads beta from the selection report. The per-ray |c_q| comes
+from the ledger and the long-ray mass q(Q_long) from the selection report,
+each computed once.
+
 All reductions over rays are plain ordered folds, so results are bit-stable
 regardless of how per-ray work is scheduled.
 """
@@ -159,6 +168,11 @@ class DeficitLedger:
     c: np.ndarray           # per-ray |c_q|; per_ray_cosine fixes the signs
     delta_q: np.ndarray     # per-ray deficits, nan where c_q = 0
 
+    @property
+    def delta_plus(self):
+        """The deficit every stage reads: delta <= 0 counts as exactly 0."""
+        return max(self.delta, 0.0)
+
 
 def global_deficit(f: RayFamily) -> DeficitLedger:
     """delta = sum_i q_i int(|u_i'|^2 + e_i) dm_i - N, with the per-ray ledger.
@@ -207,13 +221,13 @@ class LongRayReport:
     threshold: float       # delta^beta cut on per-ray deficits
     excluded_c2: float     # sum of q c^2 over excluded rays
     chebyshev_bound: float
-    chebyshev_ok: bool
     long_c2: float
+    long_mass: float       # q(Q_long)
     max_length_gap: float  # max over Q_long of pi - D_i
     length_bound: float    # (delta^beta / C_N)^{1/N}
 
 
-def select_long_rays(f: RayFamily, ledger: DeficitLedger, beta=None) -> LongRayReport:
+def select_long_rays(f: RayFamily, ledger: DeficitLedger, beta) -> LongRayReport:
     """Q_long = {c_q > 0, delta_q <= delta^beta}, with Chebyshev certificates.
 
     The mass certificate is arithmetic given the ledger. The length
@@ -222,64 +236,55 @@ def select_long_rays(f: RayFamily, ledger: DeficitLedger, beta=None) -> LongRayR
     carry a CD density and raises NonCDInputError.
     """
     N = f.N
-    if beta is None:
-        beta = default_beta(N)
     if not 0 < beta < 1:
         raise ParameterDomainError("need 0 < beta < 1")
-    delta = ledger.delta
+    delta = ledger.delta_plus
     weights = f.weights
     c = ledger.c
     c2 = c * c
 
-    if delta <= 0:
+    if delta == 0.0:
         # rigid path: every ray must genuinely reach both poles
-        gaps = [math.pi - r.w.grid.D for r in f.rays]
-        if max(gaps) > 1e-6:
+        max_gap = max(math.pi - r.w.grid.D for r in f.rays)
+        if max_gap > 1e-6:
             raise NonCDInputError(
                 "nonpositive deficit with a short ray: not a CD family"
             )
         Q_long = tuple(i for i in range(len(f.rays)) if c[i] > 0)
-        long_c2 = math.fsum(weights[i] * c2[i] for i in Q_long)
-        return LongRayReport(
-            Q_long=Q_long, beta=float(beta), threshold=0.0, excluded_c2=0.0,
-            chebyshev_bound=0.0, chebyshev_ok=True, long_c2=float(long_c2),
-            max_length_gap=float(max(gaps)), length_bound=0.0,
+        threshold = excluded_c2 = bound = length_bound = 0.0
+    else:
+        threshold = delta ** beta
+        Q_long = tuple(
+            i for i in range(len(f.rays))
+            if c[i] > 0 and ledger.delta_q[i] <= threshold
         )
+        excluded = [i for i in range(len(f.rays)) if i not in set(Q_long)]
+        excluded_c2 = math.fsum(weights[i] * c2[i] for i in excluded)
 
-    threshold = delta ** beta
-    Q_long = tuple(
-        i for i in range(len(f.rays))
-        if c[i] > 0 and ledger.delta_q[i] <= threshold
-    )
-    excluded = [i for i in range(len(f.rays)) if i not in set(Q_long)]
-    excluded_c2 = math.fsum(weights[i] * c2[i] for i in excluded)
-    long_c2 = math.fsum(weights[i] * c2[i] for i in Q_long)
-
-    # Markov: the long rays may carry slightly negative delta_q from rounding,
-    # which loosens the budget; the certificate keeps that slack explicit.
-    long_contrib = math.fsum(
-        weights[i] * ledger.delta_q[i] * c2[i] for i in Q_long
-    )
-    slack = (IDENTITY_SLACK + max(0.0, -long_contrib)) / threshold
-    bound = delta ** (1.0 - beta) + slack
-    ok = excluded_c2 <= bound
-    if not ok:
-        raise NonCDInputError(
-            f"Chebyshev certificate failed: {excluded_c2} > {bound}"
+        # Markov: the long rays may carry slightly negative delta_q from rounding,
+        # which loosens the budget; the certificate keeps that slack explicit.
+        long_contrib = math.fsum(
+            weights[i] * ledger.delta_q[i] * c2[i] for i in Q_long
         )
+        slack = (IDENTITY_SLACK + max(0.0, -long_contrib)) / threshold
+        bound = delta ** (1.0 - beta) + slack
+        if not excluded_c2 <= bound:
+            raise NonCDInputError(
+                f"Chebyshev certificate failed: {excluded_c2} > {bound}"
+            )
 
-    length_bound = (threshold / asymptotic_rate_constant(N)) ** (1.0 / N)
-    gaps = [math.pi - f.rays[i].w.grid.D for i in Q_long]
-    max_gap = max(gaps) if gaps else 0.0
-    if max_gap > length_bound * (1.0 + 1e-9) + 1e-12:
-        raise NonCDInputError(
-            f"long ray with diameter gap {max_gap} exceeds CD length bound "
-            f"{length_bound}"
-        )
+        length_bound = (threshold / asymptotic_rate_constant(N)) ** (1.0 / N)
+        max_gap = max((math.pi - f.rays[i].w.grid.D for i in Q_long), default=0.0)
+        if max_gap > length_bound * (1.0 + 1e-9) + 1e-12:
+            raise NonCDInputError(
+                f"long ray with diameter gap {max_gap} exceeds CD length bound "
+                f"{length_bound}"
+            )
     return LongRayReport(
         Q_long=Q_long, beta=float(beta), threshold=float(threshold),
         excluded_c2=float(excluded_c2), chebyshev_bound=float(bound),
-        chebyshev_ok=bool(ok), long_c2=float(long_c2),
+        long_c2=math.fsum(weights[i] * c2[i] for i in Q_long),
+        long_mass=math.fsum(weights[i] for i in Q_long),
         max_length_gap=float(max_gap), length_bound=float(length_bound),
     )
 
@@ -288,7 +293,6 @@ def select_long_rays(f: RayFamily, ledger: DeficitLedger, beta=None) -> LongRayR
 class BadSetReport:
     value: float        # energy of u outside the long-ray span
     bound: float        # (N+1) delta^{1-beta} + 1e-10, when delta <= 1
-    ok: bool
 
 
 def bad_set_energy(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport) -> BadSetReport:
@@ -300,17 +304,16 @@ def bad_set_energy(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport) -> B
             continue
         du = first_diff(r.w.grid.nodes, r.u)
         value += r.weight * r.w.mean(du * du + r.e)
-    delta_eff = max(ledger.delta, 0.0)
-    if delta_eff > 1.0:
+    delta = ledger.delta_plus
+    if delta > 1.0:
         # the (N+1) delta^{1-beta} bound is only claimed in the delta <= 1 regime
-        return BadSetReport(value=float(value), bound=None, ok=True)
-    bound = (f.N + 1.0) * delta_eff ** (1.0 - sel.beta) + IDENTITY_SLACK
-    ok = value <= bound
-    if not ok:
+        return BadSetReport(value=float(value), bound=None)
+    bound = (f.N + 1.0) * delta ** (1.0 - sel.beta) + IDENTITY_SLACK
+    if not value <= bound:
         raise NonCDInputError(
             f"bad-set energy {value} exceeds (N+1) delta^(1-beta) = {bound}"
         )
-    return BadSetReport(value=float(value), bound=float(bound), ok=bool(ok))
+    return BadSetReport(value=float(value), bound=float(bound))
 
 
 @dataclass(frozen=True)
@@ -321,17 +324,18 @@ class PerRayCosineReport:
     max_dist: float
 
 
-def per_ray_cosine(f: RayFamily, Q_long) -> PerRayCosineReport:
+def per_ray_cosine(f: RayFamily, ledger: DeficitLedger, Q_long) -> PerRayCosineReport:
     """Distance of each long-ray profile to +-sqrt(N+1) cos, fixing sign(c_q).
 
     The comparison is in the ray's own coordinate: the 1-D stability theorem
     is applied needle by needle, so the target is always cos(t) on [0, D_i].
+    The signs are fixed on a copy of the ledger's |c_q|.
     """
     Q_long = tuple(Q_long)
     if not Q_long:
         raise ParameterDomainError("Q_long is empty")
     amp = math.sqrt(f.N + 1.0)
-    c = np.array([math.sqrt(r.w.mean(r.u * r.u)) for r in f.rays])
+    c = ledger.c.copy()
     dist = np.full(len(f.rays), np.nan)
     for i in Q_long:
         r = f.rays[i]
@@ -347,13 +351,6 @@ def per_ray_cosine(f: RayFamily, Q_long) -> PerRayCosineReport:
     )
 
 
-def _check_var_params(N, beta, gamma):
-    if not 0 < gamma < beta < 1:
-        raise ParameterDomainError("need 0 < gamma < beta < 1")
-    if not gamma < N * (1.0 - beta) / (N - 1.0):
-        raise ParameterDomainError("need gamma < N(1-beta)/(N-1)")
-
-
 @dataclass(frozen=True)
 class VarianceReport:
     variance: float
@@ -366,23 +363,24 @@ class VarianceReport:
 
 
 def variance_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport,
-                   cosines: PerRayCosineReport, gamma=None) -> VarianceReport:
+                   cosines: PerRayCosineReport, gamma) -> VarianceReport:
     """Var of sign-fixed c_q over long rays against the three-term envelope
     delta^{3 gamma/N} + delta^{1-beta-gamma+gamma/N} + delta^{(beta-gamma) min(2/N, 1)}."""
     N = f.N
     beta = sel.beta
-    if gamma is None:
-        gamma = default_gamma(N)
-    _check_var_params(N, beta, gamma)
+    if not 0 < gamma < beta < 1:
+        raise ParameterDomainError("need 0 < gamma < beta < 1")
+    if not gamma < N * (1.0 - beta) / (N - 1.0):
+        raise ParameterDomainError("need gamma < N(1-beta)/(N-1)")
     weights = f.weights
     c = cosines.c
-    qmass = math.fsum(weights[i] for i in sel.Q_long)
+    qmass = sel.long_mass
     if qmass <= 0:
         raise ParameterDomainError("long rays carry no measure")
     cbar = math.fsum(weights[i] * c[i] for i in sel.Q_long) / qmass
     var = math.fsum(weights[i] * (c[i] - cbar) ** 2 for i in sel.Q_long) / qmass
 
-    d = max(ledger.delta, 0.0)
+    d = ledger.delta_plus
     envelope = (
         d ** (3.0 * gamma / N)
         + d ** (1.0 - beta - gamma + gamma / N)
@@ -411,21 +409,17 @@ class MassReport:
     gamma: float
 
 
-def long_mass_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport, gamma=None) -> MassReport:
+def long_mass_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport, gamma) -> MassReport:
     """(1 - q(Q_long))^2 against delta^{2 gamma/N} + delta^{(beta-gamma)/N}
     + delta^{1-beta-gamma}; also the unspanned-mass envelope."""
     N = f.N
     beta = sel.beta
-    if gamma is None:
-        gamma = default_gamma(N)
     if not 0 < gamma < min(beta, 1.0 - beta):
         raise ParameterDomainError("need 0 < gamma < min(beta, 1 - beta)")
-    weights = f.weights
-    qmass = math.fsum(weights[i] for i in sel.Q_long)
-    one_minus = 1.0 - qmass
+    one_minus = 1.0 - sel.long_mass
     lhs = one_minus * one_minus
 
-    d = max(ledger.delta, 0.0)
+    d = ledger.delta_plus
     envelope = (
         d ** (2.0 * gamma / N)
         + d ** ((beta - gamma) / N)
@@ -485,13 +479,10 @@ class SuspensionGeometry:
     once, here, so a ball costs one search and one partial cell per ray.
     """
 
-    N: float
-    weights: np.ndarray
+    family: RayFamily
     a: np.ndarray
-    b: np.ndarray
     D: np.ndarray
-    unspanned_mass: float
-    rays: tuple
+    pole_distance: float       # min over rays of a + D + b, at most pi
     model: WeightedInterval
     prefixes: tuple            # _pl_prefix of each ray's density
     model_prefix: np.ndarray
@@ -506,15 +497,10 @@ class SuspensionGeometry:
         n_ref = max(r.w.grid.n for r in f.rays)
         model = model_density(f.N, Grid.uniform(math.pi, n_ref)).normalized()
         return cls(
-            N=f.N, weights=f.weights, a=a, b=b, D=D,
-            unspanned_mass=f.unspanned_mass, rays=f.rays, model=model,
-            prefixes=tuple(_pl_prefix(r.w.grid.nodes, r.w.h) for r in f.rays),
+            family=f, a=a, D=D, pole_distance=float(min(np.min(a + D + b), math.pi)),
+            model=model, prefixes=tuple(_pl_prefix(r.w.grid.nodes, r.w.h) for r in f.rays),
             model_prefix=_pl_prefix(model.grid.nodes, model.h),
         )
-
-    @property
-    def pole_distance(self):
-        return float(min(np.min(self.a + self.D + self.b), math.pi))
 
     @property
     def delta_pole(self):
@@ -524,12 +510,12 @@ class SuspensionGeometry:
 
     def ball(self, r):
         """m(B_r(P_N)) under the suspension rule."""
-        total = self.unspanned_mass if r >= self.pole_distance else 0.0
-        for q, ray, prefix, a, D in zip(self.weights, self.rays, self.prefixes, self.a, self.D):
+        total = self.family.unspanned_mass if r >= self.pole_distance else 0.0
+        for ray, prefix, a, D in zip(self.family.rays, self.prefixes, self.a, self.D):
             reach = min(max(r - a, 0.0), D)
             if reach > 0:
                 nodes = ray.w.grid.nodes
-                total += q * _pl_cum(nodes, ray.w.h, prefix, reach) / ray.w.total_mass
+                total += ray.weight * _pl_cum(nodes, ray.w.h, prefix, reach) / ray.w.total_mass
         return float(total)
 
     def model_ball(self, r):
@@ -574,27 +560,21 @@ def volume_control(geometry: SuspensionGeometry, r) -> VolumeReport:
 class PoleReport:
     max_start: float   # max over Q_long of a_i
     max_end: float     # max over Q_long of pi - (a_i + D_i)
-    threshold: float   # 10 delta^{beta/N} + 1e-10 when delta is supplied
+    threshold: float   # 10 delta^{beta/N} + 1e-10
     flagged: bool
 
 
-def pole_concentration(geometry: SuspensionGeometry, Q_long, delta=None, beta=None) -> PoleReport:
+def pole_concentration(geometry: SuspensionGeometry, ledger: DeficitLedger,
+                       sel: LongRayReport) -> PoleReport:
     """Offsets of long-ray endpoints from the poles; scaling diagnostic."""
-    Q_long = tuple(Q_long)
-    if not Q_long:
+    if not sel.Q_long:
         raise ParameterDomainError("Q_long is empty")
-    max_start = max(float(geometry.a[i]) for i in Q_long)
-    max_end = max(float(math.pi - geometry.a[i] - geometry.D[i]) for i in Q_long)
-    threshold = math.nan
-    flagged = False
-    if delta is not None:
-        if beta is None:
-            beta = default_beta(geometry.N)
-        d = max(delta, 0.0)
-        threshold = FLAG_FACTOR * d ** (beta / geometry.N) + IDENTITY_SLACK
-        flagged = max(max_start, max_end) > threshold
-    return PoleReport(max_start=max_start, max_end=max_end,
-                      threshold=threshold, flagged=bool(flagged))
+    max_start = max(float(geometry.a[i]) for i in sel.Q_long)
+    max_end = max(float(math.pi - geometry.a[i] - geometry.D[i]) for i in sel.Q_long)
+    threshold = (FLAG_FACTOR * ledger.delta_plus ** (sel.beta / geometry.family.N)
+                 + IDENTITY_SLACK)
+    return PoleReport(max_start=max_start, max_end=max_end, threshold=threshold,
+                      flagged=max(max_start, max_end) > threshold)
 
 
 @dataclass(frozen=True)
@@ -607,7 +587,7 @@ class AssembleReport:
     sign: float        # global sign applied to u
 
 
-def assemble_main(f: RayFamily, geometry: SuspensionGeometry, ledger: DeficitLedger = None) -> AssembleReport:
+def assemble_main(geometry: SuspensionGeometry, ledger: DeficitLedger) -> AssembleReport:
     """||u - sqrt(N+1) cos(d(P_N, .))||_{L2(m)} with the theorem's sign choice.
 
     In suspension coordinates ray i occupies [a_i, a_i + D_i], so its
@@ -615,8 +595,7 @@ def assemble_main(f: RayFamily, geometry: SuspensionGeometry, ledger: DeficitLed
     set carries u = 0 and contributes its mass times the model average of
     (N+1) cos^2.
     """
-    if geometry is None:
-        raise ParameterDomainError("geometry with start offsets is required")
+    f = geometry.family
     amp = math.sqrt(f.N + 1.0)
     cos2_mass = geometry.model.mean(np.cos(geometry.model.grid.nodes) ** 2)
     acc_plus = acc_minus = f.unspanned_mass * (f.N + 1.0) * cos2_mass
@@ -628,12 +607,11 @@ def assemble_main(f: RayFamily, geometry: SuspensionGeometry, ledger: DeficitLed
     final_sq = max(min(acc_plus, acc_minus), 0.0)
     final = math.sqrt(final_sq)
 
-    delta = ledger.delta if ledger is not None else global_deficit(f).delta
     eta = final_exponent(f.N)
-    ratio = _envelope_ratio(final, max(delta, 0.0) ** eta, 1e-12)
+    ratio = _envelope_ratio(final, ledger.delta_plus ** eta, 1e-12)
     return AssembleReport(
         final_dist=float(final), final_dist_sq=float(final_sq),
-        delta=float(delta), eta=float(eta), ratio=float(ratio),
+        delta=ledger.delta, eta=float(eta), ratio=float(ratio),
         sign=float(best_sign),
     )
 
@@ -682,11 +660,11 @@ def localize(f: RayFamily, beta=None, gamma=None) -> Localization:
     ledger = global_deficit(f)
     sel = select_long_rays(f, ledger, beta)
     bad = bad_set_energy(f, ledger, sel)
-    cosines = per_ray_cosine(f, sel.Q_long)
+    cosines = per_ray_cosine(f, ledger, sel.Q_long)
     var = variance_bound(f, ledger, sel, cosines, gamma)
     mass = long_mass_bound(f, ledger, sel, gamma)
     geo = SuspensionGeometry.from_family(f)
-    pole = pole_concentration(geo, sel.Q_long, delta=ledger.delta, beta=sel.beta)
+    pole = pole_concentration(geo, ledger, sel)
 
     radii = ()
     if f.unspanned_mass == 0.0 and all(r.a == 0.0 for r in f.rays) and geo.pole_distance > 0.4:
@@ -697,7 +675,7 @@ def localize(f: RayFamily, beta=None, gamma=None) -> Localization:
     return Localization(
         family=f, ledger=ledger, selection=sel, bad_set=bad, cosines=cosines,
         variance=var, mass=mass, pole=pole,
-        volume_checked=len(radii), assembly=assemble_main(f, geo, ledger),
+        volume_checked=len(radii), assembly=assemble_main(geo, ledger),
     )
 
 

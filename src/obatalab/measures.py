@@ -13,10 +13,10 @@ The generator builds exact CD(N-1, N) densities h = w^{N-1} from
 w'' = -(1 + a) w with a piecewise-constant excess a >= 0: on each piece w is
 a closed-form rotation, so the samples do not depend on the grid.
 
-It also owns file I/O: read_csv is the one parser of the density files,
-ray samples and plotted tables, and replace_file the one writer of the CLI
-artifacts. And it owns the Richardson step, extrapolate, which every
-extrapolated value takes, and the two parameter rules of CD(N - 1, N) on
+It also owns file I/O: read_csv is the one parser of the density files
+and ray samples, and replace_file the one writer of the CLI artifacts. And
+it owns the Richardson step, extrapolate, which every extrapolated value
+takes, and the two parameter rules of CD(N - 1, N) on
 [0, D]: require_dimension (1 < N < inf) and require_diameter (0 < D <= pi),
 which every validator of N or D calls.
 """
@@ -218,17 +218,18 @@ def replace_file(path, text=None):
 
 
 def load_density_csv(path, K, N):
-    """Parse a `t,h` CSV (read_csv) into a WeightedInterval. Rejects malformed input."""
+    """Parse a `t,h` CSV (read_csv) into a WeightedInterval.
+
+    Grid and WeightedInterval check the samples (at least 16 nodes, t strictly
+    increasing from 0, h >= 0); a rule they refuse is a ConfigError naming
+    the file."""
     cols = read_csv(path, ("t", "h"))
-    t, h = cols["t"], cols["h"]
-    if len(t) < 16:
-        raise ConfigError(f"{path}: need at least 16 rows, got {len(t)}")
-    if np.any(np.diff(t) <= 0):
-        raise ConfigError(f"{path}: t column must be strictly increasing")
-    if np.any(h < 0):
-        raise ConfigError(f"{path}: negative density value")
-    grid = Grid(D=float(t[-1]), n=len(t) - 1, nodes=t)
-    return WeightedInterval(grid=grid, h=h, K=float(K), N=float(N))
+    t = cols["t"]
+    try:
+        grid = Grid(D=float(t[-1]), n=len(t) - 1, nodes=t)
+        return WeightedInterval(grid=grid, h=cols["h"], K=float(K), N=float(N))
+    except ParameterDomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -226,15 +226,21 @@ class DiameterSweepResult:
     holds: np.ndarray      # lower <= gap, pointwise, no tolerance
     all_hold: bool
     ratio_range: tuple     # min/max of gap / lower
-    fit: FitResult         # gap against eps; slope should approach N
+    fit: FitResult         # gap against eps, slope should approach N; None when
+                           # fewer than two gaps are positive
 
 
 def diameter_deficit_sweep(N, D_sweep=None, grid_n=4096) -> DiameterSweepResult:
     """lambda_1 - N against pi - D on truncated models, with the exact-direction
-    check C_N (pi - D)^N <= lambda_1 - N at every point."""
+    check C_N (pi - D)^N <= lambda_1 - N at every point.
+
+    The verdict is per point and needs no fit: when fewer than two gaps are
+    positive (at the roundoff floor of the solve) the result carries no fit."""
     if D_sweep is None:
         D_sweep = _default_sweep("truncated-model")
     Ds = sorted(float(D) for D in D_sweep)
+    if len(Ds) < 2:
+        raise ParameterDomainError("diameter sweep needs at least two diameters")
     if any(not 0 < D < math.pi for D in Ds):
         raise ParameterDomainError("diameter sweep wants 0 < D < pi")
     require_half_grid(grid_n)
@@ -256,7 +262,7 @@ def diameter_deficit_sweep(N, D_sweep=None, grid_n=4096) -> DiameterSweepResult:
         holds=holds,
         all_hold=bool(np.all(holds)),
         ratio_range=(float(np.min(ratios)), float(np.max(ratios))),
-        fit=loglog_fit(eps, gap),
+        fit=loglog_fit(eps, gap) if np.count_nonzero(gap > 0) >= 2 else None,
     )
 
 

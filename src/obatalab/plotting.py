@@ -1,26 +1,22 @@
-"""Deterministic SVG line plots for sweep tables.
+"""Deterministic SVG log-log plots for sweep tables.
 
 The renderer is intentionally dumb: fixed 640x480 viewport, fixed margins,
 no timestamps, all coordinates printed with one format. Identical tables
-produce identical bytes, so plots can be golden-file tested.
+produce identical bytes, so plots can be golden-file tested. A plot is drawn
+from the table's columns in memory and annotated with the power-law fit that
+the sweep already made of them; nothing is read back from disk or refit.
 """
 import math
 
 from .errors import ConfigError
-from .measures import read_csv, replace_file
-from .obata1d import loglog_fit
+from .measures import replace_file
 
 WIDTH, HEIGHT = 640, 480
 ML, MR, MT, MB = 70, 24, 24, 56
 
 
-def _axis(vals, log):
-    if log:
-        if min(vals) <= 0:
-            raise ConfigError("log axis requires positive values")
-        coords = [math.log10(v) for v in vals]
-    else:
-        coords = list(vals)
+def _axis(vals):
+    coords = [math.log10(v) for v in vals]
     lo, hi = min(coords), max(coords)
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
@@ -31,21 +27,26 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def render_plot(table, out_path, x, y, loglog=False, annotate=False):
-    """Render column y against column x of a CSV table into an SVG file.
+def render_plot(table, out_path, x, y, fit):
+    """Render column y against column x of table on log-log axes into an SVG file.
 
-    With annotate=True a log-log power-law fit of the same two columns is
-    written into the plot; the slope is computed by the same routine the
-    sweep drivers use, so the annotation always matches their FitResult.
+    table maps each column name to its values, the rows the caller holds in
+    memory; fit is the caller's FitResult of y against x, whose slope and r2
+    annotate the plot. A plot is drawn only when every plotted value is finite
+    and > 0; otherwise ConfigError names the first column that breaks the rule
+    and no file is written.
     """
-    cols = read_csv(table)
+    cols = {}
     for name in (x, y):
-        if name not in cols:
-            raise ConfigError(f"table has no column {name!r}")
-    xs, ys = cols[x].tolist(), cols[y].tolist()
+        vals = [float(v) for v in table[name]]
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"column {name!r} has a non-finite value")
+        if min(vals) <= 0:
+            raise ConfigError(f"column {name!r} has a value <= 0 for its log axis")
+        cols[name] = vals
 
-    xc, xlo, xhi = _axis(xs, loglog)
-    yc, ylo, yhi = _axis(ys, loglog)
+    xc, xlo, xhi = _axis(cols[x])
+    yc, ylo, yhi = _axis(cols[y])
     pw = WIDTH - ML - MR
     ph = HEIGHT - MT - MB
 
@@ -68,8 +69,8 @@ def render_plot(table, out_path, x, y, loglog=False, annotate=False):
         fy = ylo + (yhi - ylo) * k / 4.0
         gx = px(fx)
         gy = py(fy)
-        lx = 10.0 ** fx if loglog else fx
-        ly = 10.0 ** fy if loglog else fy
+        lx = 10.0 ** fx
+        ly = 10.0 ** fy
         parts.append(
             f'<line x1="{_fmt(gx)}" y1="{HEIGHT - MB}" x2="{_fmt(gx)}" '
             f'y2="{HEIGHT - MB + 5}" stroke="#000000" stroke-width="1"/>'
@@ -109,13 +110,11 @@ def render_plot(table, out_path, x, y, loglog=False, annotate=False):
             f'fill="#1f4e9c"/>'
         )
 
-    if annotate:
-        fit = loglog_fit(xs, ys)
-        parts.append(
-            f'<text x="{ML + 10}" y="{MT + 16}" font-size="12" '
-            f'font-family="monospace">slope {fit.slope:.12g} '
-            f'(r2 {fit.r_squared:.6g})</text>'
-        )
+    parts.append(
+        f'<text x="{ML + 10}" y="{MT + 16}" font-size="12" '
+        f'font-family="monospace">slope {fit.slope:.12g} '
+        f'(r2 {fit.r_squared:.6g})</text>'
+    )
 
     parts.append("</svg>")
     replace_file(out_path, "\n".join(parts) + "\n")

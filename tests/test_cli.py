@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from obatalab.errors import ConfigError
+from obatalab.measures import read_csv
+from obatalab.obata1d import loglog_fit
 from obatalab.plotting import render_plot
 
 PROFILE_3_30_037 = 0.609784899428624
@@ -587,52 +589,80 @@ def test_artifact_symlink_is_replaced_not_followed(run_cli, tmp_path):
 # SVG renderer
 
 
-def _write_table(path, rows, header="x,y"):
-    path.write_text(header + "\n" + "\n".join(rows) + "\n")
-    return str(path)
+def _plot(table, path, fit=None):
+    """render_plot of y against x in table, annotated with fit (by default their fit)."""
+    fit = fit or loglog_fit(table["x"], table["y"])
+    return render_plot(table, str(path), "x", "y", fit)
 
 
 def test_render_plot_deterministic(tmp_path):
-    table = _write_table(tmp_path / "t.csv",
-                         ["0.1,0.2", "0.2,0.45", "0.4,0.9", "0.8,1.7"])
+    table = {"x": [0.1, 0.2, 0.4, 0.8], "y": [0.2, 0.45, 0.9, 1.7]}
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
-    render_plot(table, str(a), x="x", y="y", loglog=True, annotate=True)
-    render_plot(table, str(b), x="x", y="y", loglog=True, annotate=True)
+    _plot(table, a)
+    _plot(table, b)
     assert a.read_bytes() == b.read_bytes()
     svg = a.read_text()
     assert svg.startswith("<svg ")
-    assert "slope " in svg and "r2 " in svg
+    fit = loglog_fit(table["x"], table["y"])
+    assert f"slope {fit.slope:.12g} (r2 {fit.r_squared:.6g})" in svg
 
 
 def test_render_plot_two_points(tmp_path):
-    table = _write_table(tmp_path / "t.csv", ["1,2", "3,4"])
     out = tmp_path / "o.svg"
-    render_plot(table, str(out), x="x", y="y")
+    _plot({"x": [1.0, 3.0], "y": [2.0, 4.0]}, out)
     assert "<polyline" in out.read_text()
 
 
 def test_render_plot_errors(tmp_path):
-    empty = _write_table(tmp_path / "e.csv", [])
-    with pytest.raises(ConfigError, match="no data rows"):
-        render_plot(empty, str(tmp_path / "o.svg"), x="x", y="y")
-    table = _write_table(tmp_path / "t.csv", ["1,2", "3,4"])
-    with pytest.raises(ConfigError, match="no column"):
-        render_plot(table, str(tmp_path / "o.svg"), x="x", y="z")
-    neg = _write_table(tmp_path / "n.csv", ["-1,2", "3,4"])
-    with pytest.raises(ConfigError, match="positive"):
-        render_plot(neg, str(tmp_path / "o.svg"), x="x", y="y", loglog=True)
-    ragged = _write_table(tmp_path / "r.csv", ["1,2", "3"])
-    with pytest.raises(ConfigError, match="ragged"):
-        render_plot(ragged, str(tmp_path / "o.svg"), x="x", y="y")
+    # a value <= 0 has no place on a log axis: nothing is written
+    out = tmp_path / "o.svg"
+    fit = loglog_fit([1.0, 3.0], [2.0, 4.0])
+    for xs in ([-1.0, 3.0], [0.0, 3.0]):
+        with pytest.raises(ConfigError, match="column 'x' has a value <= 0 for its log axis"):
+            _plot({"x": xs, "y": [2.0, 4.0]}, out, fit)
+    with pytest.raises(ConfigError, match="column 'y' has a value <= 0"):
+        _plot({"x": [1.0, 3.0], "y": [2.0, -4.0]}, out, fit)
+    assert not out.exists()
 
 
 def test_render_plot_refuses_non_finite_table(tmp_path):
     # a NaN or inf cell used to be drawn at a coordinate of "nan" or "inf"
-    for cell in ("nan", "inf"):
-        table = _write_table(tmp_path / "t.csv", ["1,2", f"3,{cell}"])
-        with pytest.raises(ConfigError, match="non-finite"):
-            render_plot(table, str(tmp_path / "o.svg"), x="x", y="y")
+    for cell in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="column 'y' has a non-finite value"):
+            _plot({"x": [1.0, 3.0], "y": [2.0, cell]}, tmp_path / "o.svg",
+                  loglog_fit([1.0, 3.0], [2.0, 4.0]))
+
+
+def test_plot_from_rows_matches_plot_from_written_table(run_cli):
+    # the CLI plots its rows in memory with the handler's fit; the same table
+    # read back from results.csv and fit again gives the same bytes
+    for args, x, y in ((("sweep", "--dim", "2", "--family", "perturbed-cosine",
+                         "--grid", "512"), "delta", "dist_w12"),
+                       (("obata", "--dim", "2", "--grid", "256"), "eps", "gap")):
+        proc, out = run_cli(*args, out=args[0])
+        assert proc.returncode == 0
+        cols = read_csv(out / "results.csv")
+        again = out / "again.svg"
+        render_plot(cols, str(again), x, y, loglog_fit(cols[x], cols[y]))
+        assert again.read_bytes() == (out / "plot.svg").read_bytes()
+
+
+def test_obata_without_fit_writes_artifacts_and_exits_2(run_cli):
+    # at N = 5.5 and eps <= 0.01 only one gap is positive (the rest sit at the
+    # solve's roundoff floor, ROADMAP item 2): there is no fit, but the
+    # per-point verdict and its artifacts are written all the same
+    proc, out = run_cli("obata", "--dim", "5.5", "--points", "0.01,0.008,0.006,0.005,0.004")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    first, last = proc.stdout.splitlines()
+    assert first.endswith("lower bound VIOLATED")
+    assert last == "plot.svg skipped: column 'gap' has a value <= 0 for its log axis"
+    results = _summary(out)["results"]
+    assert results["slope"] is None and results["intercept"] is None
+    assert results["r_squared"] is None and results["all_hold"] is False
+    assert len((out / "results.csv").read_text().splitlines()) == 6
+    assert not (out / "plot.svg").exists()
 
 
 def test_reported_tolerances_are_the_applied_constants(run_cli, fixtures_dir):

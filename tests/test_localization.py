@@ -1,5 +1,6 @@
 """Ray-family pipeline: loading, normalization, selection, certificates,
 volume and pole control, and the final cosine assembly."""
+import dataclasses
 import json
 import math
 
@@ -321,12 +322,11 @@ def test_global_deficit_counts_orthogonal_energy(fixtures_dir):
 def test_select_rigid_takes_all_rays(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     assert sel.Q_long == (0,)
     assert sel.threshold == 0.0
     assert sel.excluded_c2 == 0.0
     assert sel.chebyshev_bound == 0.0
-    assert sel.chebyshev_ok
     assert sel.max_length_gap <= 1e-6
     assert sel.beta == default_beta(2.0)
 
@@ -335,7 +335,7 @@ def test_select_shortray_chebyshev(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "shortray_n2.json"))
     led = global_deficit(fam)
     assert math.isclose(led.delta, SHORTRAY_DELTA, rel_tol=1e-9)
-    sel = select_long_rays(fam, led)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     assert sel.Q_long == (0,)
     assert math.isclose(sel.threshold, led.delta ** sel.beta, rel_tol=1e-12)
     assert math.isclose(sel.excluded_c2, SHORTRAY_EXCLUDED_C2, rel_tol=1e-9)
@@ -357,14 +357,14 @@ def test_select_nonpositive_deficit_needs_full_rays():
     led = global_deficit(fam)
     assert led.delta <= 0.0
     with pytest.raises(NonCDInputError, match="nonpositive deficit with a short ray"):
-        select_long_rays(fam, led)
+        select_long_rays(fam, led, default_beta(fam.N))
 
 
 def test_select_length_certificate(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "noncd_length.json"))
     led = global_deficit(fam)
     with pytest.raises(NonCDInputError, match="exceeds CD length bound"):
-        select_long_rays(fam, led)
+        select_long_rays(fam, led, default_beta(fam.N))
 
 
 # --------------------------------------------------------------------------
@@ -374,21 +374,19 @@ def test_select_length_certificate(fixtures_dir):
 def test_bad_set_rigid_zero(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     bad = bad_set_energy(fam, led, sel)
     assert bad.value == 0.0
     assert bad.bound == 1e-10
-    assert bad.ok
 
 
 def test_bad_set_shortray(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "shortray_n2.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     bad = bad_set_energy(fam, led, sel)
     assert math.isclose(bad.value, SHORTRAY_BAD, rel_tol=1e-9)
     assert math.isclose(bad.bound, SHORTRAY_BAD_BOUND, rel_tol=1e-9)
-    assert bad.ok
 
 
 def test_bad_set_no_bound_above_unit_deficit():
@@ -398,12 +396,11 @@ def test_bad_set_no_bound_above_unit_deficit():
         shape=lambda t: np.cos(t) + 2.0 * np.sin(3.0 * t)))
     led = global_deficit(fam)
     assert led.delta > 1.0
-    sel = select_long_rays(fam, led)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     assert sel.Q_long == ()
     assert sel.excluded_c2 <= sel.chebyshev_bound
     bad = bad_set_energy(fam, led, sel)
     assert bad.bound is None
-    assert bad.ok
     assert math.isclose(bad.value, led.delta + 2.0, rel_tol=1e-9)
 
 
@@ -414,8 +411,8 @@ def test_bad_set_no_bound_above_unit_deficit():
 def test_per_ray_rigid(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    prc = per_ray_cosine(fam, sel.Q_long)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
+    prc = per_ray_cosine(fam, led, sel.Q_long)
     assert abs(prc.c[0] - 1.0) <= 1e-6
     assert 0.0 <= prc.max_dist <= 1e-6
     assert prc.dist[0] == prc.max_dist
@@ -424,8 +421,8 @@ def test_per_ray_rigid(fixtures_dir):
 def test_per_ray_flip_fixes_sign(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "flip_n2.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    prc = per_ray_cosine(fam, sel.Q_long)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
+    prc = per_ray_cosine(fam, led, sel.Q_long)
     assert prc.c[0] < 0.0
     assert abs(prc.c[0] + 1.0) <= 1e-6
     assert prc.max_dist <= 1e-6
@@ -433,10 +430,11 @@ def test_per_ray_flip_fixes_sign(fixtures_dir):
 
 def test_per_ray_validation():
     fam = _rigid_plus_short()
+    led = global_deficit(fam)
     with pytest.raises(ParameterDomainError, match="Q_long is empty"):
-        per_ray_cosine(fam, ())
+        per_ray_cosine(fam, led, ())
     with pytest.raises(UndefinedQuotientError, match="carries no u mass"):
-        per_ray_cosine(fam, (1,))
+        per_ray_cosine(fam, led, (1,))
 
 
 # --------------------------------------------------------------------------
@@ -446,8 +444,9 @@ def test_per_ray_validation():
 def test_variance_rigid(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    var = variance_bound(fam, led, sel, per_ray_cosine(fam, sel.Q_long))
+    sel = select_long_rays(fam, led, default_beta(fam.N))
+    var = variance_bound(fam, led, sel, per_ray_cosine(fam, led, sel.Q_long),
+                         default_gamma(fam.N))
     assert var.variance == 0.0
     assert var.ratio == 0.0
     assert not var.flagged
@@ -458,7 +457,7 @@ def test_variance_param_guards(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
     sel = select_long_rays(fam, led, beta=0.3)
-    prc = per_ray_cosine(fam, sel.Q_long)
+    prc = per_ray_cosine(fam, led, sel.Q_long)
     with pytest.raises(ParameterDomainError, match="0 < gamma < beta < 1"):
         variance_bound(fam, led, sel, prc, gamma=0.4)
     # N = 2: gamma must stay below N(1-beta)/(N-1) = 2(1-beta)
@@ -470,8 +469,8 @@ def test_variance_param_guards(fixtures_dir):
 def test_mass_rigid(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
-    mass = long_mass_bound(fam, led, sel)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
+    mass = long_mass_bound(fam, led, sel, default_gamma(fam.N))
     assert mass.lhs == 0.0
     assert mass.one_minus_mass == 0.0
     assert mass.ratio == 0.0
@@ -550,8 +549,8 @@ def _fsum_pl_cum(nodes, h, s):
 
 
 def _fsum_ball(geo, r):
-    total = geo.unspanned_mass if r >= geo.pole_distance else 0.0
-    for q, ray, a, D in zip(geo.weights, geo.rays, geo.a, geo.D):
+    total = geo.family.unspanned_mass if r >= geo.pole_distance else 0.0
+    for q, ray, a, D in zip(geo.family.weights, geo.family.rays, geo.a, geo.D):
         reach = min(max(r - a, 0.0), D)
         if reach > 0:
             total += q * _fsum_pl_cum(ray.w.grid.nodes, ray.w.h, reach) / ray.w.total_mass
@@ -576,7 +575,7 @@ def test_ball_prefix_matches_fsum_rule(fixtures_dir):
         geo = SuspensionGeometry.from_family(normalize(load_family(path)))
         radii = [*np.linspace(0.1, geo.pole_distance - 0.05, 16),
                  *geo.model.grid.nodes[::128], geo.model.grid.nodes[-1]]
-        for ray, a, D in zip(geo.rays, geo.a, geo.D):
+        for ray, a, D in zip(geo.family.rays, geo.a, geo.D):
             nodes = ray.w.grid.nodes
             radii += [*(a + nodes[::128]), a + nodes[-1], a, a + D]
         for r in sorted(set(map(float, radii))):
@@ -609,9 +608,9 @@ def test_geometry_extent_validation():
 def test_pole_rigid(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     geo = SuspensionGeometry.from_family(fam)
-    pole = pole_concentration(geo, sel.Q_long, delta=led.delta)
+    pole = pole_concentration(geo, led, sel)
     assert pole.max_start == 0.0
     assert pole.max_end <= 1e-12
     assert pole.threshold == 1e-10
@@ -621,9 +620,9 @@ def test_pole_rigid(fixtures_dir):
 def test_pole_shortray_threshold(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "shortray_n2.json"))
     led = global_deficit(fam)
-    sel = select_long_rays(fam, led)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     geo = SuspensionGeometry.from_family(fam)
-    pole = pole_concentration(geo, sel.Q_long, delta=led.delta)
+    pole = pole_concentration(geo, led, sel)
     assert math.isclose(pole.threshold, SHORTRAY_POLE_THR, rel_tol=1e-9)
     assert pole.max_end <= 1e-12
     assert not pole.flagged
@@ -631,9 +630,11 @@ def test_pole_shortray_threshold(fixtures_dir):
 
 def test_pole_empty_raises(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
+    led = global_deficit(fam)
+    sel = select_long_rays(fam, led, default_beta(fam.N))
     geo = SuspensionGeometry.from_family(fam)
     with pytest.raises(ParameterDomainError, match="Q_long is empty"):
-        pole_concentration(geo, ())
+        pole_concentration(geo, led, dataclasses.replace(sel, Q_long=()))
 
 
 # --------------------------------------------------------------------------
@@ -644,7 +645,7 @@ def test_assemble_rigid_zero(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "rigid.json"))
     led = global_deficit(fam)
     geo = SuspensionGeometry.from_family(fam)
-    asm = assemble_main(fam, geo, led)
+    asm = assemble_main(geo, led)
     assert asm.final_dist == 0.0
     assert asm.ratio == 0.0
     assert asm.sign == 1.0
@@ -654,7 +655,7 @@ def test_assemble_rigid_zero(fixtures_dir):
 def test_assemble_flip_sign(fixtures_dir):
     fam = normalize(load_family(fixtures_dir / "flip_n2.json"))
     geo = SuspensionGeometry.from_family(fam)
-    asm = assemble_main(fam, geo)
+    asm = assemble_main(geo, global_deficit(fam))
     assert asm.final_dist == 0.0
     assert asm.sign == -1.0
 
@@ -668,12 +669,6 @@ def test_assemble_shortray(fixtures_dir):
     assert math.isclose(asm.ratio, asm.final_dist / led.delta ** asm.eta,
                         rel_tol=1e-12)
     assert asm.sign == 1.0
-
-
-def test_assemble_requires_geometry(fixtures_dir):
-    fam = normalize(load_family(fixtures_dir / "rigid.json"))
-    with pytest.raises(ParameterDomainError, match="geometry"):
-        assemble_main(fam, None)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -103,6 +104,15 @@ def test_load_density_csv_rejects_garbage(tmp_path):
     p.write_text("t,h\n0.0,1.0\n1.0,1.0\n")  # too few rows
     with pytest.raises(ConfigError):
         load_density_csv(p, K=0.0, N=2.0)
+    # Grid and WeightedInterval check the samples; their refusal names the file
+    t = np.linspace(0.0, 2.0, 20)
+    cases = {"at least 16 nodes": (t[:8], np.ones(8)),
+             "strictly increasing": (t[[0, 2, 1, *range(3, 20)]], np.ones(20)),
+             "non-negative": (t, np.where(t > 1.0, -1.0, 1.0))}
+    for rule, (tt, h) in cases.items():
+        p.write_text("t,h\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(tt, h)))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: .*{rule}"):
+            load_density_csv(p, K=0.0, N=2.0)
     t = np.linspace(0.0, 2.0, 20)
     for col, bad in ((1, "nan"), (1, "inf"), (0, "nan")):
         rows = [[repr(float(x)), "1.0"] for x in t]

@@ -281,6 +281,9 @@ def test_diameter_sweep_slope_and_direction():
 def test_diameter_sweep_validation():
     with pytest.raises(ParameterDomainError):
         diameter_deficit_sweep(2.0, D_sweep=[3.0, math.pi])
+    # a fit needs two points, so a sweep does too
+    with pytest.raises(ParameterDomainError, match="at least two diameters"):
+        diameter_deficit_sweep(2.0, D_sweep=[3.0])
 
 
 def test_sweeps_need_exact_half_grid():

@@ -3,14 +3,18 @@ live in measures, and every other module calls them from there; the CD
 density generator has one solution path, the exact piecewise rotation, and
 the isoperimetric profile one search, the lane-batched bracket refinement.
 The localization chain is written once, in localization.localize, and its
-deficit ledger is frozen. The Neumann solve bisects in one place, the base
-and fallback solve of the nested refinement, and reaches a grid from its
-base in two refined levels, not by recursion. The discrete Rayleigh quotient
+deficit ledger is frozen; the rule that a deficit <= 0 counts as 0 is written
+once, DeficitLedger.delta_plus, localize alone resolves the default
+exponents, and the per-ray c_q is taken from the ledger. Plots are drawn from
+the rows in memory: plotting reads no table back and fits nothing. The
+Neumann solve bisects in one place, the base and fallback solve of the
+nested refinement, and reaches a grid from its base in two refined levels,
+not by recursion. The discrete Rayleigh quotient
 is written once, spectral._flux_quotient, and both the eigenvalues and
 rayleigh() take it. A refined level holds no arrays of its own: its flux and
 mass are formed per block from the nodes and densities, by the one assembly,
-spectral._assemble. CSV input, density files, ray samples and plotted
-tables alike, is parsed by one function, measures.read_csv, and every
+spectral._assemble. CSV input, density files and ray samples alike, is
+parsed by one function, measures.read_csv, and every
 artifact is written by one, measures.replace_file. The Richardson
 step is written once, measures.extrapolate, and so are the rules 1 < N < inf
 and 0 < D <= pi, measures.require_dimension and measures.require_diameter,
@@ -129,6 +133,67 @@ def test_localization_chain_lives_in_localize():
     assert _hits(files, re.compile(r"\.c\s*=(?!=)")) == []
 
 
+def _mentions_delta(node):
+    return "delta" in ast.unparse(node)
+
+
+def _is_zero(node):
+    return isinstance(node, ast.Constant) and node.value == 0
+
+
+def _is_nonpositive_rule(node):
+    # max(delta, 0.0), or delta compared in order against 0
+    if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "max":
+        return any(map(_is_zero, node.args)) and any(map(_mentions_delta, node.args))
+    return (isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+            and any(map(_is_zero, node.comparators)) and _mentions_delta(node.left))
+
+
+def test_nonpositive_deficit_rule_lives_in_the_ledger():
+    # every stage reads DeficitLedger.delta_plus; the raw deficit is read
+    # only there and where assemble_main reports it
+    defs = dict(_defs(SRC / "localization.py"))
+    assert len(defs) >= 20
+    rule = [name for name, fn in defs.items() if any(map(_is_nonpositive_rule, ast.walk(fn)))]
+    assert rule == ["localization.DeficitLedger.delta_plus"]
+    raw = [name for name, fn in defs.items()
+           if any(isinstance(node, ast.Attribute) and node.attr == "delta"
+                  for node in ast.walk(fn))]
+    assert raw == ["localization.DeficitLedger.delta_plus", "localization.assemble_main"]
+    # the check sees the rule in both of its old forms
+    for form in ("max(ledger.delta, 0.0)", "delta <= 0", "d = max(0.0, delta)"):
+        assert any(map(_is_nonpositive_rule, ast.walk(ast.parse(form)))), form
+
+
+def test_exponent_defaults_resolved_only_in_localize():
+    # no stage of the chain has a parameter that defaults to None; localize
+    # resolves beta and gamma and hands them on
+    defaults_none = sorted(
+        name for name, fn in _defs(SRC / "localization.py")
+        if any(isinstance(d, ast.Constant) and d.value is None
+               for d in [*fn.args.defaults, *fn.args.kw_defaults]))
+    assert defaults_none == ["localization.localize"]
+
+
+def test_per_ray_cosine_takes_c_from_the_ledger():
+    fn = dict(_defs(SRC / "localization.py"))["localization.per_ray_cosine"]
+    means = [ast.unparse(node) for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "mean"]
+    assert means == []
+    assert "ledger.c" in ast.unparse(fn)
+
+
+def test_plotting_reads_no_table_and_fits_nothing():
+    imported = {(node.module, alias.name)
+                for node in ast.walk(ast.parse((SRC / "plotting.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported
+    assert not {name for _, name in imported} & {"read_csv", "loglog_fit"}
+    assert not {module for module, _ in imported} & {"obata1d", "measures.read_csv"}
+    assert ("measures", "replace_file") in imported
+
+
 def test_bisection_only_in_the_base_solve():
     # every other grid is reached from that solve by nested refinement
     paths = sorted(SRC.glob("*.py"))
@@ -204,7 +269,7 @@ def test_refined_levels_hold_no_arrays():
 
 
 def test_csv_parsed_only_by_read_csv():
-    # density files, ray samples and plotted tables share one parser; the
+    # density files and ray samples share one parser; the
     # CLI's csv.writer is the only other use of the csv module
     parsers = {("csv", "reader"), ("csv", "DictReader"), ("np", "loadtxt"),
                ("np", "genfromtxt")}
