@@ -40,14 +40,12 @@ from .errors import ConfigError, NonCDInputError, ObataLabError
 from .isoperimetry import BRACKET_TOL, RESIDUAL_TOL, ProfileQuery, profile
 from .localization import (ENERGY_IDENTITY_SLACK, FLAG_FACTOR, IDENTITY_SLACK, VOLUME_SLACK,
                            load_family, localize)
-from .measures import Grid, cd_check, load_density_csv, model_density, replace_file
+from .measures import CD_TOL, Grid, cd_check, load_density_csv, model_density, replace_file
 from .obata1d import (DEFICIT_GUARD, FAMILIES, FIT_FLAG_R2, GROWTH_LIMIT, SLOPE_SLACK,
                       ExperimentSpec, deficit_distance_sweep, diameter_deficit_sweep,
                       upper_gap_check)
 from .plotting import render_plot
 from .spectral import MAX_PAIRS, neumann_eigs
-
-CD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -319,7 +317,7 @@ def _run_localize(config: RunConfig) -> _Artifact:
 def _run_check_density(config: RunConfig) -> _Artifact:
     p = config.params
     w = _load_density(p["file"], p)
-    verdict = cd_check(w, sample_pairs=int(p.get("pairs") or 0), tol=CD_TOL)
+    verdict = cd_check(w, sample_pairs=int(p.get("pairs") or 0))
     if verdict.passed:
         print(f"PASS: CD({w.K:g},{w.N:g}) holds on {verdict.checked} triples")
         x0, x1, tt = math.nan, math.nan, math.nan

@@ -14,14 +14,7 @@ class ParameterDomainError(ObataLabError):
 
 
 class DegenerateDensityError(ObataLabError):
-    """Density vanishes where positivity is required.
-
-    Carries optional suggested_D when shrinking the interval would help.
-    """
-
-    def __init__(self, message, suggested_D=None):
-        super().__init__(message)
-        self.suggested_D = suggested_D
+    """Density vanishes where positivity is required."""
 
 
 class DisconnectedSupportError(ObataLabError):

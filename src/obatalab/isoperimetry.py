@@ -242,6 +242,11 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
     same steps, until every bracket is no wider than `tol` (or than a few
     ulps of b, where rounding stalls it). Returns (values, argmin_b, R at
     argmin_b, g evaluations per lane); D = pi has the single candidate b = 0.
+
+    The mirror x -> pi - x takes the split of [b, b + D] at v to that of
+    [pi - D - b, pi - b] at 1 - v, so I(v) = I(1 - v): a lane with v > 1/2
+    is solved at 1 - v (exact, by Sterbenz), and its argmin b and R are
+    mirrored back to (pi - D) - b and pi - R.
     """
     if isinstance(n_scan, bool) or not isinstance(n_scan, (int, np.integer)) or n_scan < 2:
         raise ParameterDomainError("n_scan must be an integer >= 2")
@@ -250,9 +255,11 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
     if D < MIN_PROFILE_DIAMETER:
         raise FloatingPointError(f"D is below the floor {MIN_PROFILE_DIAMETER:g}")
     vs = np.asarray(vs, dtype=float)
+    upper = vs > 0.5
+    vs = np.where(upper, 1.0 - vs, vs)
     if D >= math.pi:
         val, R = _g(N, 0.0, vs, math.pi)
-        return val, np.zeros_like(val), R, 1
+        return val, np.zeros_like(val), np.where(upper, math.pi - R, R), 1
     v = vs[:, None]
     lanes = np.arange(vs.size)
     bs = np.linspace(0.0, math.pi - D, n_scan)
@@ -273,7 +280,8 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
         evals += _REFINE_POINTS
     bstar = 0.5 * (a + b)
     val, R = _g(N, bstar, vs, D)
-    return val, bstar, R, evals + 1
+    return (val, np.where(upper, (math.pi - D) - bstar, bstar), np.where(upper, math.pi - R, R),
+            evals + 1)
 
 
 def profile(q: ProfileQuery, n_scan=129, tol=BRACKET_TOL) -> ProfileResult:
@@ -369,7 +377,7 @@ def bbg_ratio_check(N, D, v_grid):
         raise ParameterDomainError("need 0 < v < 1 for every v")
     with _in_float64(N, D):
         num = _profile_lanes(N, D, vs)[0]
-        den = _g(N, 0.0, vs, math.pi)[0]
+        den = _profile_lanes(N, math.pi, vs)[0]
         return float(np.min(num / den - C))
 
 

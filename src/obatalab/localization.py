@@ -403,10 +403,7 @@ class MassReport:
     ratio: float
     flagged: bool
     unspanned_mass: float
-    unspanned_envelope: float
     unspanned_flagged: bool
-    beta: float
-    gamma: float
 
 
 def long_mass_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport, gamma) -> MassReport:
@@ -437,9 +434,7 @@ def long_mass_bound(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport, gam
     return MassReport(
         lhs=float(lhs), one_minus_mass=float(one_minus),
         envelope=float(envelope), ratio=float(ratio), flagged=bool(flagged),
-        unspanned_mass=float(f.unspanned_mass),
-        unspanned_envelope=float(unsp_env), unspanned_flagged=bool(unsp_flag),
-        beta=float(beta), gamma=float(gamma),
+        unspanned_mass=float(f.unspanned_mass), unspanned_flagged=bool(unsp_flag),
     )
 
 
@@ -529,7 +524,6 @@ class SuspensionGeometry:
 
 @dataclass(frozen=True)
 class VolumeReport:
-    r: float
     ball: float
     lower: float
     upper: float
@@ -552,7 +546,7 @@ def volume_control(geometry: SuspensionGeometry, r) -> VolumeReport:
         raise NonCDInputError(
             f"ball measure {ball} at r={r} outside [{lower}, {upper}]"
         )
-    return VolumeReport(r=float(r), ball=ball, lower=lower, upper=upper,
+    return VolumeReport(ball=ball, lower=lower, upper=upper,
                         ok_lower=ok_lower, ok_upper=ok_upper)
 
 

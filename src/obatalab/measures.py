@@ -44,6 +44,9 @@ MAX_SAMPLE_PAIRS = 2 ** 21
 # Grid.uniform builds at most this many nodes, and refuses more before it
 # allocates: the most a Neumann solve takes (spectral.MAX_PAIR_NODES, one pair)
 MAX_GRID_NODES = 2 ** 25
+# cd_check passes a density whose worst violation of the concavity inequality
+# is at most this (the CLI reports it as cd_tol)
+CD_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +404,15 @@ def _kronecker_triples(ncell, count):
     return i0, i1, i0 + 1 + (f2 * (i1 - i0 - 1)).astype(int)
 
 
-def cd_check(w: WeightedInterval, sample_pairs=0, tol=1e-8) -> CdVerdict:
+def cd_check(w: WeightedInterval, sample_pairs=0) -> CdVerdict:
     """Verify the CD(K,N) concavity inequality for the density of w.
 
     Checks h(x_t)^{1/(N-1)} >= sigma^{(t)}(|x1-x0|) h(x1)^{1/(N-1)}
                              + sigma^{(1-t)}(|x1-x0|) h(x0)^{1/(N-1)}
     on a deterministic lattice of node triples plus `sample_pairs` (0 to
     MAX_SAMPLE_PAIRS) quasi-random node triples, all evaluated in one array
-    pass; the witness is the first worst triple. All evaluation points are
+    pass. It passes when the worst violation is at most CD_TOL, and the
+    witness is the first worst triple. All evaluation points are
     grid nodes: the interpolation parameter t is rationalized so that x_t
     lands on a node, because the piecewise-linear interpolant overshoots the
     concave h^{1/(N-1)} inside degenerate end cells and would produce
@@ -439,7 +443,7 @@ def cd_check(w: WeightedInterval, sample_pairs=0, tol=1e-8) -> CdVerdict:
     violations = term(lam, hp[i1]) + term(1.0 - lam, hp[i0]) - hp[j]
     worst = int(np.argmax(violations))
     violation = violations[worst]
-    if violation > tol:
+    if violation > CD_TOL:
         return CdVerdict(False, (x0[worst], x1[worst], lam[worst]), float(violation),
                          len(violations))
     return CdVerdict(True, None, float(max(violation, 0.0)), len(violations))
@@ -494,23 +498,7 @@ def _rotation_flow(t, edges, levels, w0, wp0):
     return ws[j] * np.cos(ks) + wps[j] / k[j] * np.sin(ks)
 
 
-def _piecewise_excess(excess, D):
-    try:
-        edges, levels = excess
-    except (TypeError, ValueError) as exc:
-        raise ParameterDomainError("excess must be a pair (edges, levels)") from exc
-    edges = np.asarray(edges, dtype=float)
-    levels = np.asarray(levels, dtype=float)
-    if edges.ndim != 1 or levels.shape != (len(edges) - 1,) or len(levels) < 1:
-        raise ParameterDomainError("excess needs edges 0 < ... < D and one level per piece")
-    if edges[0] != 0.0 or abs(edges[-1] - D) > 1e-12 or np.any(np.diff(edges) <= 0):
-        raise ParameterDomainError("excess edges must increase strictly from 0 to D")
-    if not np.all(np.isfinite(levels)) or np.any(levels < 0):
-        raise ParameterDomainError("excess must be non-negative and finite")
-    return edges, levels
-
-
-def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
+def generate_cd_density(N, seed, grid: Grid) -> WeightedInterval:
     """Seeded CD(N-1, N) density on grid: h = w^{N-1} with w'' = -(1 + a(t)) w.
 
     The excess a >= 0 is piecewise constant, so on each piece w is an exact
@@ -518,14 +506,12 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
     exactly wherever w > 0: the density is an exact CD(N-1, N) density sampled
     at the nodes, and does not depend on the grid beyond the sampling.
 
-    With excess=None, a has 6 pieces with seeded edges and levels, w starts
-    at a seeded phase, and each sqrt(1 + a) is capped so that the phase can
-    advance by at most the budget left below pi; the cap does not bound the
-    phase jumps at the piece edges, so if w is not positive at every node the
-    levels shrink by 0.7 per retry (at most 40). An explicit excess=(edges, levels), edges increasing from 0
-    to D with one non-negative level per piece, starts from the sine-matching
-    (w, w') = (0, 1) with no retry. Deterministic per seed; a negative
-    seed is refused.
+    a has 6 pieces with seeded edges and levels, w starts at a seeded phase,
+    and each sqrt(1 + a) is capped so that the phase can advance by at most
+    the budget left below pi; the cap does not bound the phase jumps at the
+    piece edges, so if w is not positive at every node the levels shrink by
+    0.7 per retry (at most 40). Deterministic per seed; a negative seed is
+    refused.
     """
     if seed < 0:
         raise ParameterDomainError(f"seed must be non-negative, got {seed}")
@@ -533,17 +519,6 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
         raise ParameterDomainError("generator needs D < pi")
     t = grid.nodes
     D = grid.D
-
-    if excess is not None:
-        edges, levels = _piecewise_excess(excess, D)
-        w = _rotation_flow(t, edges, levels, 0.0, 1.0)
-        if np.any(w[1:] <= 0):
-            raise DegenerateDensityError(
-                "solution hit zero before D; try a smaller interval",
-                suggested_D=0.9 * D,
-            )
-        return WeightedInterval(grid=grid, h=w ** (N - 1.0), K=N - 1.0,
-                                N=float(N)).normalized()
 
     rng = np.random.default_rng(seed)
     margin = 0.02 * (math.pi - D) + 1e-3
@@ -563,10 +538,7 @@ def generate_cd_density(N, seed, grid: Grid, excess=None) -> WeightedInterval:
             return WeightedInterval(grid=grid, h=w ** (N - 1.0), K=N - 1.0,
                                     N=float(N)).normalized()
         scale *= 0.7
-    raise DegenerateDensityError(
-        "no positive solution after 40 retries; try a smaller interval",
-        suggested_D=0.9 * D,
-    )
+    raise DegenerateDensityError("no positive solution after 40 retries; try a smaller interval")
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,6 @@ class ExperimentSpec:
     grid_n: int = 4096
     sweep: tuple = ()
     seed: int = 0
-    target: float = None  # exponent target; min(1/2, 1/N) when omitted
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -112,8 +111,11 @@ class ExperimentSpec:
         if not all(0 < s < math.inf for s in sweep):
             raise ParameterDomainError("sweep parameters must be finite and positive")
         object.__setattr__(self, "sweep", sweep)
-        if self.target is None:
-            object.__setattr__(self, "target", min(0.5, 1.0 / self.N))
+
+    @property
+    def target(self):
+        """The exponent of the rate dist_W12 <= C delta^target: min(1/2, 1/N)."""
+        return min(0.5, 1.0 / self.N)
 
 
 def _default_sweep(family):
@@ -278,8 +280,9 @@ class UpperGapReport:
     candidate_max_ratio: float
 
 
-def upper_gap_check(N, D_sweep=None, grid_n=4096) -> UpperGapReport:
-    """Linear upper bound lambda_1 - N <= C (pi - D) on the dilated model.
+def upper_gap_check(N, grid_n=4096) -> UpperGapReport:
+    """Linear upper bound lambda_1 - N <= C (pi - D) on the dilated model, at
+    D = pi - eps for eps = 0.2, 0.1, 0.05.
 
     The dilated density sin^{N-1}(pi t / D) satisfies CD(N-1, N) (its curvature
     is (N-1)(pi/D)^2 > N-1), so it witnesses that no power better than linear
@@ -290,14 +293,7 @@ def upper_gap_check(N, D_sweep=None, grid_n=4096) -> UpperGapReport:
     Also evaluates the explicit candidate sqrt(N+1) cos(t) on the grid, whose
     deficit must be O(eps).
     """
-    if D_sweep is None:
-        D_sweep = [math.pi - e for e in (0.2, 0.1, 0.05)]
-    Ds = sorted(float(D) for D in D_sweep)
-    if any(D < math.pi - 0.3 - 1e-12 for D in Ds):
-        raise ParameterDomainError("upper-gap sweep wants D >= pi - 0.3")
-    Ds = [D for D in Ds if D < math.pi]  # exact pi is 0/0, excluded
-    if not Ds:
-        raise ParameterDomainError("no diameters strictly below pi")
+    Ds = [math.pi - e for e in (0.2, 0.1, 0.05)]
     require_half_grid(grid_n)
 
     def job(D):

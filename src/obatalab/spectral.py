@@ -16,17 +16,22 @@ to the half grid and polished there by inverse iteration shifted by the base
 eigenvalues; the half-grid ones are interpolated to the grid and polished
 with the half-grid eigenvalues as shifts. Each pair iterates until two
 successive estimates of |lambda - shift| agree to 1e-8 of lambda (2 to 6
-steps); from step 3 on, a pair fails whose estimates contract too slowly to
-get there by step 6: at their latest rate on a jump of several doublings,
-and, once its change grows, even halving at each step left on a
-one-doubling level. A level where a pair
-does not converge, or has the wrong number of sign changes, fails: after a
-failed jump of several doublings the solve climbs from the base one
-doubling at a time, and a one-doubling level that fails is solved directly
-instead. lambda_0 is exactly 0 on a refined level, whose lambda_0 vector is
-the constant and is never iterated. A grid with no such base is solved
-directly. At most MAX_PAIRS pairs are computed, and at most MAX_PAIR_NODES
-values per grid-by-pairs array.
+steps). A level where a pair does not converge, or has the wrong number of
+sign changes, fails: after a failed jump of several doublings the solve
+climbs from the base one doubling at a time, and a one-doubling level that
+fails is solved directly instead. lambda_0 is exactly 0 on a refined level,
+whose lambda_0 vector is the constant and is never iterated. A grid with no
+such base is solved directly. At most MAX_PAIRS pairs are computed, and at
+most MAX_PAIR_NODES values per grid-by-pairs array.
+
+The discrete problem rescales exactly: nodes t 2^p and densities h 2^q, with
+p + q even, scale the eigenvalues by 4^-p and the eigenvectors by
+2^-(p+q)/2, with no rounding. A grid whose solve leaves the float range
+(_OutOfRange: a symmetric form that is not finite, a bisection that fails,
+eigenvectors that are not finite), as at a tiny diameter, is solved again at
+diameter in [1/2, 1) and peak density in [1/2, 2), and scaled back; every
+grid the solve handles keeps its bits. Eigenvalues past the float range are
+refused.
 
 A refined level is its nodes and densities (t, h): the grid's own, and
 contiguous copies of every other one for the half grid. A level of more than
@@ -79,6 +84,10 @@ from .errors import (
 from .isoperimetry import c_squared_minus_one
 from .measures import (MAX_GRID_NODES, Grid, WeightedInterval, extrapolate, first_diff,
                        omega, second_diff)
+
+
+class _OutOfRange(ConditioningError):
+    """A direct solve left the float range; neumann_eigs retries it rescaled."""
 
 
 @dataclass(frozen=True)
@@ -285,13 +294,13 @@ def _symmetric(f, M, start, end, out=None):
 
 def _scaled(t, h):
     """Flux, mass and the _symmetric form s, d, e of the whole grid: the
-    matrix of a grid solved by bisection. DegenerateDensityError when the
-    form is not finite, as when the masses of a tiny diameter underflow."""
+    matrix of a grid solved by bisection. _OutOfRange when the form is not
+    finite, as when the masses of a tiny diameter underflow."""
     f, M = _assemble(t, h)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s, d, e = _symmetric(f, M, True, True)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise DegenerateDensityError(
+        raise _OutOfRange(
             "the symmetric form of the grid is not finite (masses or fluxes out of float range)")
     return f, M, s, d, e
 
@@ -395,7 +404,9 @@ def _solve_tridiagonal(t, h, k):
     try:
         u = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
     except np.linalg.LinAlgError as exc:  # stebz fails on the huge forms of tiny diameters
-        raise ConditioningError(f"tridiagonal bisection failed ({exc})") from exc
+        raise _OutOfRange(f"tridiagonal bisection failed ({exc})") from exc
+    if not np.isfinite(u).all():  # and stein, on slightly smaller ones
+        raise _OutOfRange("tridiagonal eigenvectors are not finite (form out of float range)")
     return _finish(u, t, h, level=(f, M, s))[0], u
 
 
@@ -435,17 +446,13 @@ def _prolong(t, v, stride):
     return u
 
 
-def _inverse_iterate(work, y, shift, jump=False):
+def _inverse_iterate(work, y, shift):
     """Inverse iteration in place on y, a contiguous vector that dgttrs
     overwrites, with the symmetric tridiagonal matrix minus shift, whose
     bands dl, dd, du are the rows of work (3 of len(y); factored in place),
     until two successive estimates 1/||z|| of |lambda - shift| agree to
-    _STEP_RTOL of the eigenvalue. ConditioningError when _MAX_STEPS do not
-    get there, or as soon as the change of the estimate would not get there
-    either: on a jump of several doublings, shrinking at its latest rate; on
-    a one-doubling level, once it grows, even halving at every step left
-    (from step 3 on, and only after the step's convergence test). A change
-    near the tolerance may grow once and still converge: it is kept.
+    _STEP_RTOL of |shift|, from step _MIN_STEPS on. ConditioningError when
+    the factor or an iterate is singular, or after _MAX_STEPS.
 
     The agreement is taken relative to |shift|, not to the estimate itself:
     the estimate carries a rounding noise of 1e-9 to 1e-7 of itself at 2^20
@@ -459,26 +466,17 @@ def _inverse_iterate(work, y, shift, jump=False):
     # successive norms, _MAX_STEPS steps stay far from overflow, and the
     # caller normalises the result (_finish)
     norm = math.sqrt(y.dot(y))  # np.linalg.norm(y), without its dispatch
-    gap = change = math.inf
+    gap = math.inf
     tol = _STEP_RTOL * abs(shift)
     for step in range(1, _MAX_STEPS + 1):
         y = dgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=1)[0]
-        last, prev, before = gap, norm, change
+        last, prev = gap, norm
         norm = math.sqrt(y.dot(y))
         if not 0.0 < norm < math.inf:
             raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
         gap = prev / norm
-        change = abs(gap - last)  # inf at step 1
-        if step >= _MIN_STEPS and change <= tol:
+        if step >= _MIN_STEPS and abs(gap - last) <= tol:
             return
-        # a jump stops once, contracting at this step's rate, the change
-        # would still exceed tol at _MAX_STEPS (or it does not contract at
-        # all); a one-doubling level once its change grows and would still
-        # exceed tol at _MAX_STEPS even if it halved at every step left
-        rate = change / before if jump else 0.5 if change > before else 0.0
-        if step > _MIN_STEPS and change * rate ** (_MAX_STEPS - step) > tol:
-            raise ConditioningError(
-                f"inverse iteration at shift {shift!r} contracts too slowly at step {step}")
     raise ConditioningError(
         f"inverse iteration at shift {shift!r} did not converge in {_MAX_STEPS} steps")
 
@@ -512,23 +510,15 @@ def _shifted_rows(t, h, work, y, shift, level=None):
     _sweep(block, nodes)
 
 
-def _refine(t, h, u, shifts, jump=False):
+def _refine(t, h, u, shifts):
     """Polish prolonged eigenvectors u of lambda_1..lambda_k (one column
-    each) in place on the level (t, h), the nodes and densities of their
-    grid; return their flux Rayleigh quotients.
-
-    The column of pair j takes inverse iteration shifted by shifts[j - 1], its
-    eigenvalue on the coarser grid, in the symmetric form y = u/s of the
-    direct solve, until it converges (_inverse_iterate; jump when the level
-    is several doublings above the grid u came from). A level of more than
-    one block holds no arrays: each sweep that reads its flux and mass forms
-    them per block (_block_level) on the worker pool: the factor rows and
-    y = u/s (_shifted_rows), and the unscaling u = y s with the quotient
-    (_finish). A level of one block is formed once, with its symmetric form,
-    for all its sweeps, and returned with the quotients for the backward
-    errors (None otherwise). Pair j must change sign exactly j times (Sturm
-    oscillation: the off-diagonals are negative on the support). Either
-    failure raises ConditioningError.
+    each) in place on the level (t, h) by inverse iteration in the symmetric
+    form y = u/s, shifted by shifts, their eigenvalues on the coarser grid;
+    return their flux Rayleigh quotients, and the level's flux, mass and
+    symmetric form when it is one block, formed once for all its sweeps
+    (None otherwise: each sweep forms its blocks, _block_level).
+    ConditioningError when a pair does not converge, or when pair j does not
+    change sign exactly j times (Sturm oscillation).
     """
     # three rows apart, not one 3 x n block: each can reuse a freed grid-sized block
     work = [np.empty(len(t)) for _ in range(3)]
@@ -539,7 +529,7 @@ def _refine(t, h, u, shifts, jump=False):
     for j, shift in enumerate(shifts):
         y = u[:, j]
         _shifted_rows(t, h, work, y, shift, level)
-        _inverse_iterate(work, y, shift, jump)
+        _inverse_iterate(work, y, shift)
     ray, changes = _finish(u, t, h, work[:2], count=True, level=level)
     for j, count in enumerate(changes, 1):
         if count != j:
@@ -586,7 +576,7 @@ def _eigenpairs(t, h, k):
             _support_checks(hg)
         half = vals
         try:
-            vals, level = _refine(tg, hg, u, half, jump=stride > 2)
+            vals, level = _refine(tg, hg, u, half)
             lam0 = 0.0
         except ConditioningError:
             if stride > 2:
@@ -644,6 +634,20 @@ def _backward_errors(t, h, u, lams, level=None):
     return np.array([rj / (tnorm * yj) for rj, yj in zip(rmax, ymax)])
 
 
+def _spectrum(t, h, k):
+    """SpectralResult of k pairs on the grid (t, h)."""
+    lam0, lams, funcs, half, level = _eigenpairs(t, h, k)
+    if half is None and has_half_grid(len(t) - 1):
+        half = _eigenpairs(t[::2], h[::2], k)[1]
+    return SpectralResult(
+        eigenvalues=lams,
+        eigenfunctions=funcs,
+        residuals=_backward_errors(t, h, funcs, lams, level),
+        lam0=lam0,
+        half_eigenvalues=np.full(k, np.nan) if half is None else half,
+    )
+
+
 def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     """First k nonzero Neumann eigenpairs of -(h u')' = lambda h u on w."""
     if not 1 <= k <= MAX_PAIRS:
@@ -656,16 +660,26 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     if k > cells:
         raise ParameterDomainError(
             f"k = {k} exceeds the {cells} cells of the coarsest grid solved")
-    lam0, lams, funcs, half, level = _eigenpairs(t, h, k)
-    if half is None and has_half_grid(len(t) - 1):
-        half = _eigenpairs(t[::2], h[::2], k)[1]
-    return SpectralResult(
-        eigenvalues=lams,
-        eigenfunctions=funcs,
-        residuals=_backward_errors(t, h, funcs, lams, level),
-        lam0=lam0,
-        half_eigenvalues=np.full(k, np.nan) if half is None else half,
-    )
+    try:
+        return _spectrum(t, h, k)
+    except _OutOfRange:
+        # diameter and peak density into [1/2, 1), the density's exponent
+        # made as even as p's (peak in [1/2, 2)): the scaling is exact
+        p, q = -math.frexp(t[-1])[1], -math.frexp(float(np.max(h)))[1]
+        q += (p + q) % 2
+        if p == q == 0:
+            raise
+    res = _spectrum(np.ldexp(t, p), np.ldexp(h, q), k)
+    with np.errstate(over="ignore"):
+        lams, half, lam0 = (np.ldexp(x, 2 * p) for x in
+                            (res.eigenvalues, res.half_eigenvalues, res.lam0))
+        funcs = np.ldexp(res.eigenfunctions, (p + q) // 2)
+    if any(np.isinf(x).any() for x in (lams, half, funcs)):
+        raise ParameterDomainError(
+            f"the spectrum on diameter {w.grid.D:g} is not finite in float64: its "
+            "eigenvalues, of order 1/D^2, leave the float range")
+    return SpectralResult(eigenvalues=lams, eigenfunctions=funcs, residuals=res.residuals,
+                          lam0=float(lam0), half_eigenvalues=half)
 
 
 def rayleigh(w: WeightedInterval, u):

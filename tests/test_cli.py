@@ -53,6 +53,19 @@ def test_spectrum_model_command(run_cli):
     assert s["tolerances"] == {"model_lambda1_rel": 1e-5, "max_pairs": 256}
 
 
+def test_spectrum_tiny_diameter_is_solved(run_cli):
+    # 1e-75 used to exit 1 with "tridiagonal bisection failed": the problem
+    # is solved rescaled, and lambda_1 D^2 is the same to rounding as at 1e-10
+    scaled = {}
+    for diam in ("1e-10", "1e-75", "1e-150"):
+        proc, out = run_cli("spectrum", "--model", "--dim", "2", "--diam", diam, out=diam)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        scaled[diam] = _summary(out)["results"]["lambda1"] * float(diam) ** 2
+    for diam in ("1e-75", "1e-150"):
+        assert abs(scaled[diam] / scaled["1e-10"] - 1.0) <= 1e-12, scaled
+
+
 def test_spectrum_density_file(run_cli, fixtures_dir):
     proc, out = run_cli("spectrum", "--density",
                         str(fixtures_dir / "model_n2.csv"), "--dim", "2")
@@ -436,7 +449,7 @@ def test_non_finite_input_exits_1(run_cli, tmp_path):
 
 @pytest.mark.parametrize("args, message", [
     (("spectrum", "--model", "--dim", "2", "--diam", "1e-300"), "not finite"),
-    (("spectrum", "--model", "--dim", "2", "--diam", "1e-80"), "bisection failed"),
+    (("spectrum", "--model", "--dim", "2", "--diam", "1e-160"), "float range"),
     (("profile", "--dim", "2", "--diam", "1e-300", "--v", "0.5"), "cannot be computed"),
     (("profile", "--dim", "1e300", "--diam", "3", "--v", "0.5"), "cannot be computed"),
 ])

@@ -85,7 +85,6 @@ def test_experiment_spec_refuses_negative_seed_and_non_finite_points():
 def test_experiment_spec_default_target():
     assert ExperimentSpec(N=2.0, family="perturbed-cosine").target == 0.5
     assert ExperimentSpec(N=3.0, family="perturbed-cosine").target == pytest.approx(1.0 / 3.0)
-    assert ExperimentSpec(N=3.0, family="perturbed-cosine", target=0.25).target == 0.25
 
 
 def test_model_family_constructors():
@@ -342,13 +341,6 @@ def test_closed_form_paths_solve_nothing(monkeypatch):
     # the wrapper is live: the truncated-model sweep solves each of its 5 points
     deficit_distance_sweep(ExperimentSpec(N=2.0, family="truncated-model", grid_n=512))
     assert len(calls) == 5
-
-
-def test_upper_gap_validation():
-    with pytest.raises(ParameterDomainError):
-        upper_gap_check(2.0, D_sweep=[2.0, 3.0])
-    with pytest.raises(ParameterDomainError):
-        upper_gap_check(2.0, D_sweep=[math.pi])
 
 
 # ---------------------------------------------------------------------------

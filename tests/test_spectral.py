@@ -428,16 +428,48 @@ def test_support_check_midpoint_rounding_to_zero():
         spectral._support_checks(h)
 
 
-def test_tiny_diameter_refused_before_bisection():
-    # on D = 1e-300 the lumped masses underflow to 0, so s = 1/sqrt(M) is
-    # inf; the form used to reach eigh_tridiagonal, which raised ValueError.
-    # On D = 1e-80 the form is finite and LAPACK's bisection fails instead
+def test_tiny_diameter_is_rescaled_or_refused():
+    # the discrete problem rescales exactly by powers of 2, so a diameter
+    # whose form leaves the float range (stein's eigenvectors overflowed at
+    # 3e-72, stebz failed at 1e-75, the masses underflowed at 1e-300) is
+    # solved at diameter ~1 and scaled back: lambda_1 D^2 is the same to
+    # rounding at every D down to the float limit of lambda_1 ~ 14.7/D^2.
+    # Below it the spectrum is refused, with no warning
+    ref = float(neumann_eigs(model_density(2.0, Grid.uniform(1e-10, 4096)), k=1).eigenvalues[0])
+    ref *= 1e-10 ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateDensityError, match="not finite"):
-            neumann_eigs(model_density(2.0, Grid.uniform(1e-300, 4096)), k=1)
-        with pytest.raises(ConditioningError, match="bisection failed"):
-            neumann_eigs(model_density(2.0, Grid.uniform(1e-80, 4096)), k=1)
+        for D in (3e-72, 1e-75, 1e-80, 1e-150, 3e-154):
+            res = neumann_eigs(model_density(2.0, Grid.uniform(D, 4096)), k=1)
+            assert abs(res.eigenvalues[0] * D * D / ref - 1.0) <= 1e-12, D
+            assert res.lam0 == 0.0 and res.residuals[0] <= 1e-14, D
+        for D in (2.8e-154, 1e-300):
+            with pytest.raises(ParameterDomainError, match="float range"):
+                neumann_eigs(model_density(2.0, Grid.uniform(D, 4096)), k=1)
+
+
+def test_rescaled_solve_is_the_exact_scaling(monkeypatch):
+    # the rescale is exact: forcing the retry on D = 1.5 (solved at 0.75,
+    # with the peak density in [1/2, 2)) gives every value of the direct
+    # solve with its bits
+    w = model_density(3.0, Grid.uniform(1.5, 2048))
+    direct = neumann_eigs(w, k=2)
+    spectrum = spectral._spectrum
+    calls = []
+
+    def out_of_range_once(t, h, k):
+        calls.append(float(t[-1]))
+        if len(calls) == 1:
+            raise spectral._OutOfRange("forced")
+        return spectrum(t, h, k)
+
+    monkeypatch.setattr(spectral, "_spectrum", out_of_range_once)
+    res = neumann_eigs(w, k=2)
+    assert calls == [1.5, 0.75]
+    assert np.array_equal(_bits(res.eigenvalues), _bits(direct.eigenvalues))
+    assert np.array_equal(_bits(res.half_eigenvalues), _bits(direct.half_eigenvalues))
+    assert np.array_equal(_bits(res.residuals), _bits(direct.residuals))
+    assert np.array_equal(_bits(res.eigenfunctions), _bits(direct.eigenfunctions))
 
 
 def test_richardson_gap_grid_independent():
@@ -641,62 +673,6 @@ def test_nested_matches_direct_on_rough_densities(name, monkeypatch):
             res = neumann_eigs(w, k=k)
             assert bisections == [257] + _ROUGH_FALLBACKS.get(name, {}).get((n, k), []), (n, k)
             assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, k) - 1.0)) <= 1e-10
-
-
-def _count_steps(monkeypatch):
-    # [nodes, dgttrs solves] per factorization, in order
-    steps = []
-    factor, solve = spectral.dgttrf, spectral.dgttrs
-
-    def counted_factor(*args, **kwargs):
-        steps.append([len(args[1]), 0])
-        return factor(*args, **kwargs)
-
-    def counted_solve(*args, **kwargs):
-        steps[-1][1] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "dgttrf", counted_factor)
-    monkeypatch.setattr(spectral, "dgttrs", counted_solve)
-    return steps
-
-
-# dgttrs solves of neumann_eigs(k = 1) at 16384 cells
-_ABANDONED_JUMP_SOLVES = {"notch": 23, "square0.9": 17, "square0.999": 18}
-
-
-@pytest.mark.parametrize("name", sorted(_ABANDONED_JUMP_SOLVES))
-def test_failing_jump_is_abandoned_early(name, monkeypatch):
-    # the jump from the base straight to the half grid fails on these
-    # densities; once its |lambda - shift| estimates contract too slowly to
-    # converge within _MAX_STEPS, it is abandoned at step 3 instead of
-    # running all 6, and the climb gives the same pairs as before
-    steps = _count_steps(monkeypatch)
-    res = neumann_eigs(_rough_density(name, 16384), k=1)
-    assert steps[0] == [8193, 3], steps  # the jump to the half grid
-    # three solves fewer than the 26, 23 and 24 of running the jump to 6
-    # steps; on the square waves the climb's 2049-node level, whose change
-    # grows from step 2 to 3, far above the tolerance, stops at step 3 as
-    # well (three fewer again), while the notch's, which contracts, runs on
-    assert [2049, 6 if name == "notch" else 3] in steps, steps
-    assert sum(count for _, count in steps) == _ABANDONED_JUMP_SOLVES[name], steps
-    w = _rough_density(name, 16384)
-    assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, 1) - 1.0)) <= 1e-10
-
-
-def test_one_doubling_level_keeps_a_change_that_grows_near_tolerance(monkeypatch):
-    # on square0.999 at 65536 cells, k = 3, the second pair of the grid level
-    # takes the half-grid shift to changes of 1.03, 1.44 and 0.56 times the
-    # tolerance at steps 2, 3 and 4: it grows once, near the tolerance, and
-    # converges, so the grid stays refined (the bisected levels are the base
-    # and two levels of the climb, not the grid)
-    bisections = _count_calls(monkeypatch, "eigh_tridiagonal")
-    steps = _count_steps(monkeypatch)
-    w = _rough_density("square0.999", 2 ** 16)
-    res = neumann_eigs(w, k=3)
-    assert bisections == [257, 8193, 16385]
-    assert steps[-3:] == [[65537, 2], [65537, 4], [65537, 2]], steps
-    assert np.max(np.abs(res.eigenvalues / _direct_eigenvalues(w, 3) - 1.0)) <= 1e-10
 
 
 _THREAD_NODES = [_B - 1, _B + 1, 2 * _B + 1, 3 * _B + 7]

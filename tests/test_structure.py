@@ -440,3 +440,43 @@ def sinpow_cum(N, x):
 """
     found = _where_with_special_in_both_arms(two_branch, "sinpow_cum")
     assert found and found[0].startswith("np.where(s2 > 0.5, mid, ")
+
+
+def test_inverse_iteration_has_one_stopping_rule():
+    # a pair converges when two successive estimates agree, from _MIN_STEPS
+    # on; ConditioningError is raised only for a singular factor or iterate
+    # and after _MAX_STEPS, with no early-abandonment rule in between
+    fn = dict(_defs(SRC / "spectral.py"))["spectral._inverse_iterate"]
+    raises = [node for node in ast.walk(fn) if isinstance(node, ast.Raise)]
+    assert len(raises) == 3
+    assert all(node.exc.func.id == "ConditioningError" for node in raises)
+    guards = [ast.unparse(node.test) for node in ast.walk(fn)
+              if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise)]
+    assert guards == ["info != 0", "not 0.0 < norm < math.inf"]
+    loop, last = fn.body[-2:]
+    assert isinstance(loop, ast.For) and ast.unparse(loop.iter) == "range(1, _MAX_STEPS + 1)"
+    assert isinstance(last, ast.Raise)
+    exits = [ast.unparse(node.test) for node in ast.walk(loop)
+             if isinstance(node, ast.If) and isinstance(node.body[0], ast.Return)]
+    assert exits == ["step >= _MIN_STEPS and abs(gap - last) <= tol"]
+
+
+def _parameters(fn):
+    args = fn.args
+    return {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+
+
+def test_no_test_only_options():
+    # no solver level takes a jump flag, and the generator, the CD checker
+    # and the upper-gap check take no option that only tests set
+    spectral = [node for node in ast.walk(ast.parse((SRC / "spectral.py").read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    assert len(spectral) >= 40
+    assert [node for node in spectral if "jump" in _parameters(node)] == []
+    defs = {**dict(_defs(SRC / "measures.py")), **dict(_defs(SRC / "obata1d.py"))}
+    for name in ("measures.generate_cd_density", "measures.cd_check",
+                 "obata1d.upper_gap_check"):
+        assert not _parameters(defs[name]) & {"excess", "tol", "D_sweep"}, name
+    from obatalab.obata1d import ExperimentSpec
+
+    assert "target" not in [f.name for f in dataclasses.fields(ExperimentSpec)]
