@@ -187,7 +187,7 @@ def global_deficit(f: RayFamily) -> DeficitLedger:
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError("family is not normalized; run normalize first")
 
-    grad2 = np.array([r.w.mean(first_diff(r.w.grid.nodes, r.u) ** 2) for r in f.rays])
+    grad2 = np.array([r.w.mean(first_diff(r.w.grid, r.u) ** 2) for r in f.rays])
     emass = np.array([r.w.mean(r.e) for r in f.rays])
     weights = f.weights
 
@@ -302,7 +302,7 @@ def bad_set_energy(f: RayFamily, ledger: DeficitLedger, sel: LongRayReport) -> B
     for i, r in enumerate(f.rays):
         if i in longs:
             continue
-        du = first_diff(r.w.grid.nodes, r.u)
+        du = first_diff(r.w.grid, r.u)
         value += r.weight * r.w.mean(du * du + r.e)
     delta = ledger.delta_plus
     if delta > 1.0:

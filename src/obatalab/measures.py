@@ -9,6 +9,13 @@ concavity inequality (integral and differential forms), a seeded generator
 of CD densities, and the envelope estimates that compare a density of
 diameter D to the model as D -> pi.
 
+A grid forms its cell widths once, on the first moment or difference taken
+on it, and keeps them (Grid.widths). Every moment takes the trapezoid rule
+on the kept widths with the bits of np.trapezoid(y, nodes), and every first
+difference forms the coefficients of its three-point stencil from them
+(Grid.stencil) with the bits of np.gradient(u, nodes, edge_order=2): the
+same expressions in the same order, without numpy's per-call differencing.
+
 The generator builds exact CD(N-1, N) densities h = w^{N-1} from
 w'' = -(1 + a) w with a piecewise-constant excess a >= 0: on each piece w is
 a closed-form rotation, so the samples do not depend on the grid.
@@ -68,7 +75,12 @@ def require_diameter(D):
 
 @dataclass(frozen=True)
 class Grid:
-    """Node set 0 = t_0 < ... < t_n = D. Field n counts cells, nodes has n+1."""
+    """Node set 0 = t_0 < ... < t_n = D. Field n counts cells, nodes has n+1.
+
+    A grid holds no array but its nodes until a moment or difference is
+    taken on it. Then it forms its cell widths (widths) once and keeps them:
+    every moment (integral) and difference (first_diff, second_diff) reads
+    them instead of differencing the nodes per call."""
 
     D: float
     n: int
@@ -100,9 +112,52 @@ class Grid:
                 f"grid needs 16 to {MAX_GRID_NODES} nodes, got {n + 1}")
         return Grid(D=D, n=n, nodes=np.linspace(0.0, D, n + 1))
 
+    @functools.cached_property
+    def widths(self):
+        """Cell widths t_{i+1} - t_i (np.diff(nodes)), formed on first read
+        and kept."""
+        return np.diff(self.nodes)
+
+    def stencil(self):
+        """Coefficients of first_diff, the three-point stencil of
+        np.gradient(u, nodes, edge_order=2) in numpy's expressions, formed
+        from the kept widths on each call: (inner, first, last), the (a, b, c)
+        of the first and last node, and inner the rows (a, b, c) of the
+        interior nodes or, on a grid of exactly equal widths (numpy's uniform
+        branch), the divisor 2 dx of the central difference. The rows are not
+        kept: most grids take a single first difference, and keeping them on
+        the 2^16-node grids of a two-thread sweep raised the peak RSS of the
+        sweep and a 2^20-node solve after it by about 1.1 MB."""
+        d = self.widths
+        if (d == d[0]).all():
+            dx = float(d[0])
+            return 2.0 * dx, (-1.5 / dx, 2.0 / dx, -0.5 / dx), (0.5 / dx, -2.0 / dx, 1.5 / dx)
+        dx1, dx2 = d[:-1], d[1:]
+        inner = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                 dx1 / (dx2 * (dx1 + dx2)))
+        (l1, l2), (r1, r2) = map(float, d[:2]), map(float, d[-2:])
+        return (inner,
+                (-(2.0 * l1 + l2) / (l1 * (l1 + l2)), (l1 + l2) / (l1 * l2),
+                 -l1 / (l2 * (l1 + l2))),
+                (r2 / (r1 * (r1 + r2)), -(r2 + r1) / (r1 * r2),
+                 (2.0 * r2 + r1) / (r2 * (r1 + r2))))
+
+    def integral(self, y, keep=True):
+        """Trapezoid rule int_0^D y dt of node samples y: np.trapezoid(y,
+        nodes) bit for bit, the cell terms widths (y_i + y_{i+1}) / 2 summed
+        by np.add.reduce. With keep False, a grid that has formed no widths
+        forms them for this sum alone, so that a grid only weighed
+        (WeightedInterval.total_mass) holds no array but its nodes."""
+        kept = keep or "widths" in vars(self)
+        d = self.widths if kept else self.nodes[1:] - self.nodes[:-1]
+        cells = y[1:] + y[:-1]
+        cells *= d
+        cells /= 2.0
+        return float(np.add.reduce(cells))
+
     @property
     def max_step(self):
-        return float(np.max(np.diff(self.nodes)))
+        return float(np.max(self.widths))
 
 
 @dataclass(frozen=True)
@@ -110,7 +165,9 @@ class WeightedInterval:
     """([0, D], |.|, h dt) with density samples h at grid nodes.
 
     Owns the L2(m) algebra of node-sampled functions: every moment is the
-    trapezoid rule against h, normalised by total_mass.
+    trapezoid rule against h (Grid.integral, on the grid's kept widths, with
+    np.trapezoid's bits), normalised by total_mass. total_mass alone keeps
+    no widths on the grid.
     """
 
     grid: Grid
@@ -129,11 +186,11 @@ class WeightedInterval:
         require_dimension(self.N)
         if not math.isfinite(self.K):
             raise ParameterDomainError("curvature parameter K must be finite")
-        object.__setattr__(self, "total_mass", float(np.trapezoid(h, self.grid.nodes)))
+        object.__setattr__(self, "total_mass", self.grid.integral(h, keep=False))
 
     def mean(self, f):
         """Normalised m-moment int f h dt / total_mass of node samples f."""
-        return float(np.trapezoid(self.h * f, self.grid.nodes) / self.total_mass)
+        return self.grid.integral(self.h * f) / self.total_mass
 
     def normalized(self):
         """Unit-mass copy: h / total_mass on the same grid."""
@@ -154,16 +211,32 @@ class WeightedInterval:
         return tuple(self.mean((u - s * g) ** 2) for s in (1.0, -1.0))
 
 
-def first_diff(t, u):
-    """Central first difference, one-sided second order at the two ends."""
-    return np.gradient(u, t, edge_order=2)
+def first_diff(grid, u):
+    """Central first difference of node samples u, one-sided second order at
+    the two ends: np.gradient(u, grid.nodes, edge_order=2) bit for bit, from
+    the grid's stencil."""
+    inner, (a0, b0, c0), (a1, b1, c1) = grid.stencil()
+    out = np.empty(len(u))
+    mid = out[1:-1]
+    if isinstance(inner, tuple):
+        a, b, c = inner
+        np.multiply(a, u[:-2], out=mid)
+        mid += b * u[1:-1]
+        mid += c * u[2:]
+    else:
+        np.subtract(u[2:], u[:-2], out=mid)
+        mid /= inner
+    out[0] = a0 * u[0] + b0 * u[1] + c0 * u[2]
+    out[-1] = a1 * u[-3] + b1 * u[-2] + c1 * u[-1]
+    return out
 
 
-def second_diff(t, u):
-    """3-point second difference at interior nodes (zero at the two ends);
-    reduces to (u+ - 2u + u-)/dt^2 on uniform grids."""
-    dl = np.diff(t)[:-1]
-    dr = np.diff(t)[1:]
+def second_diff(grid, u):
+    """3-point second difference at interior nodes (zero at the two ends),
+    on the grid's kept widths; reduces to (u+ - 2u + u-)/dx^2 on uniform
+    grids."""
+    dl = grid.widths[:-1]
+    dr = grid.widths[1:]
     out = np.zeros_like(u)
     out[1:-1] = 2.0 * ((u[2:] - u[1:-1]) / dr - (u[1:-1] - u[:-2]) / dl) / (dl + dr)
     return out
@@ -463,7 +536,7 @@ def cd_check_differential(w: WeightedInterval) -> CdVerdict:
     if np.any(h[1:-1] <= 0):
         raise DegenerateDensityError("density vanishes at an interior node")
     phi = h ** (1.0 / (w.N - 1.0))
-    lhs = (w.N - 1.0) * second_diff(t, phi)[1:-1] / phi[1:-1]
+    lhs = (w.N - 1.0) * second_diff(w.grid, phi)[1:-1] / phi[1:-1]
     resid = lhs + w.K  # must be <= tol
     i = int(np.argmax(resid))
     worst = float(resid[i])

@@ -341,12 +341,11 @@ def eigen_comparison_check(w: WeightedInterval, v, guard=0.1) -> EigenComparison
     u1 = w.standardize(res.eigenfunctions[:, 0])
     vn = w.standardize(v)
 
-    t = w.grid.nodes
     rhs = rayleigh(w, vn) - lam1
     overlap = w.mean(vn * u1)
 
-    du1 = first_diff(t, u1)
-    dv = first_diff(t, vn)
+    du1 = first_diff(w.grid, u1)
+    dv = first_diff(w.grid, vn)
     lhs = min(a + b for a, b in zip(w.sign_distances(vn, u1),
                                     w.sign_distances(dv, du1)))
 

@@ -41,7 +41,9 @@ on the block's slice with a one-node halo), along with the symmetric form
 where it is needed (_symmetric): the factor rows with the scaling y = u/s,
 the unscaling u = y s with the flux quotient, and the backward errors. A
 refined level of one block is formed once, with its symmetric form, for all
-its sweeps and for the backward errors of the grid.
+its sweeps. The backward errors of a grid (SpectralResult.residuals) are
+taken on first read, per block in this way on any grid; the blocked form
+has the bits of the whole-grid form.
 
 The blocked sweeps (the factor rows, the flux quotient and unscaling, the
 sign count, the backward errors) and the prolongation run on the
@@ -65,8 +67,9 @@ bisection eigenvalues carry an error of about eps n^2. rayleigh() takes it of
 any function, so by min-max it is >= lambda_1; deficit() extrapolates it on
 (n, n/2) through measures.extrapolate, as richardson does the eigenvalues.
 """
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -103,7 +106,10 @@ class SpectralResult:
         (||T||_inf ||y||_inf) of the eigenvalue and its eigenvector y = u/s in
         the symmetric scaled form T of the discrete problem: rounding level
         (~1e-16 to 1e-13) at every grid size for a converged pair. It
-        measures the solve, not the discretisation error (see err_bar)
+        measures the solve, not the discretisation error (see err_bar).
+        Taken on first read (_errors, which holds the grid's own nodes and
+        densities), so a solve whose residuals nobody reads does not pay
+        for them
     lam0: lambda_0 ~ 0, dropped from eigenvalues. Exactly 0 on a grid refined
         from its half grid, whose lambda_0 vector is the constant and is not
         computed; the bisection value (~1e-23) on a grid solved directly,
@@ -123,9 +129,13 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    residuals: np.ndarray
     lam0: float
     half_eigenvalues: np.ndarray
+    _errors: object = field(repr=False, compare=False)  # () -> residuals
+
+    @functools.cached_property
+    def residuals(self):
+        return self._errors()
 
     @property
     def err_bar(self):
@@ -514,9 +524,9 @@ def _refine(t, h, u, shifts):
     """Polish prolonged eigenvectors u of lambda_1..lambda_k (one column
     each) in place on the level (t, h) by inverse iteration in the symmetric
     form y = u/s, shifted by shifts, their eigenvalues on the coarser grid;
-    return their flux Rayleigh quotients, and the level's flux, mass and
-    symmetric form when it is one block, formed once for all its sweeps
-    (None otherwise: each sweep forms its blocks, _block_level).
+    return their flux Rayleigh quotients. A level of one block has its
+    flux, mass and symmetric form formed once for all its sweeps; on a
+    larger one each sweep forms its blocks (_block_level).
     ConditioningError when a pair does not converge, or when pair j does not
     change sign exactly j times (Sturm oscillation).
     """
@@ -535,14 +545,13 @@ def _refine(t, h, u, shifts):
         if count != j:
             raise ConditioningError(
                 f"refined pair {j} changes sign {count} times, not {j}")
-    return ray, level
+    return ray
 
 
 def _eigenpairs(t, h, k):
     """lambda_0, the flux Rayleigh eigenvalues lambda_1..lambda_k and their
-    eigenvectors (one column each), the half-grid eigenvalues when the grid
-    was refined from its half grid, and the grid's level from _refine when
-    it was refined and is one block (None otherwise).
+    eigenvectors (one column each), and the half-grid eigenvalues when the
+    grid was refined from its half grid (None otherwise).
 
     A grid that _refines is reached in two refined levels from its base
     (_coarsest_cells, solved directly): the base pairs are prolonged straight
@@ -559,7 +568,7 @@ def _eigenpairs(t, h, k):
     _support_checks(h)
     n = len(t) - 1
     if not _refines(n, k):
-        return _direct(t, h, k) + (None, None)
+        return _direct(t, h, k) + (None,)
     have = n // _coarsest_cells(n, k)  # stride of the finest level solved
     _support_checks(h[::have])
     lam0, vals, v = _direct(t[::have], h[::have], k)
@@ -576,33 +585,30 @@ def _eigenpairs(t, h, k):
             _support_checks(hg)
         half = vals
         try:
-            vals, level = _refine(tg, hg, u, half)
+            vals = _refine(tg, hg, u, half)
             lam0 = 0.0
         except ConditioningError:
             if stride > 2:
                 goal = have // 2
                 continue
-            (lam0, vals, u), level = _direct(tg, hg, k), None
+            lam0, vals, u = _direct(tg, hg, k)
         if goal == 1:
-            return lam0, vals, u, half, level
-        # the half grid's level is dropped before the grid is refined
-        have, goal, v, level = goal, goal // 2, u, None
+            return lam0, vals, u, half
+        have, goal, v = goal, goal // 2, u
 
 
-def _backward_errors(t, h, u, lams, level=None):
+def _backward_errors(t, h, u, lams):
     """||(T - lam) y||_inf / (||T||_inf ||y||_inf) per column, for T the
     symmetric matrix of the level (t, h) and y = u/s its form of the column.
     T is formed per block (_symmetric) with one halo node on each side, on
-    the worker pool (_sweep); level, the (f, M, s, d, e) of a level of one
-    block, is read instead. The norms are maxima of the blocks' maxima,
-    taken in block order."""
+    the worker pool (_sweep), with the bits of the whole-grid form. The
+    norms are maxima of the blocks' maxima, taken in block order."""
     nodes = len(t)
 
     def block(lo, hi, scratch):
         a, b = max(lo - 1, 0), min(hi + 1, nodes)
-        s, d, e = level[2:] if level else _symmetric(
-            *_block_level(t, h, a, b, scratch), a == 0, b == nodes,
-            (scratch[0], scratch[2], scratch[4]))
+        s, d, e = _symmetric(*_block_level(t, h, a, b, scratch), a == 0, b == nodes,
+                             (scratch[0], scratch[2], scratch[4]))
         m, own = b - a, slice(lo - a, hi - a)  # the block's rows in the halo
         # y and r take the rows of f and M, which the form is done with
         ye, re, ae = scratch[1][:m], scratch[3][:m], scratch[5][:m - 1]
@@ -636,15 +642,15 @@ def _backward_errors(t, h, u, lams, level=None):
 
 def _spectrum(t, h, k):
     """SpectralResult of k pairs on the grid (t, h)."""
-    lam0, lams, funcs, half, level = _eigenpairs(t, h, k)
+    lam0, lams, funcs, half = _eigenpairs(t, h, k)
     if half is None and has_half_grid(len(t) - 1):
         half = _eigenpairs(t[::2], h[::2], k)[1]
     return SpectralResult(
         eigenvalues=lams,
         eigenfunctions=funcs,
-        residuals=_backward_errors(t, h, funcs, lams, level),
         lam0=lam0,
         half_eigenvalues=np.full(k, np.nan) if half is None else half,
+        _errors=functools.partial(_backward_errors, t, h, funcs, lams),
     )
 
 
@@ -678,8 +684,10 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         raise ParameterDomainError(
             f"the spectrum on diameter {w.grid.D:g} is not finite in float64: its "
             "eigenvalues, of order 1/D^2, leave the float range")
-    return SpectralResult(eigenvalues=lams, eigenfunctions=funcs, residuals=res.residuals,
-                          lam0=float(lam0), half_eigenvalues=half)
+    # taken now: the rescaled grid is not kept
+    errors = res.residuals
+    return SpectralResult(eigenvalues=lams, eigenfunctions=funcs, lam0=float(lam0),
+                          half_eigenvalues=half, _errors=lambda: errors)
 
 
 def rayleigh(w: WeightedInterval, u):
@@ -745,11 +753,10 @@ class BochnerReport:
 def bochner_check(w: WeightedInterval, eigenpair) -> BochnerReport:
     """||u'' + u|| against sqrt(lambda - N), windowed away from degenerate ends."""
     lam, u = eigenpair
-    t = w.grid.nodes
     h = w.h
     mask = h >= 1e-6 * np.max(h)
     mask[0] = mask[-1] = False
-    z = second_diff(t, u) + u
+    z = second_diff(w.grid, u) + u
     norm = math.sqrt(max(w.mean(np.where(mask, z * z, 0.0)), 0.0))
     gap = float(lam - w.N)
     ratio = norm / math.sqrt(gap) if gap > 0 else math.inf
@@ -796,7 +803,7 @@ def green_apply(w: WeightedInterval, z) -> GreenResult:
         raise ObataLabError(
             f"Green operator norm bound violated: {norm_v} > pi*{norm_z}"
         )
-    resid = float(np.max(np.abs((second_diff(t, v0) + v0 - z)[1:-1])))
+    resid = float(np.max(np.abs((second_diff(w.grid, v0) + v0 - z)[1:-1])))
     return GreenResult(v0=v0, residual=resid, norm_v0=norm_v, norm_z=norm_z,
                        boundary_max=boundary)
 
@@ -823,7 +830,7 @@ def cosine_distance(w: WeightedInterval, u):
     t = w.grid.nodes
     c = math.sqrt(w.N + 1.0) * np.cos(t)
     dc = -math.sqrt(w.N + 1.0) * np.sin(t)
-    du = first_diff(t, u)
+    du = first_diff(w.grid, u)
     l2_plus, l2_minus = w.sign_distances(u, c)
     d_plus, d_minus = w.sign_distances(du, dc)
     if l2_plus + d_plus <= l2_minus + d_minus:
@@ -841,7 +848,7 @@ def cosine_decompose(w: WeightedInterval, u_star, r=None, eta=None) -> CosineRep
     """
     t = w.grid.nodes
     u = np.asarray(u_star, dtype=float)
-    z = first_diff(t, first_diff(t, u)) + u
+    z = first_diff(w.grid, first_diff(w.grid, u)) + u
     g = green_apply(w, z)
     u0 = g.v0
     rdiff = u - u0
@@ -956,7 +963,7 @@ def poincare_check(w: WeightedInterval, u, x, r, p=2) -> PoincareReport:
     pts = _breakpoints(t, a, b, extra)
     lhs = _segmented_simpson(lambda q: hf(q) * np.abs(uf(q) - ubar) ** p, pts) / den
 
-    du = first_diff(t, u)
+    du = first_diff(w.grid, u)
 
     def df(q):
         return np.interp(q, t, du)

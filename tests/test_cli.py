@@ -66,6 +66,20 @@ def test_spectrum_tiny_diameter_is_solved(run_cli):
         assert abs(scaled[diam] / scaled["1e-10"] - 1.0) <= 1e-12, scaled
 
 
+def test_spectrum_underflowing_model_names_the_float_range(run_cli):
+    # sin^{4.5}/omega underflows to 0 at every node below D ~ 1e-69 on 4096
+    # cells; that used to exit 1 blaming the density ("identically zero").
+    # N = 3 still solves there
+    proc, out = run_cli("spectrum", "--model", "--dim", "5.5", "--diam", "1e-75")
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "float range" in err[0] and "identically zero" not in err[0]
+    assert not (out / "summary.json").exists()
+    proc, out = run_cli("spectrum", "--model", "--dim", "3", "--diam", "1e-75", out="n3")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_spectrum_density_file(run_cli, fixtures_dir):
     proc, out = run_cli("spectrum", "--density",
                         str(fixtures_dir / "model_n2.csv"), "--dim", "2")

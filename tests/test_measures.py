@@ -5,7 +5,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obatalab import isoperimetry as iso
 from obatalab.errors import (
@@ -28,10 +28,12 @@ from obatalab.measures import (
     load_density_csv,
     model_density,
     extrapolate,
+    first_diff,
     omega,
     read_csv,
     require_diameter,
     require_dimension,
+    second_diff,
     sigma_coeff,
     sinpow_cum,
     tau_coeff,
@@ -446,6 +448,89 @@ def test_uniform_grid_capped_before_allocating(monkeypatch):
     assert Grid.uniform(1.0, 1024).n == 1024
     with pytest.raises(ParameterDomainError, match="grid needs 16 to 1025 nodes, got 1026"):
         Grid.uniform(1.0, 1025)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _assert_numpy_forms(g, h, u):
+    # every moment is np.trapezoid, every first difference np.gradient with
+    # edge_order=2 and every second difference the form with two np.diff
+    # calls, bit for bit, though the grid keeps its widths
+    t = g.nodes
+    w = WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+    mass = np.trapezoid(h, t)
+    dl, dr = np.diff(t)[:-1], np.diff(t)[1:]
+    second = np.zeros_like(u)
+    second[1:-1] = 2.0 * ((u[2:] - u[1:-1]) / dr - (u[1:-1] - u[:-2]) / dl) / (dl + dr)
+    for _ in range(2):  # as the grid forms them, and from what it kept
+        assert np.array_equal(_bits(w.total_mass), _bits(mass))
+        assert np.array_equal(_bits(w.mean(u)), _bits(np.trapezoid(h * u, t) / mass))
+        assert np.array_equal(_bits(g.integral(u)), _bits(np.trapezoid(u, t)))
+        assert np.array_equal(_bits(first_diff(g, u)), _bits(np.gradient(u, t, edge_order=2)))
+        assert np.array_equal(_bits(second_diff(g, u)), _bits(second))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(15, 600), uniform=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.integers(-30, 30))
+@example(n=15, uniform=False, seed=0, scale=0)
+@example(n=15, uniform=True, seed=0, scale=0)
+def test_moments_and_differences_keep_the_numpy_bits(n, uniform, seed, scale):
+    # nonuniform grids of random widths on [0, D], and exactly uniform ones
+    # (k 2^-e, whose widths are all equal, numpy's uniform branch)
+    rng = np.random.default_rng(seed)
+    if uniform:
+        step = 2.0 ** -int(rng.integers(math.ceil(math.log2(n / math.pi)), 40))
+        t = np.arange(n + 1) * step
+    else:
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, n))])
+        t *= rng.uniform(1e-3, math.pi) / t[-1]
+    g = Grid(D=float(t[-1]), n=n, nodes=t)
+    assert isinstance(g.stencil()[0], tuple) != uniform
+    h = rng.uniform(0.0, 2.0, n + 1) * 2.0 ** scale
+    _assert_numpy_forms(g, h, rng.standard_normal(n + 1) * 2.0 ** -scale)
+
+
+def test_fixture_grids_keep_the_numpy_bits(fixtures_dir):
+    paths = sorted(fixtures_dir.glob("*.csv"))
+    assert len(paths) >= 4
+    rng = np.random.default_rng(5)
+    for path in paths:
+        cols = read_csv(path)
+        t = cols["t"]
+        g = Grid(D=float(t[-1]), n=len(t) - 1, nodes=t)
+        values = cols.get("h", cols.get("u"))
+        _assert_numpy_forms(g, np.abs(values), rng.standard_normal(len(t)))
+        _assert_numpy_forms(g, rng.uniform(0.0, 1.0, len(t)), values)
+
+
+def test_grid_keeps_only_its_widths():
+    # weighing a grid (total_mass) keeps no array on it: the 2^18-cell model
+    # holds its nodes and density and nothing else of grid size. A moment
+    # and first differences then leave the widths alone: the stencil's
+    # coefficient rows are formed per first difference, not kept
+    n = 2 ** 18
+    row = 8 * (n + 1)
+    for nodes in (None, np.arange(n + 1) * 2.0 ** -17):  # nonuniform, exactly uniform
+        tracemalloc.start()
+        try:
+            g = Grid.uniform(math.pi, n) if nodes is None else Grid(D=2.0, n=n, nodes=nodes)
+            w = model_density(3.0, g)
+            assert w.total_mass > 0.0
+            built = tracemalloc.get_traced_memory()[0]
+            u = np.cos(g.nodes)
+            before = tracemalloc.get_traced_memory()[0]
+            w.mean(u)
+            for _ in range(2):
+                first_diff(g, u)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert built < (2 if nodes is None else 1) * row + 2 ** 16, built / row
+        assert kept < row + 2 ** 16, kept / row
+        assert isinstance(g.stencil()[0], tuple) == (nodes is None)
 
 
 def test_generate_cd_density_refuses_negative_seed():

@@ -325,6 +325,19 @@ def test_one_block_grid_forms_each_level_once(monkeypatch):
     assert np.all(res.residuals <= 1e-13)
 
 
+def test_backward_errors_are_taken_on_first_read(monkeypatch):
+    # only spectrum reads residuals: a solve takes no backward errors, and
+    # the first read takes them once, with the bits of the blocked form
+    calls = _count_calls(monkeypatch, "_backward_errors")
+    w = model_density(3.0, Grid.uniform(math.pi, 4096))
+    res = neumann_eigs(w, k=2)
+    assert calls == []
+    first = res.residuals
+    assert res.residuals is first and calls == [4097]
+    want = spectral._backward_errors(w.grid.nodes, w.h, res.eigenfunctions, res.eigenvalues)
+    assert np.array_equal(_bits(first), _bits(want))
+
+
 def test_blocked_sweeps_match_whole_grid():
     # the flux quotient and the sign count run block by block; the quotient
     # sums whole rows, so both equal their whole-grid forms bitwise (on

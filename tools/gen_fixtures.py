@@ -77,7 +77,7 @@ def _delta_q_of_s(N, w, s):
     t = w.grid.nodes
     u = np.cos(t) + s * np.sin(2.0 * t)
     uc = u - w.mean(u)
-    du = first_diff(t, uc)
+    du = first_diff(w.grid, uc)
     return w.mean(du * du) / w.mean(uc * uc) - N
 
 
@@ -155,7 +155,7 @@ def main():
     base_h = wt.h / wt.total_mass
     bump = (np.exp(-((g2.nodes / 0.25) ** 2))
             + np.exp(-(((2.0 - g2.nodes) / 0.25) ** 2)) + 0.02)
-    bump /= np.trapezoid(bump, g2.nodes)
+    bump /= g2.integral(bump)
 
     def lam1_of_mix(alpha):
         h = (1.0 - alpha) * base_h + alpha * bump
@@ -219,7 +219,7 @@ def main():
     # is finite and the lattice scan has to find it
     g = ol.Grid.uniform(2.8, 256)
     dumbbell = 0.1 + 4.0 * np.cos(g.nodes * math.pi / 2.8) ** 4
-    dumbbell /= np.trapezoid(dumbbell, g.nodes)
+    dumbbell /= g.integral(dumbbell)
     dump_samples("noncd_density.csv", g.nodes, dumbbell, "t,h")
 
     # calibrated deficit sweeps
