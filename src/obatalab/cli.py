@@ -36,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonCDInputError, ObataLabError, ParameterDomainError
+from .errors import ConfigError, NonCDInputError, ObataLabError
 from .isoperimetry import BRACKET_TOL, RESIDUAL_TOL, ProfileQuery, profile
 from .localization import (ENERGY_IDENTITY_SLACK, FLAG_FACTOR, IDENTITY_SLACK, VOLUME_SLACK,
                            load_family, localize)
-from .measures import CD_TOL, Grid, cd_check, load_density_csv, model_density, replace_file
+from .measures import (CD_TOL, Grid, cd_check, load_density_csv, model_density, replace_file,
+                       require_model_in_range)
 from .obata1d import (DEFICIT_GUARD, FAMILIES, FIT_FLAG_R2, GROWTH_LIMIT, SLOPE_SLACK,
                       ExperimentSpec, deficit_distance_sweep, diameter_deficit_sweep,
                       upper_gap_check)
@@ -154,14 +155,7 @@ def _build_interval(config: RunConfig):
     if p.get("density"):
         return _load_density(p["density"], p)
     D = math.pi if p.get("diam") is None else p["diam"]
-    w = model_density(p["dim"], Grid.uniform(D, config.grid))
-    # sin^{N-1} is unimodal on [0, pi]: its least interior sample is the
-    # first or the last, and where that underflows no end cell has mass
-    if w.h[1] == 0.0 or w.h[-2] == 0.0:
-        raise ParameterDomainError(
-            f"the model density sin^(N-1)/omega_N at N = {w.N:g} on diameter {D:g} "
-            "underflows to 0 in float64: it leaves the float range")
-    return w
+    return require_model_in_range(model_density(p["dim"], Grid.uniform(D, config.grid)))
 
 
 def _run_spectrum(config: RunConfig) -> _Artifact:

@@ -16,7 +16,7 @@ from scipy.special import betainc, betaincinv
 from .errors import ParameterDomainError
 from .measures import extrapolate, omega, require_diameter, require_dimension, sinpow_cum
 
-BRACKET_TOL = 1e-9  # default width in b of profile's final bracket
+BRACKET_TOL = 1e-9  # default width of profile's final bracket in b, in units of min(D, 1)
 RESIDUAL_TOL = 1e-12  # relative split residual that solve_R guarantees
 # profile refuses a smaller D: below it a window ending near pi is within a
 # few ulps of its start, and profile(2, D, 1/2) missed 1/(2 sin(D/2)) by 6e-11
@@ -239,9 +239,11 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
     refinement step then evaluates `_REFINE_POINTS` evenly spaced interior
     points of each bracket in one `_g` call, reuses the bracket-end values,
     and keeps the two neighbours of the lowest point. All lanes take the
-    same steps, until every bracket is no wider than `tol` (or than a few
-    ulps of b, where rounding stalls it). Returns (values, argmin_b, R at
-    argmin_b, g evaluations per lane); D = pi has the single candidate b = 0.
+    same steps, until every bracket is no wider than `tol` min(D, 1) (or
+    than a few ulps of b, where rounding stalls it): below D = 1 the
+    minimiser b moves on the scale of D, which an absolute width would not
+    resolve. Returns (values, argmin_b, R at argmin_b, g evaluations per
+    lane); D = pi has the single candidate b = 0.
 
     The mirror x -> pi - x takes the split of [b, b + D] at v to that of
     [pi - D - b, pi - b] at 1 - v, so I(v) = I(1 - v): a lane with v > 1/2
@@ -267,11 +269,12 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
     pts = np.broadcast_to(bs, gs.shape)
     evals = n_scan
     frac = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1.0)
+    width = tol * min(D, 1.0)
     while True:
         i = np.argmin(gs, axis=1)
         lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.shape[1] - 1)
         a, b = pts[lanes, lo], pts[lanes, hi]
-        if np.all(b - a <= np.maximum(tol, 4.0 * np.spacing(b))):
+        if np.all(b - a <= np.maximum(width, 4.0 * np.spacing(b))):
             break
         inner = a[:, None] + (b - a)[:, None] * frac
         gs = np.concatenate([gs[lanes, lo][:, None], _g(N, inner, v, D)[0],
@@ -290,8 +293,9 @@ def profile(q: ProfileQuery, n_scan=129, tol=BRACKET_TOL) -> ProfileResult:
 
     g is smooth in b but not proven unimodal, so the scan guards the
     refinement against secondary minima. `n_scan` must be an integer >= 2
-    and `tol`, the final bracket width in b, finite and positive. A query
-    that float64 cannot evaluate raises ParameterDomainError (_in_float64).
+    and `tol`, the final bracket width in b in units of min(D, 1), finite
+    and positive. A query that float64 cannot evaluate raises
+    ParameterDomainError (_in_float64).
     """
     with _in_float64(q.N, q.D):
         val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan, tol)

@@ -436,6 +436,20 @@ def model_density(N, grid: Grid) -> WeightedInterval:
     return WeightedInterval(grid=grid, h=h, K=N - 1.0, N=float(N))
 
 
+def require_model_in_range(w: WeightedInterval) -> WeightedInterval:
+    """w, a model_density, unless float64 cannot sample it: sin^{N-1} is
+    unimodal on [0, D], so its least interior sample is the first or the
+    last, and where that underflows an end cell has no mass. Then
+    ParameterDomainError, naming the float range; model_density itself
+    builds such samples."""
+    h = w.h
+    if 0.5 * (h[0] + h[1]) == 0.0 or 0.5 * (h[-2] + h[-1]) == 0.0:
+        raise ParameterDomainError(
+            f"the model density sin^(N-1)/omega_N at N = {w.N:g} on diameter {w.grid.D:g} "
+            "underflows to 0 in float64: it leaves the float range")
+    return w
+
+
 @dataclass(frozen=True)
 class CdVerdict:
     passed: bool

@@ -16,7 +16,7 @@ import numpy as np
 from . import pool
 from .errors import ParameterDomainError
 from .measures import (Grid, WeightedInterval, first_diff, generate_cd_density, model_density,
-                       require_dimension)
+                       require_dimension, require_model_in_range)
 from .spectral import (
     asymptotic_rate_constant,
     cosine_distance,
@@ -70,8 +70,9 @@ def loglog_fit(x, y) -> FitResult:
 
 
 def truncated_model(N, D, n) -> WeightedInterval:
-    """Model density restricted to [0, D] and renormalized to unit mass."""
-    return model_density(N, Grid.uniform(D, n)).normalized()
+    """Model density restricted to [0, D] and renormalized to unit mass;
+    ParameterDomainError where float64 cannot sample it (require_model_in_range)."""
+    return require_model_in_range(model_density(N, Grid.uniform(D, n))).normalized()
 
 
 def dilated_model(N, D, n) -> WeightedInterval:

@@ -26,12 +26,11 @@ most MAX_PAIR_NODES values per grid-by-pairs array.
 
 The discrete problem rescales exactly: nodes t 2^p and densities h 2^q, with
 p + q even, scale the eigenvalues by 4^-p and the eigenvectors by
-2^-(p+q)/2, with no rounding. A grid whose solve leaves the float range
-(_OutOfRange: a symmetric form that is not finite, a bisection that fails,
-eigenvectors that are not finite), as at a tiny diameter, is solved again at
-diameter in [1/2, 1) and peak density in [1/2, 2), and scaled back; every
-grid the solve handles keeps its bits. Eigenvalues past the float range are
-refused.
+2^-(p+q)/2, with no rounding. neumann_eigs takes once, before the solve, the
+(p, q) that bring the diameter into [1/2, 1) and the peak density into
+[1/2, 2): the scale is what bounds lambda. A grid with |p|, |q| at most
+_EXACT_EXPONENT is solved as it is, any other on scaled copies whose values
+are scaled back, and eigenvalues past the float range are refused.
 
 A refined level is its nodes and densities (t, h): the grid's own, and
 contiguous copies of every other one for the half grid. A level of more than
@@ -87,10 +86,6 @@ from .errors import (
 from .isoperimetry import c_squared_minus_one
 from .measures import (MAX_GRID_NODES, Grid, WeightedInterval, extrapolate, first_diff,
                        omega, second_diff)
-
-
-class _OutOfRange(ConditioningError):
-    """A direct solve left the float range; neumann_eigs retries it rescaled."""
 
 
 @dataclass(frozen=True)
@@ -164,6 +159,11 @@ _BLOCK = 2 ** 15
 # thread against two, k = 1: 2^16 cells 11.7 and 12.9 ms, 98304 cells 18.6
 # and 20.0 ms, 2^17 cells 24.8 and 24.0 ms)
 _POOL_BLOCKS = 4
+# neumann_eigs solves a grid as it is while |p| and |q| are at most this (D of
+# at least 2^-65): model grids (4096 to 2^18 cells, 1 to 200 pairs) kept every
+# bit of the scaled solve up to |p| = 124 and |q| = 896, and past |p| ~ 130
+# (lambda ~ 4^p) inverse iteration underflows. D = pi has (p, q) = (-2, 0)
+_EXACT_EXPONENT = 64
 # inverse iteration per refined pair: step bounds, and the agreement of two
 # successive |lambda - shift| estimates, relative to lambda, that ends it
 _MIN_STEPS, _MAX_STEPS, _STEP_RTOL = 2, 6, 1e-8
@@ -304,13 +304,13 @@ def _symmetric(f, M, start, end, out=None):
 
 def _scaled(t, h):
     """Flux, mass and the _symmetric form s, d, e of the whole grid: the
-    matrix of a grid solved by bisection. _OutOfRange when the form is not
-    finite, as when the masses of a tiny diameter underflow."""
+    matrix of a grid solved by bisection. ConditioningError when the form is
+    not finite, as for a density of too wide a range for float64."""
     f, M = _assemble(t, h)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s, d, e = _symmetric(f, M, True, True)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise _OutOfRange(
+        raise ConditioningError(
             "the symmetric form of the grid is not finite (masses or fluxes out of float range)")
     return f, M, s, d, e
 
@@ -413,10 +413,10 @@ def _solve_tridiagonal(t, h, k):
     f, M, s, d, e = _scaled(t, h)
     try:
         u = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
-    except np.linalg.LinAlgError as exc:  # stebz fails on the huge forms of tiny diameters
-        raise _OutOfRange(f"tridiagonal bisection failed ({exc})") from exc
-    if not np.isfinite(u).all():  # and stein, on slightly smaller ones
-        raise _OutOfRange("tridiagonal eigenvectors are not finite (form out of float range)")
+    except np.linalg.LinAlgError as exc:  # stebz fails on forms near the float limits
+        raise ConditioningError(f"tridiagonal bisection failed ({exc})") from exc
+    if not np.isfinite(u).all():  # and stein, on slightly milder ones
+        raise ConditioningError("tridiagonal eigenvectors are not finite (out of float range)")
     return _finish(u, t, h, level=(f, M, s))[0], u
 
 
@@ -473,8 +473,8 @@ def _inverse_iterate(work, y, shift):
     if info != 0:
         raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
     # the iterate is never rescaled: the estimate of a step is the ratio of
-    # successive norms, _MAX_STEPS steps stay far from overflow, and the
-    # caller normalises the result (_finish)
+    # successive norms, each step divides it by about |lambda - shift|, which
+    # neumann_eigs's scale bounds, and the caller normalises it (_finish)
     norm = math.sqrt(y.dot(y))  # np.linalg.norm(y), without its dispatch
     gap = math.inf
     tol = _STEP_RTOL * abs(shift)
@@ -666,16 +666,16 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     if k > cells:
         raise ParameterDomainError(
             f"k = {k} exceeds the {cells} cells of the coarsest grid solved")
-    try:
-        return _spectrum(t, h, k)
-    except _OutOfRange:
-        # diameter and peak density into [1/2, 1), the density's exponent
-        # made as even as p's (peak in [1/2, 2)): the scaling is exact
-        p, q = -math.frexp(t[-1])[1], -math.frexp(float(np.max(h)))[1]
-        q += (p + q) % 2
-        if p == q == 0:
-            raise
-    res = _spectrum(np.ldexp(t, p), np.ldexp(h, q), k)
+    # diameter and peak density into [1/2, 1), the density's exponent made as
+    # even as p's (peak in [1/2, 2)): the scaling is exact
+    p, q = -math.frexp(t[-1])[1], -math.frexp(float(np.max(h)))[1]
+    q += (p + q) % 2
+    scaled = max(abs(p), abs(q)) > _EXACT_EXPONENT
+    if scaled:
+        t, h = np.ldexp(t, p), np.ldexp(h, q)
+    res = _spectrum(t, h, k)
+    if not scaled:
+        return res
     with np.errstate(over="ignore"):
         lams, half, lam0 = (np.ldexp(x, 2 * p) for x in
                             (res.eigenvalues, res.half_eigenvalues, res.lam0))
@@ -684,10 +684,9 @@ def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
         raise ParameterDomainError(
             f"the spectrum on diameter {w.grid.D:g} is not finite in float64: its "
             "eigenvalues, of order 1/D^2, leave the float range")
-    # taken now: the rescaled grid is not kept
-    errors = res.residuals
     return SpectralResult(eigenvalues=lams, eigenfunctions=funcs, lam0=float(lam0),
-                          half_eigenvalues=half, _errors=lambda: errors)
+                          half_eigenvalues=half,
+                          _errors=lambda errors=res.residuals: errors)  # taken now, on the copies
 
 
 def rayleigh(w: WeightedInterval, u):

@@ -80,6 +80,23 @@ def test_spectrum_underflowing_model_names_the_float_range(run_cli):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_underflowing_truncated_model_names_the_float_range(run_cli):
+    # sin^119 underflows to 0 on the first cell at 4096 cells: the obata and
+    # truncated-model sweeps used to exit 1 with "density vanishes on a whole
+    # end cell". The perturbed-cosine sweep solves nothing on the model and
+    # still answers
+    for args in (("obata", "--dim", "120"),
+                 ("sweep", "--dim", "120", "--family", "truncated-model")):
+        proc, out = run_cli(*args, out=args[0])
+        assert proc.returncode == 1, args
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "float range" in err[0] and "end cell" not in err[0], err
+        assert not (out / "summary.json").exists()
+    proc, out = run_cli("sweep", "--dim", "120", "--family", "perturbed-cosine", out="cosine")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_spectrum_density_file(run_cli, fixtures_dir):
     proc, out = run_cli("spectrum", "--density",
                         str(fixtures_dir / "model_n2.csv"), "--dim", "2")

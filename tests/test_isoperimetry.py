@@ -329,6 +329,25 @@ def test_profile_short_windows_match_closed_forms():
                 assert abs(got - exact) <= 1e-12 * exact, (N, D)
 
 
+def test_profile_small_diameter_scales_as_one_over_D():
+    # bracket_tol is in units of min(D, 1): an absolute 1e-9 in b could not
+    # resolve the minimiser below D ~ 1e-9, and D I_{N,D}(v) read up to 31%
+    # high (the flat window's 1) at D = 1e-15. As D -> 0 the optimal window
+    # sits near the pole, where sin t ~ t: at N = 2 the limit of D I is
+    # 2 sqrt(v (1 - v)), the profile of a linear density minimised over its
+    # offset, and D = 1e-6 is within 4e-14 of it. Tested at 1e-12, against
+    # 8.3e-14 measured
+    Ds = np.geomspace(iso.MIN_PROFILE_DIAMETER, 1e-6, 10)
+    for N in (2.0, 3.0):
+        for v in (0.2, 0.3, 0.4):
+            ref = 1e-6 * profile(ProfileQuery(N, 1e-6, v)).value
+            if N == 2.0:
+                assert abs(ref / (2.0 * math.sqrt(v * (1.0 - v))) - 1.0) <= 1e-12, v
+            for D in Ds:
+                got = D * profile(ProfileQuery(N, float(D), v)).value
+                assert abs(got / ref - 1.0) <= 1e-12, (N, v, D, got, ref)
+
+
 def test_profile_refuses_diameters_below_the_floor():
     # a window ending near pi is a few ulps wide there: profile(2, 7e-16, 1/2)
     # missed 1/(2 sin(D/2)) by 6e-11 and below 2.2e-16 it divided by zero

@@ -461,28 +461,42 @@ def test_tiny_diameter_is_rescaled_or_refused():
                 neumann_eigs(model_density(2.0, Grid.uniform(D, 4096)), k=1)
 
 
-def test_rescaled_solve_is_the_exact_scaling(monkeypatch):
-    # the rescale is exact: forcing the retry on D = 1.5 (solved at 0.75,
-    # with the peak density in [1/2, 2)) gives every value of the direct
-    # solve with its bits
+def test_scaled_copies_are_the_exact_scaling():
+    # nodes t 2^a and densities h 2^b scale the eigenvalues by 4^-a and the
+    # eigenvectors by 2^-(a+b)/2; a copy past the scale bound is solved on
+    # copies scaled back to diameter ~1, and every value is the exact ldexp
+    # of the direct solve's D = 1.5, with the same bits
     w = model_density(3.0, Grid.uniform(1.5, 2048))
     direct = neumann_eigs(w, k=2)
-    spectrum = spectral._spectrum
+    t = w.grid.nodes
+    for a, b in ((-70, 0), (0, 100), (-70, 100)):
+        g = Grid(D=math.ldexp(w.grid.D, a), n=w.grid.n, nodes=np.ldexp(t, a))
+        res = neumann_eigs(WeightedInterval(grid=g, h=np.ldexp(w.h, b), K=w.K, N=w.N), k=2)
+        for got, want, e in ((res.eigenvalues, direct.eigenvalues, -2 * a),
+                             (res.half_eigenvalues, direct.half_eigenvalues, -2 * a),
+                             (res.eigenfunctions, direct.eigenfunctions, -(a + b) // 2),
+                             (res.residuals, direct.residuals, 0)):
+            assert np.array_equal(_bits(got), _bits(np.ldexp(want, e))), (a, b)
+
+
+def test_tiny_diameter_takes_one_bisection(monkeypatch):
+    # from D ~ 1e-45 down to 3e-72, every level of a solve at the grid's own
+    # scale fell back to bisection (11 calls at 2^18 cells, over ten times
+    # the time): the scale is decided before the solve, so each grid bisects
+    # only its base, and lambda_1 D^2 keeps its D = 1e-10 value
     calls = []
-
-    def out_of_range_once(t, h, k):
-        calls.append(float(t[-1]))
-        if len(calls) == 1:
-            raise spectral._OutOfRange("forced")
-        return spectrum(t, h, k)
-
-    monkeypatch.setattr(spectral, "_spectrum", out_of_range_once)
-    res = neumann_eigs(w, k=2)
-    assert calls == [1.5, 0.75]
-    assert np.array_equal(_bits(res.eigenvalues), _bits(direct.eigenvalues))
-    assert np.array_equal(_bits(res.half_eigenvalues), _bits(direct.half_eigenvalues))
-    assert np.array_equal(_bits(res.residuals), _bits(direct.residuals))
-    assert np.array_equal(_bits(res.eigenfunctions), _bits(direct.eigenfunctions))
+    bisect = spectral.eigh_tridiagonal
+    monkeypatch.setattr(spectral, "eigh_tridiagonal",
+                        lambda *a, **kw: calls.append(1) or bisect(*a, **kw))
+    for n in (4096, 2 ** 18):
+        scaled = {}
+        for D in (1e-10, 1e-45, 1e-60, 1e-75):
+            calls.clear()
+            res = neumann_eigs(model_density(2.0, Grid.uniform(D, n)), k=1)
+            assert len(calls) == 1, (n, D, len(calls))
+            scaled[D] = float(res.eigenvalues[0]) * D * D
+        for D in (1e-45, 1e-60, 1e-75):
+            assert abs(scaled[D] - scaled[1e-10]) <= 1e-12, (n, scaled)
 
 
 def test_richardson_gap_grid_independent():

@@ -9,7 +9,8 @@ exponents, and the per-ray c_q is taken from the ledger. Plots are drawn from
 the rows in memory: plotting reads no table back and fits nothing. The
 Neumann solve bisects in one place, the base and fallback solve of the
 nested refinement, and reaches a grid from its base in two refined levels,
-not by recursion. The discrete Rayleigh quotient
+not by recursion. Its exact power-of-two scale is decided once, in
+neumann_eigs, before the one solve. The discrete Rayleigh quotient
 is written once, spectral._flux_quotient, and both the eigenvalues and
 rayleigh() take it. A refined level holds no arrays of its own: its flux and
 mass are formed per block from the nodes and densities, by the one assembly,
@@ -205,6 +206,32 @@ def test_bisection_only_in_the_base_solve():
                for node in ast.walk(fn)
                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "eigh_tridiagonal"]
     assert callers == ["spectral._solve_tridiagonal"]
+
+
+def test_one_scale_decision_before_the_solve():
+    # neumann_eigs decides the exact power-of-two scale once, before it
+    # solves, and solves once: math.frexp and np.ldexp appear in spectral
+    # only there, it has no try and one _spectrum call, and spectral defines
+    # no exception class of its own for a retry to catch
+    from obatalab import spectral
+
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "neumann_eigs")
+
+    def scale_calls(root):
+        return [ast.unparse(node) for node in ast.walk(root) if isinstance(node, ast.Attribute)
+                and ast.unparse(node) in ("math.frexp", "np.ldexp")]
+
+    assert set(scale_calls(fn)) == {"math.frexp", "np.ldexp"}
+    assert scale_calls(tree) == scale_calls(fn)
+    assert [node for node in ast.walk(fn) if isinstance(node, ast.Try)] == []
+    assert len([node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", "") == "_spectrum"]) == 1
+    classes = [getattr(spectral, node.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    assert len(classes) >= 5
+    assert [cls.__name__ for cls in classes if issubclass(cls, BaseException)] == []
 
 
 def _functions(path):
