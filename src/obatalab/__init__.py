@@ -1,7 +1,7 @@
 """Spectral-gap stability toolkit for one-dimensional weighted intervals.
 
 Modules:
-  measures      grids, CD(K,N) densities, distortion coefficients, checkers,
+  measures      grids, CD(K,N) densities, the CD check (cd_check),
                 the one CSV reader (read_csv), the one Richardson step
                 (extrapolate) and the N and D rules (require_dimension,
                 require_diameter)
@@ -28,18 +28,13 @@ from .errors import (
     UndefinedQuotientError,
 )
 from .measures import (
-    CoefficientQuery,
     Grid,
     WeightedInterval,
     cd_check,
-    cd_check_differential,
-    envelope_check,
     generate_cd_density,
     load_density_csv,
     model_density,
     omega,
-    sigma_coeff,
-    tau_coeff,
 )
 from .isoperimetry import (
     ProfileQuery,
@@ -58,7 +53,6 @@ from .spectral import (
     green_apply,
     lichnerowicz_check,
     neumann_eigs,
-    poincare_check,
     rayleigh,
 )
 from .obata1d import (
@@ -66,7 +60,6 @@ from .obata1d import (
     FitResult,
     deficit_distance_sweep,
     diameter_deficit_sweep,
-    eigen_comparison_check,
     loglog_fit,
     upper_gap_check,
 )

@@ -3,11 +3,9 @@
 A weighted interval is ([0, D], |.|, h dt) with a node-sampled density h,
 interpolated piecewise-linearly between nodes. This module owns the L2(m)
 algebra on weighted intervals (moments, normalisation, sign fits), the two
-derivative stencils every other module uses, the distortion coefficients
-sigma/tau, the model density sin^{N-1}/omega_N, verification of the CD(K,N)
-concavity inequality (integral and differential forms), a seeded generator
-of CD densities, and the envelope estimates that compare a density of
-diameter D to the model as D -> pi.
+derivative stencils every other module uses, the model density
+sin^{N-1}/omega_N, verification of the CD(K,N) concavity inequality
+(cd_check), and a seeded generator of CD densities.
 
 A grid forms its cell widths once, on the first moment or difference taken
 on it, and keeps them (Grid.widths). Every moment takes the trapezoid rule
@@ -38,7 +36,6 @@ from scipy.special import betainc, beta as beta_fn
 from .errors import (
     ConfigError,
     DegenerateDensityError,
-    NormalizationError,
     ParameterDomainError,
     UndefinedQuotientError,
 )
@@ -363,22 +360,6 @@ def sinpow_cum(N, x):
 # distortion coefficients
 
 
-@dataclass(frozen=True)
-class CoefficientQuery:
-    K: float
-    N: float
-    t: float
-    theta: float
-
-
-def _validate_query(q):
-    require_dimension(q.N)
-    if not 0.0 <= q.t <= 1.0:
-        raise ParameterDomainError(f"interpolation parameter t must lie in [0,1], got {q.t}")
-    if q.theta < 0:
-        raise ParameterDomainError(f"distance argument theta must be >= 0, got {q.theta}")
-
-
 def _sigma_raw(K, dim, t, theta):
     # sigma^{(t)}_{K,dim}(theta) for any dim > 0, elementwise over arrays t and
     # theta; K <= 0 by the sinh/linear extension
@@ -397,23 +378,6 @@ def _sigma_raw(K, dim, t, theta):
                 out = np.where(b < 700.0, np.sinh(t * theta * s) / np.sinh(b),
                                np.exp(t * b - b) * -np.expm1(-2.0 * t * b))
     return np.where(theta == 0.0, t, out)
-
-
-def sigma_coeff(q: CoefficientQuery):
-    """sigma^{(t)}_{K,N}(theta); +inf on the K > 0, theta >= pi sqrt(N/K) branch."""
-    _validate_query(q)
-    return float(_sigma_raw(q.K, q.N, q.t, q.theta))
-
-
-def tau_coeff(q: CoefficientQuery):
-    """tau^{(t)}_{K,N}(theta) = t^{1/N} sigma^{(t)}_{K,N-1}(theta)^{1-1/N}."""
-    _validate_query(q)
-    sig = float(_sigma_raw(q.K, q.N - 1.0, q.t, q.theta))
-    if math.isinf(sig):
-        return math.inf
-    if sig == 0.0 or q.t == 0.0:
-        return 0.0
-    return q.t ** (1.0 / q.N) * sig ** (1.0 - 1.0 / q.N)
 
 
 # ---------------------------------------------------------------------------
@@ -536,29 +500,6 @@ def cd_check(w: WeightedInterval, sample_pairs=0) -> CdVerdict:
     return CdVerdict(True, None, float(max(violation, 0.0)), len(violations))
 
 
-def cd_check_differential(w: WeightedInterval) -> CdVerdict:
-    """Differential form: (N-1)(h^{1/(N-1)})''/h^{1/(N-1)} <= -K + tol.
-
-    Second-order central differences at interior nodes. A density that
-    satisfies the inequality with equality (the model) leaves a scheme
-    residual of (N-1)*step^2/12 on the violating side, so the tolerance,
-    max(1e-6, (N-1)*step^2/4), scales with the grid instead of being fixed.
-    """
-    tol = max(1e-6, 0.25 * (w.N - 1.0) * w.grid.max_step**2)
-    t = w.grid.nodes
-    h = w.h
-    if np.any(h[1:-1] <= 0):
-        raise DegenerateDensityError("density vanishes at an interior node")
-    phi = h ** (1.0 / (w.N - 1.0))
-    lhs = (w.N - 1.0) * second_diff(w.grid, phi)[1:-1] / phi[1:-1]
-    resid = lhs + w.K  # must be <= tol
-    i = int(np.argmax(resid))
-    worst = float(resid[i])
-    if worst > tol:
-        return CdVerdict(False, (float(t[i + 1]), float(t[i + 1]), 0.0), worst, len(resid))
-    return CdVerdict(True, None, worst, len(resid))
-
-
 # ---------------------------------------------------------------------------
 # generation
 
@@ -626,57 +567,3 @@ def generate_cd_density(N, seed, grid: Grid) -> WeightedInterval:
                                     N=float(N)).normalized()
         scale *= 0.7
     raise DegenerateDensityError("no positive solution after 40 retries; try a smaller interval")
-
-
-# ---------------------------------------------------------------------------
-# envelope
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    lower_ok: bool
-    upper_ok: bool
-    n_lower_violations: int
-    n_upper_violations: int
-    sup_deviation: float
-    windowed_deviation: float  # sup over [0,r] u [pi-r, D] of |h-h_N|/(r^{N-2} eps)
-    eps: float
-
-
-def envelope_check(w: WeightedInterval, r=None) -> EnvelopeReport:
-    """Two-sided envelope of h against the model h_N for diameter D = pi - eps.
-
-    Lower: omega_N/(omega_N lam_D + eps) * min(h_N(t), h_N(t+eps)) <= h(t);
-    upper: h(t) <= omega_N/(omega_N - eps) * max(h_N(t), h_N(t+eps)), checked
-    at interior nodes. Requires mass 1.
-    """
-    if abs(w.total_mass - 1.0) > 1e-6:
-        raise NormalizationError(f"envelope bounds need mass 1, got {w.total_mass}")
-    t = w.grid.nodes
-    N = w.N
-    eps = max(math.pi - w.grid.D, 0.0)
-    wN = omega(N)
-    hN = np.sin(t) ** (N - 1) / wN
-    hNe = np.sin(np.minimum(t + eps, math.pi)) ** (N - 1) / wN
-    lamD = float(sinpow_cum(N, w.grid.D)) / wN
-    lo = (wN / (wN * lamD + eps)) * np.minimum(hN, hNe)
-    hi = (wN / (wN - eps)) * np.maximum(hN, hNe)
-    inner = slice(1, -1)
-    n_lo = int(np.sum(w.h[inner] < lo[inner] - 1e-12))
-    n_hi = int(np.sum(w.h[inner] > hi[inner] + 1e-12))
-    sup_dev = float(np.max(np.abs(w.h - hN)))
-    windowed = 0.0
-    if r is not None and eps > 0.0:
-        mask = (t <= r) | (t >= math.pi - r)
-        if np.any(mask):
-            windowed = float(np.max(np.abs(w.h - hN)[mask]) / (r ** (N - 2.0) * eps))
-    return EnvelopeReport(
-        lower_ok=n_lo == 0,
-        upper_ok=n_hi == 0,
-        n_lower_violations=n_lo,
-        n_upper_violations=n_hi,
-        sup_deviation=sup_dev,
-        windowed_deviation=windowed,
-        eps=eps,
-    )
-

@@ -15,14 +15,13 @@ import numpy as np
 
 from . import pool
 from .errors import ParameterDomainError
-from .measures import (Grid, WeightedInterval, first_diff, generate_cd_density, model_density,
+from .measures import (Grid, WeightedInterval, generate_cd_density, model_density,
                        require_dimension, require_model_in_range)
 from .spectral import (
     asymptotic_rate_constant,
     cosine_distance,
     deficit,
     neumann_eigs,
-    rayleigh,
     require_half_grid,
 )
 
@@ -314,56 +313,4 @@ def upper_gap_check(N, grid_n=4096) -> UpperGapReport:
         spread=float(np.max(ratios) / np.min(ratios)),
         candidate_deficit=cand,
         candidate_max_ratio=float(np.max(cand / eps)),
-    )
-
-
-@dataclass(frozen=True)
-class EigenComparisonReport:
-    lhs: float        # min-over-sign ||v -+ u1||^2 in W^{1,2}(m)
-    rhs: float        # rayleigh(v) - lambda_1, >= 0 by min-max
-    ratio: float
-    overlap: float    # <v, u1> in L^2(m)
-    lambda1: float
-    lambda2: float
-    in_regime: bool   # rhs within the small-deficit guard
-    dichotomy_margin: float  # rhs - (1 - overlap^2)(lambda_2 - lambda_1)
-
-
-def eigen_comparison_check(w: WeightedInterval, v, guard=0.1) -> EigenComparisonReport:
-    """Both sides of the comparison ||v -+ u1||^2_{W12} <= C (Rayleigh(v) - lambda_1).
-
-    Also reports the overlap dichotomy: writing v = c u1 + v_perp, the spectral
-    decomposition forces Rayleigh(v) - lambda_1 >= (1 - c^2)(lambda_2 - lambda_1),
-    so small overlap implies a definite Rayleigh excess.
-    """
-    res = neumann_eigs(w, k=2)
-    lam1 = float(res.eigenvalues[0])
-    lam2 = float(res.eigenvalues[1])
-    u1 = w.standardize(res.eigenfunctions[:, 0])
-    vn = w.standardize(v)
-
-    rhs = rayleigh(w, vn) - lam1
-    overlap = w.mean(vn * u1)
-
-    du1 = first_diff(w.grid, u1)
-    dv = first_diff(w.grid, vn)
-    lhs = min(a + b for a, b in zip(w.sign_distances(vn, u1),
-                                    w.sign_distances(dv, du1)))
-
-    if lhs <= 1e-20:
-        ratio = 0.0
-    elif rhs <= 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / rhs
-    c2 = min(overlap * overlap, 1.0)
-    return EigenComparisonReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=float(ratio),
-        overlap=overlap,
-        lambda1=lam1,
-        lambda2=lam2,
-        in_regime=bool(rhs <= guard),
-        dichotomy_margin=float(rhs - (1.0 - c2) * (lam2 - lam1)),
     )

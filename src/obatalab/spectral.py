@@ -99,8 +99,10 @@ class SpectralResult:
         first significant node
     residuals: per pair, the backward error ||(T - lam) y||_inf /
         (||T||_inf ||y||_inf) of the eigenvalue and its eigenvector y = u/s in
-        the symmetric scaled form T of the discrete problem: rounding level
-        (~1e-16 to 1e-13) at every grid size for a converged pair. It
+        the symmetric scaled form T of the discrete problem. It is rounding
+        that grows with the n cells of the grid: on the model at D < pi about
+        1e-15 at n = 2^12, 4e-13 at 2^16 and up to 9e-12 at 2^20, at most
+        about 1e-17 n, while at D = pi it stays below 2e-13 at every n. It
         measures the solve, not the discretisation error (see err_bar).
         Taken on first read (_errors, which holds the grid's own nodes and
         densities), so a solve whose residuals nobody reads does not pay
@@ -888,97 +890,3 @@ def cosine_decompose(w: WeightedInterval, u_star, r=None, eta=None) -> CosineRep
         window_0r=window_0r,
         window_band=window_band,
     )
-
-
-@dataclass(frozen=True)
-class PoincareReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    ball: tuple
-    big_ball: tuple
-
-
-def _segmented_simpson(F, pts):
-    pts = np.asarray(pts, dtype=float)
-    lo, hi = pts[:-1], pts[1:]
-    mid = 0.5 * (lo + hi)
-    return float(np.sum((hi - lo) / 6.0 * (F(lo) + 4.0 * F(mid) + F(hi))))
-
-
-def _breakpoints(t, a, b, extra=()):
-    inside = t[(t > a) & (t < b)]
-    pts = np.unique(np.concatenate([[a, b], inside, np.asarray(extra, dtype=float)]))
-    return pts[(pts >= a) & (pts <= b)]
-
-
-def _crossings(t, y, c, a, b):
-    # kinks of |PL(y) - c| inside (a, b), for exact p = 1 integrals
-    out = []
-    d = y - c
-    for i in range(len(t) - 1):
-        if t[i + 1] <= a or t[i] >= b:
-            continue
-        if d[i] == 0.0 or d[i] * d[i + 1] < 0:
-            if d[i + 1] == d[i]:
-                continue
-            x = t[i] + (0.0 - d[i]) / (d[i + 1] - d[i]) * (t[i + 1] - t[i])
-            if a < x < b:
-                out.append(x)
-    return out
-
-
-def poincare_check(w: WeightedInterval, u, x, r, p=2) -> PoincareReport:
-    """Weak local Poincare ratio at center x and radius r, exponent p in {1,2}.
-
-    fint_{B_r} |u - fint u|^p dm <= C r fint_{B_10r} |u'|^p dm is tested with
-    the p-th powers as stated (no roots). Integrals treat h and u as
-    piecewise linear and are exact on partial end cells (the products are
-    piecewise cubic at worst, so per-segment Simpson is exact).
-    """
-    if p not in (1, 2):
-        raise ParameterDomainError("p must be 1 or 2")
-    t = w.grid.nodes
-    h = w.h
-    D = w.grid.D
-    a, b = max(0.0, x - r), min(D, x + r)
-    A, B = max(0.0, x - 10 * r), min(D, x + 10 * r)
-    if b <= a:
-        raise DegenerateDensityError("empty ball")
-    u = np.asarray(u, dtype=float)
-
-    def hf(q):
-        return np.interp(q, t, h)
-
-    def uf(q):
-        return np.interp(q, t, u)
-
-    pts = _breakpoints(t, a, b)
-    den = _segmented_simpson(hf, pts)
-    if den <= 0.0:
-        raise DegenerateDensityError("zero-mass ball")
-    ubar = _segmented_simpson(lambda q: hf(q) * uf(q), pts) / den
-    extra = _crossings(t, u, ubar, a, b) if p == 1 else ()
-    pts = _breakpoints(t, a, b, extra)
-    lhs = _segmented_simpson(lambda q: hf(q) * np.abs(uf(q) - ubar) ** p, pts) / den
-
-    du = first_diff(w.grid, u)
-
-    def df(q):
-        return np.interp(q, t, du)
-
-    extra = _crossings(t, du, 0.0, A, B) if p == 1 else ()
-    PTS = _breakpoints(t, A, B, extra)
-    DEN = _segmented_simpson(hf, PTS)
-    if DEN <= 0.0:
-        raise DegenerateDensityError("zero-mass comparison ball")
-    rhs = r * _segmented_simpson(lambda q: hf(q) * np.abs(df(q)) ** p, PTS) / DEN
-
-    if lhs <= 0.0:
-        ratio = 0.0
-    elif rhs <= 0.0:
-        ratio = math.inf
-    else:
-        ratio = lhs / rhs
-    return PoincareReport(lhs=float(lhs), rhs=float(rhs), ratio=float(ratio),
-                          ball=(a, b), big_ball=(A, B))

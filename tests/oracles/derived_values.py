@@ -13,17 +13,6 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 
-def tau_scalar_oracle():
-    # tau^{(t)}_{K,N}(theta) = t^{1/N} * (sin(t*theta*sqrt(K/(N-1)))/sin(theta*sqrt(K/(N-1))))^{1-1/N}
-    mp.mp.dps = 50
-    K, N, t, theta = mp.mpf(1), mp.mpf(3), mp.mpf("0.5"), mp.mpf(1)
-    s = mp.sqrt(K / (N - 1))
-    sig = mp.sin(t * theta * s) / mp.sin(theta * s)
-    val = t ** (1 / N) * sig ** (1 - 1 / N)
-    print(f"tau(K=1, N=3, t=0.5, theta=1) = {mp.nstr(val, 20)}")
-    return float(val)
-
-
 def omega_riemann_oracle():
     # midpoint Riemann sum, 10^6 nodes, N = 2.5
     n = 10 ** 6
@@ -113,24 +102,6 @@ def deficit_dense_oracle():
     return val
 
 
-def poincare_dense_oracle():
-    # u = cos on model N=2, x = pi/2, r = 0.3, p = 2; quad end to end
-    h = np.sin
-    x, r = np.pi / 2, 0.3
-
-    def fint(f, a, b):
-        num = quad(lambda t: h(t) * f(t), a, b, epsabs=1e-14)[0]
-        den = quad(h, a, b, epsabs=1e-14)[0]
-        return num / den
-
-    ubar = fint(np.cos, x - r, x + r)
-    lhs = fint(lambda t: (np.cos(t) - ubar) ** 2, x - r, x + r)
-    rhs = r * fint(lambda t: np.sin(t) ** 2, max(0.0, x - 10 * r), min(np.pi, x + 10 * r))
-    print(f"poincare ratio (cos, N=2, x=pi/2, r=0.3, p=2) = {lhs / rhs:.12f}")
-    print(f"  lhs = {lhs:.15f}  rhs = {rhs:.15f}")
-    return lhs / rhs
-
-
 def shooting_oracle():
     # first nonzero Neumann eigenvalue of d/dt(cos^{N-1} du/dt) = -lam cos^{N-1} u
     # on [-D/2, D/2]; eigenfunction is odd, so shoot from u(0)=0, u'(0)=1.
@@ -155,12 +126,10 @@ def green_closed_form_note():
 
 
 if __name__ == "__main__":
-    tau_scalar_oracle()
     omega_riemann_oracle()
     linear_density_violation_oracle()
     profile_dense_oracle()
     bbg_oracle()
     deficit_dense_oracle()
-    poincare_dense_oracle()
     shooting_oracle()
     green_closed_form_note()

@@ -8,22 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from obatalab import isoperimetry as iso
-from obatalab.errors import (
-    ConfigError,
-    DegenerateDensityError,
-    NormalizationError,
-    ParameterDomainError,
-)
+from obatalab.errors import ConfigError, ParameterDomainError
 from obatalab.measures import (
     CdVerdict,
-    CoefficientQuery,
     Grid,
     WeightedInterval,
     _rotation_flow,
     _sigma_raw,
     cd_check,
-    cd_check_differential,
-    envelope_check,
     generate_cd_density,
     load_density_csv,
     model_density,
@@ -34,16 +26,13 @@ from obatalab.measures import (
     require_diameter,
     require_dimension,
     second_diff,
-    sigma_coeff,
     sinpow_cum,
-    tau_coeff,
 )
 from obatalab.localization import RayFamily
 from obatalab.obata1d import ExperimentSpec, truncated_model
 
 # Frozen oracle values (tests/oracles/frozen.txt). Recompute with
 # tests/oracles/derived_values.py before touching these.
-TAU_1_3_HALF_1 = 0.52174183692850843116
 OMEGA_2_5 = 1.74803836952808
 LINEAR_WORST = 7.121332  # h(t)=t on [0,1], K=10, N=2, witness (0.05, 1.0, 0.5)
 
@@ -172,52 +161,46 @@ def test_read_csv_skips_blank_lines_and_spaces(tmp_path):
 
 
 def test_sigma_theta_zero_returns_t():
-    q = CoefficientQuery(K=2.0, N=2.0, t=0.5, theta=0.0)
-    assert sigma_coeff(q) == 0.5
+    assert _sigma_raw(2.0, 2.0, 0.5, 0.0) == 0.5
     # and across a small parameter lattice
     for K in (-1.0, 0.0, 3.0):
         for N in (2.0, 3.5):
             for t in (0.0, 0.25, 1.0):
-                assert sigma_coeff(CoefficientQuery(K=K, N=N, t=t, theta=0.0)) == t
+                assert _sigma_raw(K, N, t, 0.0) == t
 
 
 def test_sigma_sine_branch_closed_form():
-    q = CoefficientQuery(K=2.0, N=2.0, t=0.5, theta=math.pi / 2)
-    assert sigma_coeff(q) == pytest.approx(math.sin(math.pi / 4), abs=1e-10)
+    assert _sigma_raw(2.0, 2.0, 0.5, math.pi / 2) == pytest.approx(math.sin(math.pi / 4), abs=1e-10)
 
 
 def test_sigma_infinite_branch():
-    q = CoefficientQuery(K=2.0, N=2.0, t=0.5, theta=math.pi)
-    assert sigma_coeff(q) == math.inf
+    assert _sigma_raw(2.0, 2.0, 0.5, math.pi) == math.inf
     # boundary of the finite branch: theta = pi sqrt(N/K)
-    qb = CoefficientQuery(K=10.0, N=2.0, t=0.5, theta=math.pi * math.sqrt(0.2))
-    assert sigma_coeff(qb) == math.inf
+    assert _sigma_raw(10.0, 2.0, 0.5, math.pi * math.sqrt(0.2)) == math.inf
 
 
 def test_sigma_nonpositive_K_extension():
     # K = 0 degenerates to the linear interpolant
-    assert sigma_coeff(CoefficientQuery(K=0.0, N=2.0, t=0.3, theta=2.0)) == pytest.approx(0.3)
+    assert _sigma_raw(0.0, 2.0, 0.3, 2.0) == pytest.approx(0.3)
     # K < 0 is the sinh ratio with rate sqrt(-K/N)
     s = math.sqrt(4.0 / 2.0)
-    got = sigma_coeff(CoefficientQuery(K=-4.0, N=2.0, t=0.3, theta=1.0))
+    got = _sigma_raw(-4.0, 2.0, 0.3, 1.0)
     assert got == pytest.approx(math.sinh(0.3 * s) / math.sinh(s), rel=1e-12)
 
 
 def test_sigma_continuous_near_zero_theta():
-    q0 = sigma_coeff(CoefficientQuery(K=3.0, N=2.5, t=0.4, theta=1e-9))
-    assert q0 == pytest.approx(0.4, abs=1e-9)
+    assert _sigma_raw(3.0, 2.5, 0.4, 1e-9) == pytest.approx(0.4, abs=1e-9)
 
 
 @pytest.mark.parametrize("build", [
     lambda: WeightedInterval(grid=Grid.uniform(1.0, 16), h=np.ones(17), K=0.0, N=math.inf),
-    lambda: sigma_coeff(CoefficientQuery(K=1.0, N=math.inf, t=0.5, theta=1.0)),
     lambda: iso.ProfileQuery(N=math.inf, D=2.0, v=0.5),
     lambda: iso.solve_R(math.inf, 0.0, 0.5, 2.0),
     lambda: iso.profile_ode_residual(math.inf, [0.5]),
     lambda: iso.bbg_constant(math.inf, 2.0),
     lambda: RayFamily(N=math.inf, rays=()),
     lambda: ExperimentSpec(N=math.inf, family="perturbed-cosine"),
-], ids=["WeightedInterval", "_validate_query", "ProfileQuery", "_check_split",
+], ids=["WeightedInterval", "ProfileQuery", "_check_split",
         "profile_ode_residual", "_check_constant", "RayFamily", "ExperimentSpec"])
 def test_infinite_dimension_message_says_finite(build):
     # every two-sided N check tells the user that N must also be finite
@@ -262,35 +245,6 @@ def test_total_mass_is_taken_from_h():
     with pytest.raises(TypeError):
         WeightedInterval(grid=g, h=np.ones(65), K=0.0, N=2.0, total_mass=2.0)
     assert WeightedInterval(grid=g, h=np.ones(65), K=0.0, N=2.0).total_mass == pytest.approx(1.0)
-
-
-def test_coefficient_query_validation():
-    with pytest.raises(ParameterDomainError, match="must exceed 1"):
-        sigma_coeff(CoefficientQuery(K=1.0, N=0.5, t=0.5, theta=1.0))
-    with pytest.raises(ParameterDomainError, match="must exceed 1"):
-        sigma_coeff(CoefficientQuery(K=1.0, N=math.inf, t=0.5, theta=1.0))
-    with pytest.raises(ParameterDomainError, match="lie in"):
-        sigma_coeff(CoefficientQuery(K=1.0, N=2.0, t=1.5, theta=1.0))
-    with pytest.raises(ParameterDomainError, match="theta"):
-        tau_coeff(CoefficientQuery(K=1.0, N=2.0, t=0.5, theta=-0.1))
-
-
-def test_tau_at_t_one_is_one():
-    for K, N, theta in ((1.0, 3.0, 1.0), (-2.0, 2.2, 0.7), (0.0, 4.0, 2.0)):
-        assert tau_coeff(CoefficientQuery(K=K, N=N, t=1.0, theta=theta)) == pytest.approx(1.0)
-
-
-def test_tau_at_origin_is_zero():
-    assert tau_coeff(CoefficientQuery(K=1.0, N=3.0, t=0.0, theta=0.0)) == 0.0
-
-
-def test_tau_frozen_value():
-    got = tau_coeff(CoefficientQuery(K=1.0, N=3.0, t=0.5, theta=1.0))
-    assert got == pytest.approx(TAU_1_3_HALF_1, abs=1e-12)
-
-
-def test_tau_propagates_infinity():
-    assert tau_coeff(CoefficientQuery(K=2.0, N=2.0, t=0.5, theta=math.pi)) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +297,10 @@ def test_model_density_midpoint_value():
     assert w.total_mass == pytest.approx(1.0, abs=1e-6)
 
 
-def test_model_density_passes_both_checks():
+def test_model_density_passes_cd_check():
     for N in (2.0, 2.5, 3.0):
         w = model_density(N, Grid.uniform(math.pi, 1024))
         assert cd_check(w).passed
-        v = cd_check_differential(w)
-        assert v.passed
-        # equality case: residual is pure discretization, O(grid^2)
-        assert v.violation <= 5e-6
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +311,6 @@ def test_cd_check_constant_density():
     g = Grid.uniform(1.0, 128)
     w = WeightedInterval(grid=g, h=np.ones(129), K=0.0, N=2.5)
     assert cd_check(w).passed
-    assert cd_check_differential(w).passed
 
 
 def test_cd_check_linear_density_fails():
@@ -631,34 +580,6 @@ def test_cd_check_large_negative_K_has_no_overflow():
 
 
 # ---------------------------------------------------------------------------
-# cd_check_differential
-
-
-def test_differential_constant_zero_lhs():
-    g = Grid.uniform(1.0, 64)
-    w = WeightedInterval(grid=g, h=2.0 * np.ones(65), K=0.0, N=3.0)
-    v = cd_check_differential(w)
-    assert v.passed
-    assert v.violation <= 1e-12
-
-
-def test_differential_convex_exponential_fails():
-    # h = exp(t^2): (h^{1/(N-1)})'' > 0 everywhere, so CD(0, 2) fails
-    g = Grid.uniform(1.0, 256)
-    w = WeightedInterval(grid=g, h=np.exp(g.nodes**2), K=0.0, N=2.0)
-    v = cd_check_differential(w)
-    assert not v.passed
-    assert v.violation > 1.0
-
-
-def test_differential_rejects_interior_zero():
-    g = Grid.uniform(1.0, 256)
-    w = WeightedInterval(grid=g, h=np.abs(g.nodes - 0.5), K=0.0, N=2.0)
-    with pytest.raises(DegenerateDensityError):
-        cd_check_differential(w)
-
-
-# ---------------------------------------------------------------------------
 # generator
 
 
@@ -676,7 +597,6 @@ def test_generator_self_certifies():
         w = generate_cd_density(N, seed, Grid.uniform(D, 512))
         assert w.total_mass == pytest.approx(1.0, abs=1e-12)
         assert cd_check(w).passed
-        assert cd_check_differential(w).passed
 
 
 def _flow_density(N, grid, edges, levels):
@@ -738,52 +658,7 @@ def test_generator_output_is_certified_cd(N, seed, D, n):
     assert w.total_mass == pytest.approx(1.0, abs=1e-12)
     assert np.all(w.h[1:-1] > 0)
     assert cd_check(w).passed
-    assert cd_check_differential(w).passed
     assert np.array_equal(generate_cd_density(N, seed, g).h, w.h)
-
-
-# ---------------------------------------------------------------------------
-# envelope
-
-
-def test_envelope_exact_model_zero_deviation():
-    # raw model output: mass is 1 up to quadrature, deviation from h_N is fp noise
-    for n in (1024, 2048, 4096):
-        w = model_density(2.0, Grid.uniform(math.pi, n))
-        rep = envelope_check(w)
-        assert rep.lower_ok and rep.upper_ok
-        assert rep.n_lower_violations == 0 and rep.n_upper_violations == 0
-        assert rep.sup_deviation <= 1e-12
-        assert rep.eps == 0.0
-
-
-def test_envelope_truncated_sweep_linear_constant():
-    # sup|h - h_N| <= C eps with one C across the sweep; the per-eps constant
-    # sup/eps only shrinks as eps does
-    for N in (2.0, 3.0):
-        consts = []
-        for eps in (0.04, 0.02, 0.01):
-            w = truncated_model(N, math.pi - eps, 2048)
-            rep = envelope_check(w)
-            assert rep.lower_ok and rep.upper_ok
-            consts.append(rep.sup_deviation / eps)
-        assert consts[0] <= 0.2
-        assert consts[2] <= consts[1] <= consts[0]
-
-
-def test_envelope_generated_density_bounds_hold():
-    w = generate_cd_density(3.0, 4, Grid.uniform(math.pi - 0.02, 2048))
-    rep = envelope_check(w, r=0.3)
-    assert rep.lower_ok and rep.upper_ok
-    assert rep.eps == pytest.approx(0.02)
-    assert rep.windowed_deviation > 0.0
-
-
-def test_envelope_rejects_unnormalized():
-    g = Grid.uniform(math.pi, 256)
-    w = WeightedInterval(grid=g, h=2.0 * model_density(2.0, g).h, K=1.0, N=2.0)
-    with pytest.raises(NormalizationError):
-        envelope_check(w)
 
 
 # ---------------------------------------------------------------------------

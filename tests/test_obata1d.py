@@ -15,7 +15,6 @@ from obatalab.obata1d import (
     deficit_distance_sweep,
     diameter_deficit_sweep,
     dilated_model,
-    eigen_comparison_check,
     loglog_fit,
     truncated_model,
     upper_gap_check,
@@ -341,44 +340,6 @@ def test_closed_form_paths_solve_nothing(monkeypatch):
     # the wrapper is live: the truncated-model sweep solves each of its 5 points
     deficit_distance_sweep(ExperimentSpec(N=2.0, family="truncated-model", grid_n=512))
     assert len(calls) == 5
-
-
-# ---------------------------------------------------------------------------
-# eigenfunction comparison
-
-
-def test_eigen_comparison_trivial():
-    w = model_density(2.0, Grid.uniform(math.pi, 2048))
-    res = neumann_eigs(w, k=1)
-    rep = eigen_comparison_check(w, res.eigenfunctions[:, 0].copy())
-    assert rep.lhs <= 1e-12
-    assert abs(rep.rhs) <= 1e-5
-    assert rep.overlap == pytest.approx(1.0, abs=1e-9)
-
-
-def test_eigen_comparison_mixture_sweep():
-    w = model_density(2.0, Grid.uniform(math.pi, 2048))
-    res = neumann_eigs(w, k=2)
-    u1, u2 = res.eigenfunctions[:, 0], res.eigenfunctions[:, 1]
-    ratios = []
-    for s in (0.1, 0.05, 0.025):
-        rep = eigen_comparison_check(w, u1 + s * u2)
-        assert rep.in_regime
-        assert rep.lhs <= 2.0 * rep.rhs  # inequality with modest constant
-        ratios.append(rep.ratio)
-    assert max(ratios) / min(ratios) <= 10.0
-
-
-def test_eigen_comparison_overlap_dichotomy():
-    w = model_density(2.0, Grid.uniform(math.pi, 2048))
-    res = neumann_eigs(w, k=2)
-    u1, u2 = res.eigenfunctions[:, 0], res.eigenfunctions[:, 1]
-    v = 0.3 * u1 + math.sqrt(1.0 - 0.09) * u2
-    rep = eigen_comparison_check(w, v, guard=10.0)
-    assert rep.overlap == pytest.approx(0.3, abs=1e-6)
-    # Rayleigh excess at least (1 - c^2)(lambda_2 - lambda_1)
-    assert rep.dichotomy_margin >= -1e-5
-    assert rep.rhs > 1.0
 
 
 # ---------------------------------------------------------------------------

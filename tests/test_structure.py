@@ -21,7 +21,9 @@ step is written once, measures.extrapolate, and so are the rules 1 < N < inf
 and 0 < D <= pi, measures.require_dimension and measures.require_diameter,
 which every validator of N or D calls. The CLI starts
 without the SciPy submodules that none of its commands use, and builds its
-argument parser once per process, on the first main() call."""
+argument parser once per process, on the first main() call. Every public
+function, class and method is reached by a run: the rest of the package, the
+demo, the tools, the bench or an acceptance criterion names it."""
 import ast
 import dataclasses
 import json
@@ -402,7 +404,7 @@ def test_one_extrapolation_step_and_one_rule_per_parameter():
         "isoperimetry.ProfileQuery.__post_init__", "isoperimetry._check_constant",
         "isoperimetry._check_split", "isoperimetry.profile_ode_residual",
         "localization.RayFamily.__post_init__", "measures.WeightedInterval.__post_init__",
-        "measures._validate_query", "obata1d.ExperimentSpec.__post_init__"]
+        "obata1d.ExperimentSpec.__post_init__"]
     assert sites(_is_diameter_rule) == ["measures.require_diameter"]
     assert callers("require_diameter") == [
         "isoperimetry.ProfileQuery.__post_init__", "isoperimetry._check_constant",
@@ -507,3 +509,57 @@ def test_no_test_only_options():
     from obatalab.obata1d import ExperimentSpec
 
     assert "target" not in [f.name for f in dataclasses.fields(ExperimentSpec)]
+
+
+def _public_defs(tree):
+    """(name, node) of each public top-level function and class of tree, and
+    of each public method of its public classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield fn.name, fn
+
+
+def _references(tree, skip=None):
+    """Names tree reads, imports or looks up by (dotted) string, outside the
+    lines of skip."""
+    names = set()
+    for node in ast.walk(tree):
+        if skip is not None and skip.lineno <= getattr(node, "lineno", 0) <= skip.end_lineno:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_public_name_is_reached_by_a_run():
+    # a public function, class or method that only its own unit tests call is
+    # a check no run reaches: each is referenced from elsewhere in the package
+    # (not __init__.py, not its own definition), by the demos, the tools or
+    # the bench, or by an acceptance criterion
+    outside = [path for top in ("demos", "tools", "bench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    outside.append(ROOT / "tests" / "test_acceptance.py")
+    assert len(outside) >= 8
+    reached = set().union(*(_references(ast.parse(path.read_text())) for path in outside))
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert len(modules) >= 9
+    refs = {path: _references(tree) for path, tree in modules.items()}
+    unreached = []
+    for path, tree in modules.items():
+        elsewhere = reached.union(*(names for p, names in refs.items() if p != path))
+        unreached += [f"{path.stem}.{name}" for name, node in _public_defs(tree)
+                      if name not in elsewhere | _references(tree, node)]
+    assert unreached == []
