@@ -197,9 +197,14 @@ class WeightedInterval:
     def standardize(self, u):
         """u recentred to zero m-mean and scaled to unit L2(m) norm."""
         u = np.asarray(u, dtype=float)
-        u = u - self.mean(u)
-        nrm2 = self.mean(u * u)
-        if nrm2 <= 0.0 or not math.isfinite(nrm2):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            u = u - self.mean(u)
+            nrm2 = self.mean(u * u)
+        if not math.isfinite(nrm2):
+            raise ParameterDomainError(
+                "function's m-variance is outside the float range "
+                f"(float64 holds values up to {np.finfo(float).max:.3g})")
+        if nrm2 <= 0.0:
             raise UndefinedQuotientError("function has zero variance against m")
         return u / math.sqrt(nrm2)
 

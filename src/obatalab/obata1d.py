@@ -148,15 +148,23 @@ class SweepResult:
 
     @property
     def constant_growth(self):
-        """max over the rows of C(delta)/C(delta_max); 1 when C never rises."""
-        consts = self.dist_w12 / self.delta ** self.target
-        growth = float(np.max(consts) / consts[np.argmax(self.delta)])
-        return growth if growth >= 0 else math.inf  # nan when some delta <= 0
+        """max over the rows with delta > 0 of C(delta)/C(delta_max); 1 when C
+        never rises."""
+        consts, delta = _rate_constants(self.delta, self.dist_w12, self.target)
+        return float(np.max(consts) / consts[np.argmax(delta)])
 
     @property
     def rate_violated(self):
         slow = not self.fit.flagged and self.fit.slope < self.target - SLOPE_SLACK
         return self.constant_growth > GROWTH_LIMIT or slow
+
+
+def _rate_constants(delta, dist, target):
+    """C = dist/delta^target on the rows with delta > 0, as the fit takes
+    them (a delta at the roundoff floor of the solve may read <= 0), and
+    those deltas."""
+    keep = delta > 0
+    return dist[keep] / delta[keep] ** target, delta[keep]
 
 
 def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -202,7 +210,8 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
     if len(kept) < 2:
         raise ParameterDomainError("small-deficit guard left fewer than 2 points")
     param, delta, d2, dw, lam = (np.array(col) for col in zip(*kept))
-    consts = dw / delta ** spec.target
+    fit = loglog_fit(delta, dw)  # refuses fewer than two rows with delta > 0
+    consts, _ = _rate_constants(delta, dw, spec.target)
     return SweepResult(
         family=spec.family,
         N=N,
@@ -212,7 +221,7 @@ def deficit_distance_sweep(spec: ExperimentSpec) -> SweepResult:
         dist_l2=d2,
         dist_w12=dw,
         lambda1=lam,
-        fit=loglog_fit(delta, dw),
+        fit=fit,
         fit_l2=loglog_fit(delta, d2),
         constant_range=(float(np.min(consts)), float(np.max(consts))),
         excluded=excluded,

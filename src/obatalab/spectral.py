@@ -59,6 +59,11 @@ row after its sweep, and maxima are joined in block order, so each value
 keeps the bits of the whole-grid form, which the grids solved by bisection
 (_scaled) still build, for any thread count.
 
+LAPACK loads on the first solve, not at import: eigh_tridiagonal, dgttrf and
+dgttrs are module-level stand-ins that import scipy.linalg on their first
+call (_lapack) and pass every call through unchanged, so a run that never
+solves (profile, check-density, localize) does not map it.
+
 The package has one discrete Rayleigh quotient, the flux form
 sum f (u_{i+1} - u_i)^2 / sum M u_i^2 (_flux_quotient). Every eigenvalue is
 that quotient of its eigenvector, which converges cleanly as O(grid^2) where
@@ -68,11 +73,10 @@ any function, so by min-max it is >= lambda_1; deficit() extrapolates it on
 """
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import pool
 from .errors import (
@@ -169,6 +173,33 @@ _EXACT_EXPONENT = 64
 # inverse iteration per refined pair: step bounds, and the agreement of two
 # successive |lambda - shift| estimates, relative to lambda, that ends it
 _MIN_STEPS, _MAX_STEPS, _STEP_RTOL = 2, 6, 1e-8
+
+_LAPACK_LOCK = threading.Lock()
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg's eigh_tridiagonal, dgttrf and dgttrs by name, imported on
+    the first call, under a lock: the first solves may come from two pool
+    threads at once."""
+    with _LAPACK_LOCK:
+        from scipy.linalg import eigh_tridiagonal
+        from scipy.linalg.lapack import dgttrf, dgttrs
+    return {"eigh_tridiagonal": eigh_tridiagonal, "dgttrf": dgttrf, "dgttrs": dgttrs}
+
+
+def _deferred(name):
+    """A stand-in for the LAPACK routine name that passes each call through."""
+    def call(*args, **kwargs):
+        return _lapack()[name](*args, **kwargs)
+
+    return call
+
+
+# the solver looks these up at call time, so a caller may rebind them
+eigh_tridiagonal = _deferred("eigh_tridiagonal")
+dgttrf = _deferred("dgttrf")
+dgttrs = _deferred("dgttrs")
 
 
 def has_half_grid(n):

@@ -447,6 +447,48 @@ def test_non_finite_sweep_point_exits_1(tmp_path, capsys):
         assert "finite and positive" in err[0]
 
 
+def test_sweep_rows_at_the_deficit_floor_leave_the_constant(run_cli):
+    # at s = 1e-9 and 1e-10 the perturbed cosine's delta reads -5.27e-13, the
+    # roundoff floor of the deficit; delta^target of those rows used to warn
+    # and make the constant growth inf, a false rate violation (exit 2). The
+    # constant, like the fit, is taken over the rows with delta > 0
+    proc, out = run_cli("sweep", "--dim", "2", "--family", "perturbed-cosine",
+                        "--points", "0.2,0.1,0.05,1e-9,1e-10")
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    res = _summary(out)["results"]
+    assert (read_csv(out / "results.csv", ("param", "delta"))["delta"] <= 0).sum() == 2
+    assert res["constant_growth"] == pytest.approx(1.0, abs=1e-3)
+    lo, hi = res["constant_range"]
+    assert 0 < lo <= hi < 2 * lo
+
+
+def test_sweep_with_one_positive_deficit_exits_1(run_cli):
+    # D within 1e-9 of pi: every delta but the first is at the roundoff floor,
+    # so no rate can be fitted; the delta^target of a negative delta used to
+    # warn before the error
+    proc, out = run_cli("sweep", "--dim", "3", "--family", "truncated-model", "--points",
+                        "3.1415926535,3.14159265358,3.141592653589,3.1415926535897,"
+                        "3.14159265358979")
+    assert proc.returncode == 1
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "two positive points" in err[0]
+
+
+def test_overflowing_perturbation_names_the_float_range(run_cli):
+    # s ~ 1e160 squares past the float range in standardize: it used to warn
+    # (overflow, and invalid values at 1e308) and call the variance zero
+    for points in ("1e160,1e161,1e162,1e163,1e164", "1e304,1e305,1e306,1e307,1e308"):
+        proc, out = run_cli("sweep", "--dim", "2", "--family", "perturbed-cosine",
+                            "--points", points)
+        assert proc.returncode == 1, points
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "float range" in err[0] and "zero variance" not in err[0]
+        assert not (out / "summary.json").exists()
+
+
 def _write_samples(path, header, t, v):
     path.write_text(header + "\n" + "".join(
         f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, v)))

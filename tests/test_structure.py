@@ -20,13 +20,16 @@ artifact is written by one, measures.replace_file. The Richardson
 step is written once, measures.extrapolate, and so are the rules 1 < N < inf
 and 0 < D <= pi, measures.require_dimension and measures.require_diameter,
 which every validator of N or D calls. The CLI starts
-without the SciPy submodules that none of its commands use, and builds its
-argument parser once per process, on the first main() call. Every public
-function, class and method is reached by a run: the rest of the package, the
-demo, the tools, the bench or an acceptance criterion names it."""
+without the SciPy submodules that none of its commands use, loads LAPACK
+(scipy.linalg) in one function, on its first solve, and builds its argument
+parser once per process, on the first main() call. Every public function,
+class and method is reached by a run: the rest of the package, the demo, the
+tools, the bench or an acceptance criterion names it, and every function the
+bench traces by name resolves."""
 import ast
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -109,6 +112,133 @@ print(json.dumps({"at_import": at_import, "made": made, "codes": codes}))
     assert out["at_import"] == []
     assert out["made"] == ["_Parser"] * 7
     assert out["codes"] == [1, 1]
+
+
+def _fresh_python(script, **env):
+    """The JSON object a fresh interpreter prints for script, run from the
+    repo root with the package on its path and env added to its environment."""
+    full = dict(os.environ, **env)
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), full.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=ROOT, env=full)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_lapack_loads_on_the_first_solve(tmp_path):
+    # profile, check-density and localize solve nothing, so they run without
+    # scipy.linalg; the first spectrum loads it
+    script = f"""
+import json, sys
+import obatalab.cli as cli
+out = {str(tmp_path)!r}
+runs = [("import", 0)]
+for argv in (["profile", "--dim", "3", "--diam", "3.0", "--v", "0.37"],
+             ["check-density", "fixtures/model_n2.csv", "--dim", "2"],
+             ["localize", "--config", "fixtures/rigid.json"],
+             ["spectrum", "--model", "--dim", "2", "--grid", "512"]):
+    runs.append((argv[0], cli.main(argv + ["--out", out + "/" + argv[0]])))
+    runs[-1] += ("scipy.linalg" in sys.modules,)
+print(json.dumps(runs))
+"""
+    runs = _fresh_python(script)
+    assert runs == [["import", 0], ["profile", 0, False], ["check-density", 0, False],
+                    ["localize", 0, False], ["spectrum", 0, True]]
+
+    def linalg_imports(root):
+        return [ast.unparse(node) for node in ast.walk(root)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "scipy.linalg" in ast.unparse(node)]
+
+    everywhere = [line for path in sorted(SRC.glob("*.py"))
+                  for line in linalg_imports(ast.parse(path.read_text()))]
+    assert everywhere == linalg_imports(dict(_defs(SRC / "spectral.py"))["spectral._lapack"]) == [
+        "from scipy.linalg import eigh_tridiagonal",
+        "from scipy.linalg.lapack import dgttrf, dgttrs"]
+
+
+def test_first_solves_on_two_threads_keep_every_bit(tmp_path):
+    # the first obata points run on two pool threads, which load LAPACK at
+    # once; the artifacts are those of a one-thread run
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        script = f"""
+import json, os
+os.sched_getaffinity = lambda pid: set(range(4))
+import obatalab.cli as cli
+from obatalab import pool
+code = cli.main(["obata", "--dim", "3", "--out", {str(out)!r}])
+print(json.dumps([code, pool.workers()]))
+"""
+        assert _fresh_python(script, OBATALAB_THREADS=threads) == [0, int(threads)]
+        files[threads] = [(out / name).read_bytes() for name in ("summary.json", "results.csv")]
+    assert files["1"] == files["2"]
+
+
+def test_lapack_loader_under_racing_threads():
+    # eight threads, more than the cores, make their first solve at once with
+    # a short switch interval: each gets the answer and the one set of routines
+    script = """
+import json, sys, threading
+import numpy as np
+from obatalab import spectral
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(8, timeout=30)
+got = [None] * 8
+def first_solve(i):
+    start.wait()
+    vals = spectral.eigh_tridiagonal(np.full(3, 2.0), np.ones(2), eigvals_only=True)
+    got[i] = [vals.tolist(), sorted(map(id, spectral._lapack().values()))]
+threads = [threading.Thread(target=first_solve, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps({"alive": sum(t.is_alive() for t in threads),
+                  "results": sorted({json.dumps(g) for g in got})}))
+"""
+    out = _fresh_python(script)
+    assert out["alive"] == 0
+    [result] = out["results"]
+    vals = json.loads(result)[0]
+    exact = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
+    assert all(math.isclose(v, x, rel_tol=1e-14) for v, x in zip(vals, exact, strict=True))
+
+
+def test_bench_trace_bindings_resolve():
+    # bench/spans.py wraps (home, attr) by name, and reads len(args[0]) of
+    # spectral.eigh_tridiagonal: each binding is a callable from a fresh
+    # import on, and a wrapper installed before LAPACK loads counts the base
+    # solve (256 cells) of a 4096-cell neumann_eigs. spans.py is executed
+    # from its source, so nothing is written under bench/
+    spans = ROOT / "bench" / "spans.py"
+    before = sorted(str(p) for p in (ROOT / "bench").rglob("*"))
+    script = f"""
+import importlib, json, sys
+import numpy as np
+import obatalab.cli
+trace = {{}}
+exec(compile(open({str(spans)!r}).read(), {str(spans)!r}, "exec"), trace)
+bad = [(home, attr) for _, home, attr in trace["TRACED"]
+       if not callable(getattr(importlib.import_module(home), attr, None))]
+from obatalab.measures import Grid, model_density
+from obatalab.spectral import neumann_eigs
+loaded = "scipy.linalg" in sys.modules
+tracer = trace["Tracer"]()
+tracer.install()
+try:
+    neumann_eigs(model_density(2.0, Grid.uniform(np.pi, 4096)), k=1)
+finally:
+    tracer.uninstall()
+print(json.dumps({{"traced": len(trace["TRACED"]), "bad": bad, "loaded": loaded,
+                  "solves": tracer.counts.get("spectral.tridiag.solves"),
+                  "nodes": tracer.counts.get("spectral.tridiag.nodes")}}))
+"""
+    out = _fresh_python(script)
+    assert out.pop("traced") >= 20
+    assert out == {"bad": [], "loaded": False, "solves": 1, "nodes": 257}
+    assert sorted(str(p) for p in (ROOT / "bench").rglob("*")) == before
 
 
 def test_profile_has_one_search_path():
