@@ -1,7 +1,8 @@
 """Spectral-gap stability toolkit for one-dimensional weighted intervals.
 
 Modules:
-  measures      grids, CD(K,N) densities, the CD check (cd_check),
+  measures      grids, CD(N-1,N) densities, the CD(K,N) check (cd_check,
+                which alone takes a curvature K),
                 the one CSV reader (read_csv), the one Richardson step
                 (extrapolate) and the N and D rules (require_dimension,
                 require_diameter)

@@ -13,10 +13,11 @@ and ext4 skips the flush it makes when a truncated file is rewritten.
 
 The obata and sweep runs draw plot.svg, a log-log plot of two columns of
 their table, from the rows in memory and annotated with the handler's own
-FitResult. plotting.render_plot decides whether it can be drawn (every
-plotted value finite and > 0); when it cannot, the run prints one line,
-writes no plot and keeps its exit code. A run that draws no plot removes
-plot.svg.
+FitResult: the rows that fit used, those with both values > 0. An obata run
+with no fit (fewer than two positive gaps) offers every row, and
+plotting.render_plot decides whether it can be drawn (every plotted value
+finite and > 0); when it cannot, the run prints one line, writes no plot and
+keeps its exit code. A run that draws no plot removes plot.svg.
 
 main() may be called many times in one process, as a batch script does: it
 builds its parser on the first call and reuses it for every later one, and
@@ -116,8 +117,12 @@ def _write_artifacts(config: RunConfig, art: _Artifact, runtime):
     svg_path = os.path.join(config.out, "plot.svg")
     plot = art.plot
     if plot is not None:
+        rows = art.rows
+        if plot["fit"] is not None:  # the rows loglog_fit kept: x > 0 and y > 0
+            ix, iy = art.header.index(plot["x"]), art.header.index(plot["y"])
+            rows = [row for row in rows if row[ix] > 0 and row[iy] > 0]
         try:
-            render_plot(dict(zip(art.header, zip(*art.rows))), svg_path, **plot)
+            render_plot(dict(zip(art.header, zip(*rows))), svg_path, **plot)
         except ConfigError as exc:
             print(f"plot.svg skipped: {exc}")
             plot = None
@@ -143,17 +148,12 @@ def _run_profile(config: RunConfig) -> _Artifact:
     )
 
 
-def _load_density(path, p):
-    """The t,h density file at path, for CD(kappa, N) with kappa N - 1 unless --kappa."""
-    N = p["dim"]
-    kappa = p.get("kappa")
-    return load_density_csv(path, K=N - 1.0 if kappa is None else kappa, N=N)
-
-
 def _build_interval(config: RunConfig):
     p = config.params
     if p.get("density"):
-        return _load_density(p["density"], p)
+        if p.get("diam") is not None:
+            raise ConfigError("--diam applies to --model only: a --density file sets its diameter")
+        return load_density_csv(p["density"], p["dim"])
     D = math.pi if p.get("diam") is None else p["diam"]
     return require_model_in_range(model_density(p["dim"], Grid.uniform(D, config.grid)))
 
@@ -317,15 +317,17 @@ def _run_localize(config: RunConfig) -> _Artifact:
 
 def _run_check_density(config: RunConfig) -> _Artifact:
     p = config.params
-    w = _load_density(p["file"], p)
-    verdict = cd_check(w, sample_pairs=int(p.get("pairs") or 0))
+    w = load_density_csv(p["file"], p["dim"])
+    kappa = p.get("kappa")
+    verdict = cd_check(w, sample_pairs=int(p.get("pairs") or 0), kappa=kappa)
+    K = w.N - 1.0 if kappa is None else kappa
     if verdict.passed:
-        print(f"PASS: CD({w.K:g},{w.N:g}) holds on {verdict.checked} triples")
+        print(f"PASS: CD({K:g},{w.N:g}) holds on {verdict.checked} triples")
         x0, x1, tt = math.nan, math.nan, math.nan
     else:
         x0, x1, tt = verdict.witness
         print(
-            f"FAIL: CD({w.K:g},{w.N:g}) violated by {verdict.violation:.6g} "
+            f"FAIL: CD({K:g},{w.N:g}) violated by {verdict.violation:.6g} "
             f"at x0={x0:.6g}, x1={x1:.6g}, t={tt:.6g}"
         )
     return _Artifact(
@@ -397,9 +399,8 @@ def build_parser():
                        help="model density sin^(N-1)")
     group.add_argument("--density", metavar="FILE", help="t,h CSV density")
     sp.add_argument("--dim", type=float, required=True)
-    sp.add_argument("--diam", type=float, default=None)
-    sp.add_argument("--kappa", type=float, default=None,
-                    help="curvature parameter of the density (default N-1)")
+    sp.add_argument("--diam", type=float, default=None,
+                    help="diameter of the model density (default pi; --model only)")
     sp.add_argument("--k", type=int, default=1, help="number of eigenpairs")
     common(sp)
 
@@ -425,7 +426,8 @@ def build_parser():
     sp = sub.add_parser("check-density", help="CD(K,N) verdict for a density file")
     sp.add_argument("file", metavar="DENSITY_CSV")
     sp.add_argument("--dim", type=float, required=True)
-    sp.add_argument("--kappa", type=float, default=None)
+    sp.add_argument("--kappa", type=float, default=None,
+                    help="curvature K of the CD(K,N) check (default N-1)")
     sp.add_argument("--pairs", type=int, default=0,
                     help="extra quasi-random sample pairs")
     common(sp)

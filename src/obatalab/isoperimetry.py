@@ -16,8 +16,9 @@ from scipy.special import betainc, betaincinv
 from .errors import ParameterDomainError
 from .measures import extrapolate, omega, require_diameter, require_dimension, sinpow_cum
 
-BRACKET_TOL = 1e-9  # default width of profile's final bracket in b, in units of min(D, 1)
+BRACKET_TOL = 1e-9  # width of profile's final bracket in b, in units of min(D, 1)
 RESIDUAL_TOL = 1e-12  # relative split residual that solve_R guarantees
+ODE_STEP = 1e-3  # step in v of profile_ode_residual's second difference
 # profile refuses a smaller D: below it a window ending near pi is within a
 # few ulps of its start, and profile(2, D, 1/2) missed 1/(2 sin(D/2)) by 6e-11
 # at D = 7e-16; from this floor up it is within 1e-15
@@ -231,7 +232,7 @@ def g_eval(N, b, v, D):
         return float(_g(N, b, v, D)[0])
 
 
-def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
+def _profile_lanes(N, D, vs, n_scan=129):
     """Minimize g(., v) over b in [0, pi - D] for every v of `vs` at once.
 
     Each v is one lane. A scan of `n_scan` points of [0, pi - D] brackets
@@ -239,7 +240,7 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
     refinement step then evaluates `_REFINE_POINTS` evenly spaced interior
     points of each bracket in one `_g` call, reuses the bracket-end values,
     and keeps the two neighbours of the lowest point. All lanes take the
-    same steps, until every bracket is no wider than `tol` min(D, 1) (or
+    same steps, until every bracket is no wider than BRACKET_TOL min(D, 1) (or
     than a few ulps of b, where rounding stalls it): below D = 1 the
     minimiser b moves on the scale of D, which an absolute width would not
     resolve. Returns (values, argmin_b, R at argmin_b, g evaluations per
@@ -252,8 +253,6 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
     """
     if isinstance(n_scan, bool) or not isinstance(n_scan, (int, np.integer)) or n_scan < 2:
         raise ParameterDomainError("n_scan must be an integer >= 2")
-    if not 0.0 < tol < math.inf:
-        raise ParameterDomainError("tol must be finite and positive")
     if D < MIN_PROFILE_DIAMETER:
         raise FloatingPointError(f"D is below the floor {MIN_PROFILE_DIAMETER:g}")
     vs = np.asarray(vs, dtype=float)
@@ -269,7 +268,7 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
     pts = np.broadcast_to(bs, gs.shape)
     evals = n_scan
     frac = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1.0)
-    width = tol * min(D, 1.0)
+    width = BRACKET_TOL * min(D, 1.0)
     while True:
         i = np.argmin(gs, axis=1)
         lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.shape[1] - 1)
@@ -287,32 +286,31 @@ def _profile_lanes(N, D, vs, n_scan=129, tol=BRACKET_TOL):
             evals + 1)
 
 
-def profile(q: ProfileQuery, n_scan=129, tol=BRACKET_TOL) -> ProfileResult:
+def profile(q: ProfileQuery, n_scan=129) -> ProfileResult:
     """Minimize g(., v) over b in [0, pi - D]: a coarse scan, then bracket
     refinement by batches of evenly spaced points (one lane of `_profile_lanes`).
 
     g is smooth in b but not proven unimodal, so the scan guards the
-    refinement against secondary minima. `n_scan` must be an integer >= 2
-    and `tol`, the final bracket width in b in units of min(D, 1), finite
-    and positive. A query that float64 cannot evaluate raises
-    ParameterDomainError (_in_float64).
+    refinement against secondary minima, which stops at a bracket width
+    in b of BRACKET_TOL min(D, 1). `n_scan` must be an integer >= 2. A query
+    that float64 cannot evaluate raises ParameterDomainError (_in_float64).
     """
     with _in_float64(q.N, q.D):
-        val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan, tol)
+        val, b, R, evals = _profile_lanes(q.N, q.D, [q.v], n_scan)
     return ProfileResult(float(val[0]), float(b[0]), float(R[0]), evals)
 
 
 @dataclass(frozen=True)
 class OdeResidualReport:
     max_residual: float  # max over v_grid of |residual + N| / N
-    excluded: tuple      # v values skipped because v +- step left (0,1)
+    excluded: tuple      # v values skipped because v +- ODE_STEP left (0,1)
 
 
-def profile_ode_residual(N, v_grid, step=1e-3) -> OdeResidualReport:
-    """Finite-difference check of (I_N^{N/(N-1)})'' I_N^{(N-2)/(N-1)} = -N."""
+def profile_ode_residual(N, v_grid) -> OdeResidualReport:
+    """Finite-difference check of (I_N^{N/(N-1)})'' I_N^{(N-2)/(N-1)} = -N,
+    at step ODE_STEP in v."""
     require_dimension(N)
-    if not step > 0.0:
-        raise ParameterDomainError("step must be positive")
+    step = ODE_STEP
     vs = np.asarray(v_grid, dtype=float)
     inside = (vs - step > 0.0) & (vs + step < 1.0)
     kept = vs[inside]

@@ -36,7 +36,7 @@ from .errors import (
     UndefinedQuotientError,
 )
 from .measures import (Grid, WeightedInterval, first_diff, load_density_csv, model_density,
-                       read_csv, require_dimension)
+                       read_csv, require_dimension, require_model_in_range)
 from .spectral import asymptotic_rate_constant
 
 SCHEMA = "rayfam-v1"
@@ -678,6 +678,9 @@ def localize(f: RayFamily, beta=None, gamma=None) -> Localization:
 
 
 def _build_density(kind, params, N, D, base):
+    """The unit-mass density of one ray. A model or truncated density that
+    float64 cannot sample is refused (require_model_in_range, the rule of
+    truncated_model and spectrum --model) with ParameterDomainError."""
     n = float(params.get("n", 4096))
     if not n.is_integer():
         raise ConfigError(f"density n must be a whole number, got {n!r}")
@@ -685,14 +688,14 @@ def _build_density(kind, params, N, D, base):
     if kind == "model":
         if not abs(D - math.pi) <= 1e-9:
             raise ConfigError("model density requires D = pi")
-        w = model_density(N, Grid.uniform(math.pi, n))
-    elif kind == "truncated":
-        w = model_density(N, Grid.uniform(D, n))
+        D = math.pi
+    if kind in ("model", "truncated"):
+        w = require_model_in_range(model_density(N, Grid.uniform(D, n)))
     elif kind == "csv":
         path = params.get("path")
         if not path:
             raise ConfigError("csv density needs a path")
-        w = load_density_csv(os.path.join(base, path), K=N - 1.0, N=N)
+        w = load_density_csv(os.path.join(base, path), N)
         if not abs(w.grid.D - D) <= 1e-9:
             raise ConfigError(
                 f"density file spans {w.grid.D}, ray declares D={D}"
@@ -773,10 +776,9 @@ def load_family(path) -> RayFamily:
             w = _build_density(dspec.pop("kind", None), dspec, N, D, base)
             u = _build_u(uspec.pop("kind", None), uspec, N, w.grid, base)
             e = _build_e(espec.pop("kind", None), espec, w.grid, base)
+            rays.append(Ray(weight=weight, w=w, u=u, e=e, a=a, b=b))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: ray {k} malformed ({exc})") from exc
-        try:
-            rays.append(Ray(weight=weight, w=w, u=u, e=e, a=a, b=b))
         except (ParameterDomainError, NormalizationError) as exc:
             raise ConfigError(f"{path}: ray {k}: {exc}") from exc
     try:

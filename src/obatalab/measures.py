@@ -5,7 +5,10 @@ interpolated piecewise-linearly between nodes. This module owns the L2(m)
 algebra on weighted intervals (moments, normalisation, sign fits), the two
 derivative stencils every other module uses, the model density
 sin^{N-1}/omega_N, verification of the CD(K,N) concavity inequality
-(cd_check), and a seeded generator of CD densities.
+(cd_check), and a seeded generator of CD densities. Every check of the
+toolkit is stated on CD(N - 1, N), so an interval is its grid, density and
+dimension alone: the curvature K is a parameter of cd_check, N - 1 unless
+the caller names another.
 
 A grid forms its cell widths once, on the first moment or difference taken
 on it, and keeps them (Grid.widths). Every moment takes the trapezoid rule
@@ -159,7 +162,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class WeightedInterval:
-    """([0, D], |.|, h dt) with density samples h at grid nodes.
+    """([0, D], |.|, h dt) with density samples h at grid nodes, of
+    dimension N; the curvature is no field of it (cd_check takes K).
 
     Owns the L2(m) algebra of node-sampled functions: every moment is the
     trapezoid rule against h (Grid.integral, on the grid's kept widths, with
@@ -169,7 +173,6 @@ class WeightedInterval:
 
     grid: Grid
     h: np.ndarray
-    K: float
     N: float
     total_mass: float = field(init=False)
 
@@ -181,8 +184,6 @@ class WeightedInterval:
         if np.any(h < 0):
             raise ParameterDomainError("density must be non-negative")
         require_dimension(self.N)
-        if not math.isfinite(self.K):
-            raise ParameterDomainError("curvature parameter K must be finite")
         object.__setattr__(self, "total_mass", self.grid.integral(h, keep=False))
 
     def mean(self, f):
@@ -191,8 +192,7 @@ class WeightedInterval:
 
     def normalized(self):
         """Unit-mass copy: h / total_mass on the same grid."""
-        return WeightedInterval(grid=self.grid, h=self.h / self.total_mass,
-                                K=self.K, N=self.N)
+        return WeightedInterval(grid=self.grid, h=self.h / self.total_mass, N=self.N)
 
     def standardize(self, u):
         """u recentred to zero m-mean and scaled to unit L2(m) norm."""
@@ -295,7 +295,7 @@ def replace_file(path, text=None):
             fh.write(text)
 
 
-def load_density_csv(path, K, N):
+def load_density_csv(path, N):
     """Parse a `t,h` CSV (read_csv) into a WeightedInterval.
 
     Grid and WeightedInterval check the samples (at least 16 nodes, t strictly
@@ -305,7 +305,7 @@ def load_density_csv(path, K, N):
     t = cols["t"]
     try:
         grid = Grid(D=float(t[-1]), n=len(t) - 1, nodes=t)
-        return WeightedInterval(grid=grid, h=cols["h"], K=float(K), N=float(N))
+        return WeightedInterval(grid=grid, h=cols["h"], N=float(N))
     except ParameterDomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -402,7 +402,7 @@ def model_density(N, grid: Grid) -> WeightedInterval:
     np.clip(h, 0.0, None, out=h)
     h **= N - 1
     h /= omega(N)
-    return WeightedInterval(grid=grid, h=h, K=N - 1.0, N=float(N))
+    return WeightedInterval(grid=grid, h=h, N=float(N))
 
 
 def require_model_in_range(w: WeightedInterval) -> WeightedInterval:
@@ -460,8 +460,9 @@ def _kronecker_triples(ncell, count):
     return i0, i1, i0 + 1 + (f2 * (i1 - i0 - 1)).astype(int)
 
 
-def cd_check(w: WeightedInterval, sample_pairs=0) -> CdVerdict:
-    """Verify the CD(K,N) concavity inequality for the density of w.
+def cd_check(w: WeightedInterval, sample_pairs=0, kappa=None) -> CdVerdict:
+    """Verify the CD(K,N) concavity inequality for the density of w at the
+    curvature K = kappa, which must be finite; None means N - 1.
 
     Checks h(x_t)^{1/(N-1)} >= sigma^{(t)}(|x1-x0|) h(x1)^{1/(N-1)}
                              + sigma^{(1-t)}(|x1-x0|) h(x0)^{1/(N-1)}
@@ -477,8 +478,11 @@ def cd_check(w: WeightedInterval, sample_pairs=0) -> CdVerdict:
     if not 0 <= sample_pairs <= MAX_SAMPLE_PAIRS:
         raise ParameterDomainError(
             f"need 0 <= sample_pairs <= {MAX_SAMPLE_PAIRS}, got {sample_pairs}")
+    N = w.N
+    K = N - 1.0 if kappa is None else float(kappa)
+    if not math.isfinite(K):
+        raise ParameterDomainError("curvature parameter K must be finite")
     t_nodes = w.grid.nodes
-    N, K = w.N, w.K
     if K > 0:
         dmax = math.pi * math.sqrt((N - 1) / K)
         if w.grid.D - dmax > 1e-9:
@@ -535,7 +539,7 @@ def generate_cd_density(N, seed, grid: Grid) -> WeightedInterval:
     """Seeded CD(N-1, N) density on grid: h = w^{N-1} with w'' = -(1 + a(t)) w.
 
     The excess a >= 0 is piecewise constant, so on each piece w is an exact
-    rotation (see _rotation_flow) and (N-1) w''/w = -(N-1)(1 + a) <= -K holds
+    rotation (see _rotation_flow) and (N-1) w''/w = -(N-1)(1 + a) <= -(N-1) holds
     exactly wherever w > 0: the density is an exact CD(N-1, N) density sampled
     at the nodes, and does not depend on the grid beyond the sampling.
 
@@ -568,7 +572,6 @@ def generate_cd_density(N, seed, grid: Grid) -> WeightedInterval:
     for _ in range(40):
         w = _rotation_flow(t, edges, levels0 * scale, math.sin(phase), math.cos(phase))
         if np.all(w > 0):
-            return WeightedInterval(grid=grid, h=w ** (N - 1.0), K=N - 1.0,
-                                    N=float(N)).normalized()
+            return WeightedInterval(grid=grid, h=w ** (N - 1.0), N=float(N)).normalized()
         scale *= 0.7
     raise DegenerateDensityError("no positive solution after 40 retries; try a smaller interval")

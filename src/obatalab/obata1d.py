@@ -80,7 +80,7 @@ def dilated_model(N, D, n) -> WeightedInterval:
     h = np.clip(np.sin(math.pi * g.nodes / D), 0.0, None)  # the last node may be -3e-16
     h **= N - 1.0
     h[-1] = 0.0
-    return WeightedInterval(grid=g, h=h, K=N - 1.0, N=N).normalized()
+    return WeightedInterval(grid=g, h=h, N=N).normalized()
 
 
 @dataclass(frozen=True)

@@ -739,8 +739,7 @@ def deficit(w: WeightedInterval, u):
     it): extrapolate cancels the O(grid^2) term of R as in richardson."""
     g = w.grid
     require_half_grid(g.n)
-    half = WeightedInterval(grid=Grid(D=g.D, n=g.n // 2, nodes=g.nodes[::2]),
-                            h=w.h[::2], K=w.K, N=w.N)
+    half = WeightedInterval(grid=Grid(D=g.D, n=g.n // 2, nodes=g.nodes[::2]), h=w.h[::2], N=w.N)
     return extrapolate(rayleigh(w, u), rayleigh(half, np.asarray(u, dtype=float)[::2]))[0] - w.N
 
 
@@ -849,8 +848,6 @@ class CosineReport:
     beta: float
     u0_norm: float
     recon_error: float   # max node error of u0 + alpha sin + beta cos vs u
-    window_0r: float     # L2(m) distance restricted to [0, r], if r given
-    window_band: float   # same on [r - eta, r + eta]
 
 
 def cosine_distance(w: WeightedInterval, u):
@@ -870,17 +867,17 @@ def cosine_distance(w: WeightedInterval, u):
     return -1.0, math.sqrt(l2_minus), math.sqrt(l2_minus + d_minus)
 
 
-def cosine_decompose(w: WeightedInterval, u_star, r=None, eta=None) -> CosineReport:
+def cosine_decompose(w: WeightedInterval, u_star) -> CosineReport:
     """Split an eigenfunction as u = u0 + alpha sin + beta cos.
 
-    z = u'' + u by first differences applied twice, u0 = green_apply(z),
-    then (alpha, beta) solve the 2x2 least-squares system of u - u0 against
-    (sin, cos) in L2(m). Reports distances to +-sqrt(N+1) cos and, when r is
-    supplied, the windowed distances on [0, r] and [r - eta, r + eta].
+    z = u'' + u by second_diff, the stencil of bochner_check and green_apply,
+    u0 = green_apply(z), then (alpha, beta) solve the 2x2 least-squares
+    system of u - u0 against (sin, cos) in L2(m). Reports the distances to
+    +-sqrt(N+1) cos (cosine_distance).
     """
     t = w.grid.nodes
     u = np.asarray(u_star, dtype=float)
-    z = first_diff(w.grid, first_diff(w.grid, u)) + u
+    z = second_diff(w.grid, u) + u
     g = green_apply(w, z)
     u0 = g.v0
     rdiff = u - u0
@@ -896,20 +893,6 @@ def cosine_decompose(w: WeightedInterval, u_star, r=None, eta=None) -> CosineRep
     recon_err = float(np.max(np.abs(recon - u)))
     sign, dist_l2, dist_w12 = cosine_distance(w, u)
     u0_norm = math.sqrt(max(w.mean(u0 * u0), 0.0))
-
-    window_0r = math.nan
-    window_band = math.nan
-    if r is not None:
-        if eta is None:
-            eta = 0.5 * r
-        dev2 = (u - sign * math.sqrt(w.N + 1.0) * ct) ** 2
-        m0 = t <= r
-        mb = (t >= r - eta) & (t <= r + eta)
-        if np.any(m0):
-            window_0r = math.sqrt(w.mean(np.where(m0, dev2, 0.0)))
-        if np.any(mb):
-            window_band = math.sqrt(w.mean(np.where(mb, dev2, 0.0)))
-
     return CosineReport(
         sign=float(sign),
         dist_L2=float(dist_l2),
@@ -918,6 +901,4 @@ def cosine_decompose(w: WeightedInterval, u_star, r=None, eta=None) -> CosineRep
         beta=float(beta),
         u0_norm=u0_norm,
         recon_error=recon_err,
-        window_0r=window_0r,
-        window_band=window_band,
     )

@@ -206,6 +206,23 @@ def test_localize_noncd_length_exit_2(run_cli, fixtures_dir):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["model", "truncated"])
+def test_localize_refuses_ray_density_outside_float_range(run_cli, tmp_path, kind):
+    # sin^119 underflows in both end cells at 4096 cells: the ray used to be
+    # solved on that density and end in exit 2, "orthogonal energy 0.0
+    # exceeds deficit -2.35e-05"; it is refused as spectrum --model refuses it
+    family = tmp_path / "fam.json"
+    family.write_text(json.dumps({"schema": "rayfam-v1", "N": 120, "rays": [
+        {"weight": 1.0, "D": math.pi, "density": {"kind": kind, "n": 4096},
+         "u": {"kind": "cosine"}}]}))
+    proc, out = run_cli("localize", "--config", str(family))
+    assert proc.returncode == 1, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: {family}: ray 0: the model density")
+    assert line.endswith("it leaves the float range")
+    assert not (out / "summary.json").exists()
+
+
 def test_check_density_pass(run_cli, fixtures_dir):
     proc, out = run_cli("check-density", str(fixtures_dir / "model_n2.csv"),
                         "--dim", "2")
@@ -246,6 +263,9 @@ def test_bad_usage_exits_1(tmp_path, capsys, fixtures_dir):
          "--kappa", "nan"),
         ("profile", "--dim", "inf", "--diam", "2", "--v", "0.5"),
         ("spectrum", "--model", "--dim", "2", "--k", "33", "--grid", "64"),
+        # spectrum takes no curvature, nor a diameter for a density file
+        ("spectrum", "--model", "--dim", "2", "--kappa", "1"),
+        ("spectrum", "--density", "fixtures/model_n2.csv", "--dim", "2", "--diam", "1"),
     ]
     for args in cases:
         code = cli.main(list(args) + ["--out", str(tmp_path / "out")])
@@ -634,10 +654,11 @@ def test_run_without_plot_removes_stale_plot(run_cli):
     assert not (out / "plot.svg").exists()
 
 
-def test_non_positive_gap_skips_plot_and_keeps_verdict(tmp_path, fixtures_dir):
+def test_non_positive_gap_keeps_verdict_and_plots_the_fitted_rows(tmp_path, fixtures_dir):
     # at N = 5.5 the diameter sweep's gap goes <= 0 (a false VIOLATED verdict,
-    # ROADMAP item 2); the log-log plot of it used to end the run in exit 1,
-    # and the dilated model's NaN power in a RuntimeWarning
+    # ROADMAP item 1); the log-log plot of it used to end the run in exit 1,
+    # and the dilated model's NaN power in a RuntimeWarning. The plot is drawn
+    # over the four positive gaps that the fit used
     root = fixtures_dir.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -649,11 +670,32 @@ def test_non_positive_gap_skips_plot_and_keeps_verdict(tmp_path, fixtures_dir):
                           capture_output=True, text=True, cwd=str(root), env=env)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ""
-    first, last = proc.stdout.splitlines()
-    assert first.endswith("lower bound VIOLATED")
-    assert last == "plot.svg skipped: column 'gap' has a value <= 0 for its log axis"
+    (line,) = proc.stdout.splitlines()
+    assert line.endswith("lower bound VIOLATED")
     assert (out / "summary.json").exists() and (out / "results.csv").exists()
-    assert not (out / "plot.svg").exists()
+    assert (out / "plot.svg").read_text().count("<circle ") == 4
+
+
+@pytest.mark.parametrize("args, code, kept", [
+    (("sweep", "--dim", "2", "--family", "perturbed-cosine",
+      "--points", "0.2,0.1,0.05,1e-9,1e-10"), 0, 3),
+    (("obata", "--dim", "5.5", "--points", "0.05,0.03,0.02,0.01,0.008"), 2, 4),
+], ids=["sweep-delta-at-roundoff", "obata-last-gap-negative"])
+def test_plot_draws_the_rows_the_fit_used(run_cli, args, code, kept):
+    # a row whose delta or gap reads <= 0 at the solve's roundoff floor is left
+    # out of the fit; the plot used to be skipped for it, and is now drawn
+    # over the rows the fit kept, bit for bit as those rows read back
+    proc, out = run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert "skipped" not in proc.stdout
+    x, y = ("delta", "dist_w12") if args[0] == "sweep" else ("eps", "gap")
+    cols = read_csv(out / "results.csv")
+    pos = (cols[x] > 0) & (cols[y] > 0)
+    assert np.count_nonzero(pos) == kept < len(pos)
+    fitted = {name: col[pos] for name, col in cols.items()}
+    again = out / "again.svg"
+    render_plot(fitted, str(again), x, y, loglog_fit(fitted[x], fitted[y]))
+    assert again.read_bytes() == (out / "plot.svg").read_bytes()
 
 
 def test_artifact_symlink_is_replaced_not_followed(run_cli, tmp_path):

@@ -267,12 +267,8 @@ def test_profile_iterations_count_g_evaluations(monkeypatch):
 
 
 def test_profile_rejects_bad_search_settings():
-    # tol 0 or -1 used to loop forever, nan to stop at the scan bracket,
-    # n_scan 1 to return g at b = 0, and n_scan 0 to raise numpy's ValueError
+    # n_scan 1 used to return g at b = 0, and n_scan 0 to raise numpy's ValueError
     q = ProfileQuery(3.0, 3.0, 0.37)
-    for tol in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ParameterDomainError):
-            profile(q, tol=tol)
     for n_scan in (1, 0, -5, 2.5, 129.0, True):
         with pytest.raises(ParameterDomainError):
             profile(q, n_scan=n_scan)
@@ -280,9 +276,13 @@ def test_profile_rejects_bad_search_settings():
 
 
 def test_profile_tol_below_rounding_terminates():
-    # a bracket cannot shrink below a few ulps of b; the search stops there
-    r = profile(ProfileQuery(3.0, 3.0, 0.37), tol=1e-300)
-    assert r.value == pytest.approx(PROFILE_3_30_037, abs=1e-15)
+    # a bracket cannot shrink below a few ulps of b; the search stops there.
+    # At v = 1/2 the centred window is optimal, far from the poles, and at
+    # D = 1e-9 the width BRACKET_TOL D is below 4 spacing(b)
+    D = 1e-9
+    r = profile(ProfileQuery(2.0, D, 0.5))
+    assert 4.0 * np.spacing(r.argmin_b) > iso.BRACKET_TOL * D
+    assert r.value == pytest.approx(1.0 / (2.0 * math.sin(D / 2.0)), rel=1e-12)
     assert r.iterations < 129 + 20 * iso._REFINE_POINTS
 
 
@@ -399,7 +399,7 @@ def test_profile_ode_excluded_band():
 def test_profile_ode_residual_matches_scalar_loop():
     # reference: the per-v loop over g_eval; the batched solve may differ in
     # the last bits of I, which the 1/step^2 difference quotient amplifies
-    N, step = 3.0, 1e-3
+    N, step = 3.0, iso.ODE_STEP
     vs = np.linspace(0.1, 0.9, 9)
     p = N / (N - 1.0)
     worst = 0.0
@@ -407,14 +407,11 @@ def test_profile_ode_residual_matches_scalar_loop():
         Im, I0, Ip = (g_eval(N, 0.0, v + d, math.pi) for d in (-step, 0.0, step))
         res = (Im ** p - 2.0 * I0 ** p + Ip ** p) / step ** 2 * I0 ** ((N - 2.0) / (N - 1.0))
         worst = max(worst, abs(res + N) / N)
-    got = profile_ode_residual(N, vs, step).max_residual
+    got = profile_ode_residual(N, vs).max_residual
     assert got == pytest.approx(worst, abs=64 * np.finfo(float).eps / step ** 2)
 
 
 def test_profile_ode_residual_domain():
-    for step in (0.0, -1e-3):
-        with pytest.raises(ParameterDomainError):
-            profile_ode_residual(2.0, [0.5], step=step)
     for N in (1.0, 0.5, math.inf):
         with pytest.raises(ParameterDomainError):
             profile_ode_residual(N, [0.5])

@@ -51,7 +51,7 @@ UNSPANNED_FINAL = 0.32036447816134583
 
 
 def _unit(w):
-    return WeightedInterval(grid=w.grid, h=w.h / w.total_mass, K=w.K, N=w.N)
+    return WeightedInterval(grid=w.grid, h=w.h / w.total_mass, N=w.N)
 
 
 def _model_ray_family(N=2.0, n=2048, shape=None, weight=1.0):

@@ -60,22 +60,26 @@ def test_weighted_interval_rejects_negative_density():
     h = np.ones(33)
     h[5] = -0.01
     with pytest.raises(ParameterDomainError):
-        WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+        WeightedInterval(grid=g, h=h, N=2.0)
 
 
 def test_weighted_interval_rejects_small_N():
     g = Grid.uniform(1.0, 32)
     with pytest.raises(ParameterDomainError):
-        WeightedInterval(grid=g, h=np.ones(33), K=0.0, N=1.0)
+        WeightedInterval(grid=g, h=np.ones(33), N=1.0)
 
 
 def test_weighted_interval_rejects_non_finite_parameters():
-    # a nan K slipped through every K > 0 branch and passed cd_check
+    # a nan K slipped through every K > 0 branch and passed cd_check; the
+    # curvature is cd_check's parameter, and it refuses a non-finite one
     g = Grid.uniform(1.0, 32)
-    for K, N in ((math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
-                 (0.0, math.nan), (0.0, math.inf)):
+    for N in (math.nan, math.inf):
         with pytest.raises(ParameterDomainError):
-            WeightedInterval(grid=g, h=np.ones(33), K=K, N=N)
+            WeightedInterval(grid=g, h=np.ones(33), N=N)
+    w = WeightedInterval(grid=g, h=np.ones(33), N=2.0)
+    for K in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterDomainError, match="K must be finite"):
+            cd_check(w, kappa=K)
 
 
 def test_load_density_csv_roundtrip(tmp_path):
@@ -83,7 +87,7 @@ def test_load_density_csv_roundtrip(tmp_path):
     h = 1.0 + 0.1 * np.cos(g.nodes)
     p = tmp_path / "d.csv"
     p.write_text("t,h\n" + "\n".join(f"{float(t)!r},{float(v)!r}" for t, v in zip(g.nodes, h)))
-    w = load_density_csv(p, K=0.0, N=2.0)
+    w = load_density_csv(p, N=2.0)
     assert np.array_equal(w.grid.nodes, g.nodes)
     assert np.array_equal(w.h, h)
 
@@ -92,10 +96,10 @@ def test_load_density_csv_rejects_garbage(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("t,h\n0.0,1.0\n0.5,nope\n")
     with pytest.raises(ConfigError):
-        load_density_csv(p, K=0.0, N=2.0)
+        load_density_csv(p, N=2.0)
     p.write_text("t,h\n0.0,1.0\n1.0,1.0\n")  # too few rows
     with pytest.raises(ConfigError):
-        load_density_csv(p, K=0.0, N=2.0)
+        load_density_csv(p, N=2.0)
     # Grid and WeightedInterval check the samples; their refusal names the file
     t = np.linspace(0.0, 2.0, 20)
     cases = {"at least 16 nodes": (t[:8], np.ones(8)),
@@ -104,14 +108,14 @@ def test_load_density_csv_rejects_garbage(tmp_path):
     for rule, (tt, h) in cases.items():
         p.write_text("t,h\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(tt, h)))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: .*{rule}"):
-            load_density_csv(p, K=0.0, N=2.0)
+            load_density_csv(p, N=2.0)
     t = np.linspace(0.0, 2.0, 20)
     for col, bad in ((1, "nan"), (1, "inf"), (0, "nan")):
         rows = [[repr(float(x)), "1.0"] for x in t]
         rows[7][col] = bad
         p.write_text("t,h\n" + "\n".join(",".join(r) for r in rows) + "\n")
         with pytest.raises(ConfigError, match="non-finite"):
-            load_density_csv(p, K=0.0, N=2.0)
+            load_density_csv(p, N=2.0)
 
 
 def test_read_csv_columns_match_float_parse(fixtures_dir):
@@ -193,7 +197,7 @@ def test_sigma_continuous_near_zero_theta():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: WeightedInterval(grid=Grid.uniform(1.0, 16), h=np.ones(17), K=0.0, N=math.inf),
+    lambda: WeightedInterval(grid=Grid.uniform(1.0, 16), h=np.ones(17), N=math.inf),
     lambda: iso.ProfileQuery(N=math.inf, D=2.0, v=0.5),
     lambda: iso.solve_R(math.inf, 0.0, 0.5, 2.0),
     lambda: iso.profile_ode_residual(math.inf, [0.5]),
@@ -243,8 +247,8 @@ def test_extrapolate_is_the_richardson_step():
 def test_total_mass_is_taken_from_h():
     g = Grid.uniform(1.0, 64)
     with pytest.raises(TypeError):
-        WeightedInterval(grid=g, h=np.ones(65), K=0.0, N=2.0, total_mass=2.0)
-    assert WeightedInterval(grid=g, h=np.ones(65), K=0.0, N=2.0).total_mass == pytest.approx(1.0)
+        WeightedInterval(grid=g, h=np.ones(65), N=2.0, total_mass=2.0)
+    assert WeightedInterval(grid=g, h=np.ones(65), N=2.0).total_mass == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +313,14 @@ def test_model_density_passes_cd_check():
 
 def test_cd_check_constant_density():
     g = Grid.uniform(1.0, 128)
-    w = WeightedInterval(grid=g, h=np.ones(129), K=0.0, N=2.5)
-    assert cd_check(w).passed
+    w = WeightedInterval(grid=g, h=np.ones(129), N=2.5)
+    assert cd_check(w, kappa=0.0).passed
 
 
 def test_cd_check_linear_density_fails():
     g = Grid.uniform(1.0, 256)
-    w = WeightedInterval(grid=g, h=g.nodes.copy(), K=10.0, N=2.0)
-    v = cd_check(w)
+    w = WeightedInterval(grid=g, h=g.nodes.copy(), N=2.0)
+    v = cd_check(w, kappa=10.0)
     assert not v.passed
     assert not bool(v)
     assert v.violation >= 1.0
@@ -336,8 +340,8 @@ def test_cd_check_diameter_guard():
     # K = 10, N = 2 caps the diameter at pi/sqrt(10) ~ 0.99; a 3-long interval
     # fails immediately with the (0, D, 1) witness and no lattice work
     g = Grid.uniform(3.0, 64)
-    w = WeightedInterval(grid=g, h=np.ones(65), K=10.0, N=2.0)
-    v = cd_check(w)
+    w = WeightedInterval(grid=g, h=np.ones(65), N=2.0)
+    v = cd_check(w, kappa=10.0)
     assert not v.passed
     assert v.witness == (0.0, 3.0, 1.0)
     assert v.violation == math.inf
@@ -408,7 +412,7 @@ def _assert_numpy_forms(g, h, u):
     # edge_order=2 and every second difference the form with two np.diff
     # calls, bit for bit, though the grid keeps its widths
     t = g.nodes
-    w = WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+    w = WeightedInterval(grid=g, h=h, N=2.0)
     mass = np.trapezoid(h, t)
     dl, dr = np.diff(t)[:-1], np.diff(t)[1:]
     second = np.zeros_like(u)
@@ -502,11 +506,12 @@ def _sigma_scalar(K, dim, t, theta):
     return math.sinh(t * theta * s) / math.sinh(theta * s)
 
 
-def _cd_check_loop(w, sample_pairs=0, tol=1e-8):
+def _cd_check_loop(w, sample_pairs=0, kappa=None, tol=1e-8):
     # reference: cd_check as a per-triple loop, the form it had before it was
     # vectorised; the array version must reproduce its verdicts bit for bit
     t_nodes = w.grid.nodes
-    N, K = w.N, w.K
+    N = w.N
+    K = N - 1.0 if kappa is None else kappa
     if K > 0 and w.grid.D - math.pi * math.sqrt((N - 1) / K) > 1e-9:
         return CdVerdict(False, (0.0, w.grid.D, 1.0), math.inf, 0)
     hp = np.asarray(w.h, dtype=float) ** (1.0 / (N - 1.0))
@@ -549,22 +554,23 @@ def _cd_check_loop(w, sample_pairs=0, tol=1e-8):
 
 
 def test_cd_check_matches_reference_loop(fixtures_dir):
-    cases = [load_density_csv(fixtures_dir / name, K=1.0, N=2.0)
+    cases = [(load_density_csv(fixtures_dir / name, N=2.0), 1.0)
              for name in ("model_n2.csv", "noncd_density.csv", "slowgap_density_n2.csv")]
-    cases.append(model_density(3.0, Grid.uniform(math.pi, 1000)))  # inf branch, h = 0
+    cases.append((model_density(3.0, Grid.uniform(math.pi, 1000)), None))  # inf branch, h = 0
     g = Grid.uniform(1.0, 256)
-    cases.append(WeightedInterval(grid=g, h=np.exp(g.nodes ** 2), K=0.0, N=2.0))
-    for w in cases:
+    cases.append((WeightedInterval(grid=g, h=np.exp(g.nodes ** 2), N=2.0), 0.0))
+    for w, kappa in cases:
         for pairs in (0, 2000):
-            assert cd_check(w, sample_pairs=pairs) == _cd_check_loop(w, pairs)
+            assert cd_check(w, sample_pairs=pairs, kappa=kappa) == _cd_check_loop(w, pairs, kappa)
 
 
 def test_cd_check_negative_K_matches_reference_loop(fixtures_dir):
     # np.sinh and math.sinh may differ in the last bit, so the violation is
     # compared to rounding; the triple and its count are exact
-    w = load_density_csv(fixtures_dir / "noncd_density.csv", K=-0.5, N=2.0)
+    w = load_density_csv(fixtures_dir / "noncd_density.csv", N=2.0)
     for pairs in (0, 2000):
-        got, ref = cd_check(w, sample_pairs=pairs), _cd_check_loop(w, pairs)
+        got = cd_check(w, sample_pairs=pairs, kappa=-0.5)
+        ref = _cd_check_loop(w, pairs, kappa=-0.5)
         assert (got.passed, got.witness, got.checked) == (ref.passed, ref.witness, ref.checked)
         assert got.violation == pytest.approx(ref.violation, rel=1e-14)
 
@@ -573,9 +579,9 @@ def test_cd_check_large_negative_K_has_no_overflow():
     # sinh(theta sqrt(-K/(N-1))) overflows past 710; the ratio is taken in
     # exponential form there, so a CD(1, 2) density passes CD(-1e6, 2)
     g = Grid.uniform(math.pi, 512)
-    w = WeightedInterval(grid=g, h=model_density(2.0, g).h, K=-1e6, N=2.0)
+    w = WeightedInterval(grid=g, h=model_density(2.0, g).h, N=2.0)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        v = cd_check(w, sample_pairs=200)
+        v = cd_check(w, sample_pairs=200, kappa=-1e6)
     assert v.passed and v.violation == 0.0
 
 
@@ -604,7 +610,7 @@ def _flow_density(N, grid, edges, levels):
     with the excess levels on the pieces between edges, as the generator
     builds its densities."""
     w = _rotation_flow(grid.nodes, np.array(edges), np.array(levels), 0.0, 1.0)
-    return WeightedInterval(grid=grid, h=w ** (N - 1.0), K=N - 1.0, N=N).normalized()
+    return WeightedInterval(grid=grid, h=w ** (N - 1.0), N=N).normalized()
 
 
 def test_generator_zero_excess_recovers_model():

@@ -39,7 +39,7 @@ GREEN_7NODE = [0.5, 0.17121331, 0.02327508, 0.0, -0.02327508, -0.17121331, -0.5]
 
 def uniform_interval(n, D=1.0):
     g = Grid.uniform(D, n)
-    return WeightedInterval(grid=g, h=np.ones(n + 1), K=0.0, N=2.0)
+    return WeightedInterval(grid=g, h=np.ones(n + 1), N=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_neumann_validation():
     h = np.ones(65)
     h[20:40] = 0.0
     with pytest.raises(DisconnectedSupportError):
-        neumann_eigs(WeightedInterval(grid=g, h=h, K=0.0, N=2.0), k=1)
+        neumann_eigs(WeightedInterval(grid=g, h=h, N=2.0), k=1)
 
 
 def test_pair_node_cap_refuses_before_allocating():
@@ -418,7 +418,7 @@ def test_zero_mass_end_node_raises():
     for end in (slice(None, 3), slice(-3, None)):
         h = 1.0 + g.nodes
         h[end] = 0.0
-        w = WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+        w = WeightedInterval(grid=g, h=h, N=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateDensityError, match="end cell"):
@@ -470,7 +470,7 @@ def test_scaled_copies_are_the_exact_scaling():
     t = w.grid.nodes
     for a, b in ((-70, 0), (0, 100), (-70, 100)):
         g = Grid(D=math.ldexp(w.grid.D, a), n=w.grid.n, nodes=np.ldexp(t, a))
-        res = neumann_eigs(WeightedInterval(grid=g, h=np.ldexp(w.h, b), K=w.K, N=w.N), k=2)
+        res = neumann_eigs(WeightedInterval(grid=g, h=np.ldexp(w.h, b), N=w.N), k=2)
         for got, want, e in ((res.eigenvalues, direct.eigenvalues, -2 * a),
                              (res.half_eigenvalues, direct.half_eigenvalues, -2 * a),
                              (res.eigenfunctions, direct.eigenfunctions, -(a + b) // 2),
@@ -670,7 +670,7 @@ def _rough_density(name, n):
         h = np.exp(-1000.0 * ((t - 0.25) * (t - 0.75)) ** 2)
     else:
         return model_density(3.0, Grid.uniform(math.pi, n))
-    return WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+    return WeightedInterval(grid=g, h=h, N=2.0)
 
 
 _ROUGH_CASES = ["noise0.5", "noise0.9", "noise0.99", "square0.9", "square0.999",
@@ -803,7 +803,7 @@ def _piecewise_smooth(draw):
     for i, (level, slope, freq, amp) in enumerate(pieces):
         on = which == i
         h[on] = level * np.exp(slope * s[on]) * (1.0 + amp * np.sin(freq * s[on]))
-    return WeightedInterval(grid=g, h=h, K=0.0, N=2.0)
+    return WeightedInterval(grid=g, h=h, N=2.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -852,7 +852,7 @@ def test_shooting_cross_check():
             g = Grid.uniform(D, n)
             h = np.cos(g.nodes - D / 2.0) ** (N - 1.0)
             h /= np.trapezoid(h, g.nodes)
-            return WeightedInterval(grid=g, h=h, K=0.0, N=N)
+            return WeightedInterval(grid=g, h=h, N=N)
 
         lam = float(neumann_eigs(build(4096)).richardson[0])
         assert lam == pytest.approx(frozen, abs=5e-8)
@@ -908,7 +908,7 @@ def test_lichnerowicz_model_equality_case():
 def test_lichnerowicz_grid_just_past_pi():
     # Grid admits D up to pi + 1e-12; (pi - D)^N used to turn complex there
     g = Grid.uniform(math.pi + 5e-13, 1024)
-    w = WeightedInterval(grid=g, h=np.abs(np.sin(g.nodes)) ** 1.5, K=1.5, N=2.5)
+    w = WeightedInterval(grid=g, h=np.abs(np.sin(g.nodes)) ** 1.5, N=2.5)
     rep = lichnerowicz_check(w, 2.5)
     assert rep.c_squared == 1.0 and rep.diam_lower == 0.0 and rep.margin == 0.0
 
@@ -1022,7 +1022,7 @@ def test_green_norm_bound_random_sources():
 def test_green_boundary_argmax_flag():
     g = Grid.uniform(1.0, 512)
     h = 2.0 - g.nodes
-    w = WeightedInterval(grid=g, h=h / np.trapezoid(h, g.nodes), K=0.0, N=2.0)
+    w = WeightedInterval(grid=g, h=h / np.trapezoid(h, g.nodes), N=2.0)
     res = green_apply(w, np.cos(g.nodes))
     assert res.boundary_max
     assert res.norm_v0 <= math.pi * res.norm_z + 1e-8
@@ -1130,11 +1130,3 @@ def test_decompose_beta_exponent():
         deltas.append(lam - 2.0)
     fit = loglog_fit(np.array(deltas), np.array(devs))
     assert fit.slope >= 0.5 - 0.1
-
-
-def test_decompose_windows():
-    w = model_density(2.0, Grid.uniform(math.pi, 4096))
-    res = neumann_eigs(w, k=1)
-    rep = cosine_decompose(w, res.eigenfunctions[:, 0], r=0.4, eta=0.1)
-    assert rep.window_0r <= 1e-6
-    assert rep.window_band <= 1e-6

@@ -25,7 +25,9 @@ without the SciPy submodules that none of its commands use, loads LAPACK
 parser once per process, on the first main() call. Every public function,
 class and method is reached by a run: the rest of the package, the demo, the
 tools, the bench or an acceptance criterion names it, and every function the
-bench traces by name resolves."""
+bench traces by name resolves. Every defaulted parameter of a public function
+and field of a public dataclass is set by some call of such a run, and the
+curvature K is a parameter of cd_check alone: an interval carries none."""
 import ast
 import dataclasses
 import json
@@ -693,3 +695,103 @@ def test_every_public_name_is_reached_by_a_run():
         unreached += [f"{path.stem}.{name}" for name, node in _public_defs(tree)
                       if name not in elsewhere | _references(tree, node)]
     assert unreached == []
+
+
+def _is_dataclass(node):
+    return any(getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+               for dec in node.decorator_list)
+
+
+def _options(tree):
+    """{name: (positional names, defaulted names)} of each public function and
+    method of tree, the self of a method left out, and of each public
+    dataclass's __init__ (its fields, less those with init=False)."""
+    out = {}
+    for name, node in _public_defs(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = [a.arg for a in [*args.posonlyargs, *args.args]]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            method = (node not in tree.body and not any(
+                getattr(dec, "id", "") == "staticmethod" for dec in node.decorator_list))
+            out[name] = (positional[method:], defaulted)
+        elif _is_dataclass(node):
+            fields, defaulted = [], []
+            for stmt in node.body:
+                if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+                    continue
+                value = stmt.value
+                keywords = {kw.arg: kw.value for kw in getattr(value, "keywords", ())}
+                if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
+                    init = keywords.get("init")
+                    if isinstance(init, ast.Constant) and init.value is False:
+                        continue
+                    has_default = "default" in keywords or "default_factory" in keywords
+                else:
+                    has_default = value is not None
+                fields.append(stmt.target.id)
+                if has_default:
+                    defaulted.append(stmt.target.id)
+            out[name] = (fields, defaulted)
+    return out
+
+
+def _calls_by_callee(trees):
+    """{name: every call of a function or method of that name in trees}."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, opt, index):
+    """Whether call sets the option opt, by keyword or at its position index
+    (None if it has none); a *args reaches every later position, and a
+    **kwargs every name."""
+    if any(kw.arg in (opt, None) for kw in call.keywords):
+        return True
+    return index is not None and any(isinstance(arg, ast.Starred) or i == index
+                                     for i, arg in enumerate(call.args[:index + 1]))
+
+
+def test_every_option_is_set_by_a_run():
+    # a defaulted parameter (or dataclass field) that only unit tests set is an
+    # option no run takes: some call in the package, the demos, the tools, the
+    # bench or an acceptance criterion sets each one
+    paths = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+             *(path for top in ("demos", "tools", "bench")
+               for path in sorted((ROOT / top).rglob("*.py")))]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    calls = _calls_by_callee(trees.values())
+    unset, checked = [], 0
+    for path, tree in trees.items():
+        if path.parent != SRC or path.name == "__init__.py":
+            continue
+        for name, (positional, defaulted) in _options(tree).items():
+            for opt in defaulted:
+                checked += 1
+                index = positional.index(opt) if opt in positional else None
+                if not any(_sets(call, opt, index) for call in calls.get(name, ())):
+                    unset.append(f"{name}.{opt}")
+    assert checked >= 20
+    assert unset == []
+
+
+def test_curvature_is_a_parameter_of_cd_check_alone():
+    # every interval is CD(N - 1, N) but where cd_check is told another K:
+    # the interval has no curvature field, the loader takes none, and no
+    # other function of the package takes one (_sigma_raw, the distortion
+    # coefficient that cd_check evaluates, is its kernel)
+    from obatalab.measures import WeightedInterval, load_density_csv
+    import inspect
+
+    assert [f.name for f in dataclasses.fields(WeightedInterval)] == [
+        "grid", "h", "N", "total_mass"]
+    assert list(inspect.signature(load_density_csv).parameters) == ["path", "N"]
+    takers = sorted(name for path in sorted(SRC.glob("*.py")) for name, fn in _defs(path)
+                    if _parameters(fn) & {"K", "kappa", "curvature"})
+    assert takers == ["measures._sigma_raw", "measures.cd_check"]

@@ -159,7 +159,7 @@ def main():
 
     def lam1_of_mix(alpha):
         h = (1.0 - alpha) * base_h + alpha * bump
-        wmix = ol.WeightedInterval(grid=g2, h=h, K=1.0, N=2.0)
+        wmix = ol.WeightedInterval(grid=g2, h=h, N=2.0)
         return ol.neumann_eigs(wmix, k=1).eigenvalues[0]
 
     lo, hi = 0.0, 1.0
@@ -171,7 +171,7 @@ def main():
             hi = mid
     alpha = 0.5 * (lo + hi)
     h_mix = (1.0 - alpha) * base_h + alpha * bump
-    w_mix = ol.WeightedInterval(grid=g2, h=h_mix, K=1.0, N=2.0)
+    w_mix = ol.WeightedInterval(grid=g2, h=h_mix, N=2.0)
     res = ol.neumann_eigs(w_mix, k=1)
     assert abs(res.eigenvalues[0] - 2.001) < 1e-4, res.eigenvalues
     dump_samples("slowgap_density_n2.csv", g2.nodes, w_mix.h, "t,h")
