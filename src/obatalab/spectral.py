@@ -26,11 +26,14 @@ most MAX_PAIR_NODES values per grid-by-pairs array.
 
 The discrete problem rescales exactly: nodes t 2^p and densities h 2^q, with
 p + q even, scale the eigenvalues by 4^-p and the eigenvectors by
-2^-(p+q)/2, with no rounding. neumann_eigs takes once, before the solve, the
-(p, q) that bring the diameter into [1/2, 1) and the peak density into
-[1/2, 2): the scale is what bounds lambda. A grid with |p|, |q| at most
-_EXACT_EXPONENT is solved as it is, any other on scaled copies whose values
-are scaled back, and eigenvalues past the float range are refused.
+2^-(p+q)/2, with no rounding. Every grid is solved at the scale (p, q) that
+brings its diameter into [1/2, 1) and its peak density into [1/2, 2)
+(_scale, taken once per solve): the scale is what bounds lambda. No grid is
+copied to get there. _assemble, the one source of every flux and mass,
+scales a block's cell widths by 2^p and its densities by 2^q as it forms
+them, and _spectrum scales the eigenvalues and eigenvectors back, refusing
+eigenvalues past the float range. rayleigh() takes its quotient at the
+same scale.
 
 A refined level is its nodes and densities (t, h): the grid's own, and
 contiguous copies of every other one for the half grid. A level of more than
@@ -56,8 +59,8 @@ inside a pool task, such as a job of an obata1d sweep, runs its sweeps
 inline; the inverse-iteration solves themselves (dgttrs) are serial.
 Blocking only regroups elementwise arithmetic, every sum runs over a whole
 row after its sweep, and maxima are joined in block order, so each value
-keeps the bits of the whole-grid form, which the grids solved by bisection
-(_scaled) still build, for any thread count.
+keeps the bits of the whole-grid form for any thread count. Only a grid
+solved by bisection builds that form whole (_scaled).
 
 LAPACK loads on the first solve, not at import: eigh_tridiagonal, dgttrf and
 dgttrs are module-level stand-ins that import scipy.linalg on their first
@@ -108,9 +111,9 @@ class SpectralResult:
         1e-15 at n = 2^12, 4e-13 at 2^16 and up to 9e-12 at 2^20, at most
         about 1e-17 n, while at D = pi it stays below 2e-13 at every n. It
         measures the solve, not the discretisation error (see err_bar).
-        Taken on first read (_errors, which holds the grid's own nodes and
-        densities), so a solve whose residuals nobody reads does not pay
-        for them
+        Taken on first read, on every grid, at the scale the grid was solved
+        at (_errors holds the grid's own nodes and densities and that scale),
+        so a solve whose residuals nobody reads does not pay for them
     lam0: lambda_0 ~ 0, dropped from eigenvalues. Exactly 0 on a grid refined
         from its half grid, whose lambda_0 vector is the constant and is not
         computed; the bisection value (~1e-23) on a grid solved directly,
@@ -165,11 +168,6 @@ _BLOCK = 2 ** 15
 # thread against two, k = 1: 2^16 cells 11.7 and 12.9 ms, 98304 cells 18.6
 # and 20.0 ms, 2^17 cells 24.8 and 24.0 ms)
 _POOL_BLOCKS = 4
-# neumann_eigs solves a grid as it is while |p| and |q| are at most this (D of
-# at least 2^-65): model grids (4096 to 2^18 cells, 1 to 200 pairs) kept every
-# bit of the scaled solve up to |p| = 124 and |q| = 896, and past |p| ~ 130
-# (lambda ~ 4^p) inverse iteration underflows. D = pi has (p, q) = (-2, 0)
-_EXACT_EXPONENT = 64
 # inverse iteration per refined pair: step bounds, and the agreement of two
 # successive |lambda - shift| estimates, relative to lambda, that ends it
 _MIN_STEPS, _MAX_STEPS, _STEP_RTOL = 2, 6, 1e-8
@@ -231,17 +229,40 @@ def _coarsest_cells(n, k):
     return m // 2 if m == n and has_half_grid(n) else m
 
 
-def _assemble(t, h, out=None):
-    """Flux f = hmid/dt per cell and lumped mass M per node, from the
-    cell-midpoint densities hmid. out, when given, is four rows of at least
-    len(t) values that take the cell widths, f, the half-cell masses and M
-    from their start, so that a blocked sweep allocates them once."""
-    m = len(t)
+def _scale(t, h):
+    """The exact scale (p, q) of the grid (t, h), the one exponent rule of
+    every solve and quotient: nodes t 2^p and densities h 2^q put the
+    diameter in [1/2, 1) and the peak density in [1/2, 2), q raised to the
+    parity of p, so that the scaling is exact."""
+    p, q = -math.frexp(t[-1])[1], -math.frexp(h.max())[1]
+    return p, q + (p + q) % 2
+
+
+def _times_pow2(x, e, out):
+    """x 2^e into out for e >= -1074, with the one rounding of np.ldexp(x, e),
+    or x itself when e is 0. A multiply by the float 2^e costs half an
+    np.ldexp, which takes the e from 1024 on, where 2^e is no float."""
+    if not e:
+        return x
+    return np.multiply(x, 2.0 ** e, out=out) if e < 1024 else np.ldexp(x, e, out=out)
+
+
+def _assemble(t, h, scale, out=None):
+    """Flux f = hmid/dt per cell and lumped mass M per node at the scale
+    (p, q) of the grid (_scale): the cell widths dt of the nodes t 2^p and
+    the cell-midpoint densities hmid of h 2^q. The densities are scaled
+    before the midpoint sum, which near the float max would overflow. out,
+    when given, is four rows of at least len(t) values that take the cell
+    widths, f, the scaled densities and then the half-cell masses, and M from
+    their start, so that a blocked sweep allocates them once."""
+    m, (p, q) = len(t), scale
     if out is None:
         out = [np.empty(m) for _ in range(4)]
     dt, f, half_cell, M = out[0][:m - 1], out[1][:m - 1], out[2][:m - 1], out[3][:m]
     np.subtract(t[1:], t[:-1], out=dt)  # np.diff(t), without its dispatch
-    np.add(h[:-1], h[1:], out=f)
+    _times_pow2(dt, p, dt)
+    hs = _times_pow2(h, q, out[2][:m])
+    np.add(hs[:-1], hs[1:], out=f)
     f *= 0.5
     np.multiply(f, dt, out=half_cell)
     half_cell *= 0.5
@@ -251,20 +272,24 @@ def _assemble(t, h, out=None):
     return f, M
 
 
-def _support_checks(h):
-    """Refuse h >= 0 whose cell midpoints 0.5 (h_i + h_{i+1}) vanish between
-    its first and last positive node, or on an end cell. A midpoint rounds to
-    0 only where h_i is at most the least subnormal, so only those cells are
+def _support_checks(h, q):
+    """Refuse h >= 0 whose cell midpoints at the scale 2^q of _assemble,
+    0.5 (h_i 2^q + h_{i+1} 2^q), vanish between its first and last node that
+    is positive at that scale, or on an end cell. A midpoint rounds to 0 only
+    where h_i 2^q is at most the least subnormal, so only those cells are
     formed."""
-    pos = h > 0
+    pos = h > 2.0 ** (-1075 - q)  # h_i 2^q rounds to 0 up to there
     first = int(pos.argmax())
     if not pos[first]:
         raise DegenerateDensityError("density is identically zero")
     last = len(h) - 1 - int(pos[::-1].argmax())
-    c = np.flatnonzero(h[first:last] <= 5e-324) + first  # the least subnormal
-    if not (0.5 * (h[c] + h[c + 1])).all():
+    # the cells that start where h_i 2^q is at most the least subnormal, and
+    # a few more
+    c = np.flatnonzero(h[first:last] <= 2.0 ** (-1073 - q)) + first
+    if not (0.5 * (_times_pow2(h[c], q, None) + _times_pow2(h[c + 1], q, None))).all():
         raise DisconnectedSupportError("density vanishes on an interior subinterval")
-    if 0.5 * (h[0] + h[1]) == 0.0 or 0.5 * (h[-2] + h[-1]) == 0.0:
+    ends = [math.ldexp(h[i], q) for i in (0, 1, -2, -1)]  # rounded as _times_pow2 rounds
+    if 0.5 * (ends[0] + ends[1]) == 0.0 or 0.5 * (ends[2] + ends[3]) == 0.0:
         raise DegenerateDensityError(
             "density vanishes on a whole end cell, leaving an end node without mass")
 
@@ -283,14 +308,15 @@ def _inv_sqrt(M, out):
     return np.reciprocal(out, out=out)
 
 
-def _block_level(t, h, lo, hi, scratch=None):
-    """Flux f and mass M of the level (t, h) for the nodes lo..hi-1:
+def _block_level(t, h, scale, lo, hi, scratch=None):
+    """Flux f and mass M of the level (t, h) at scale for the nodes lo..hi-1:
     _assemble (into scratch, when given) of their slice with one halo node on
     each side. f is the flux of every cell that touches the nodes (from cell
     lo - 1, or 0 at the grid's start), M their masses (a halo node's misses
-    a cell); each value holds the bits of the whole-grid _assemble(t, h)."""
+    a cell); each value holds the bits of the whole-grid
+    _assemble(t, h, scale)."""
     a, b = max(lo - 1, 0), min(hi + 1, len(t))
-    f, M = _assemble(t[a:b], h[a:b], scratch)
+    f, M = _assemble(t[a:b], h[a:b], scale, scratch)
     return f, M[lo - a:hi - a]
 
 
@@ -335,11 +361,11 @@ def _symmetric(f, M, start, end, out=None):
     return s, d, e
 
 
-def _scaled(t, h):
-    """Flux, mass and the _symmetric form s, d, e of the whole grid: the
-    matrix of a grid solved by bisection. ConditioningError when the form is
-    not finite, as for a density of too wide a range for float64."""
-    f, M = _assemble(t, h)
+def _scaled(t, h, scale):
+    """Flux, mass and the _symmetric form s, d, e of the whole grid at scale:
+    the matrix of a grid solved by bisection. ConditioningError when the form
+    is not finite, as for a density of too wide a range for float64."""
+    f, M = _assemble(t, h, scale)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s, d, e = _symmetric(f, M, True, True)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
@@ -348,24 +374,24 @@ def _scaled(t, h):
     return f, M, s, d, e
 
 
-def _flux_quotient(u, t, h, work=None, unscale=False, level=None):
+def _flux_quotient(u, t, h, scale, work=None, unscale=False, level=None):
     """The flux Rayleigh quotient sum f (u_{i+1} - u_i)^2 / sum M u_i^2 of
-    the vector u on the level (t, h), and its mass sum M u_i^2; work, when
-    given, is a 2 x len(u) scratch array. With unscale, u holds the symmetric
-    form y = u/s and is set to y s in place first. f and M are formed per
-    block (_block_level) on the worker pool (_sweep); level, the whole grid's
-    (f, M), with s = 1/sqrt(M) to unscale with, when it is formed already,
-    is read as one block instead. Each block unscales only its own nodes:
-    its last cell reads the next block's first node as it was before the
-    sweep, unscaled with the bits of its s. The terms go into whole rows, and
-    each sum is taken over its whole row."""
+    the vector u on the level (t, h) at scale, and its mass sum M u_i^2;
+    work, when given, is a 2 x len(u) scratch array. With unscale, u holds
+    the symmetric form y = u/s and is set to y s in place first. f and M are
+    formed per block (_block_level) on the worker pool (_sweep); level, the
+    whole grid's (f, M), with s = 1/sqrt(M) to unscale with, when it is
+    formed already, is read as one block instead. Each block unscales only
+    its own nodes: its last cell reads the next block's first node as it was
+    before the sweep, unscaled with the bits of its s. The terms go into
+    whole rows, and each sum is taken over its whole row."""
     nodes = len(u)
     sq, energy = work if work is not None else np.empty((2, nodes))
     after = {} if level else {lo: u[lo] for lo, _ in _blocks(nodes)[1:]}
 
     def block(lo, hi, scratch):
         top = min(hi + 1, nodes)  # with the next block's first node
-        flux, M = level[:2] if level else _block_level(t, h, lo, top, scratch)
+        flux, M = level[:2] if level else _block_level(t, h, scale, lo, top, scratch)
         ub, nxt = u[lo:hi], after.get(hi)
         if unscale:
             s = level[2] if level else _inv_sqrt(M, scratch[0][:top - lo])
@@ -395,15 +421,15 @@ def _flux_quotient(u, t, h, work=None, unscale=False, level=None):
     return float(energy[:-1].sum()) / mass, mass
 
 
-def _sign_changes(u, scale=None):
-    """Sign changes along u, exact zeros skipped; with scale, u is first
+def _sign_changes(u, divisor=None):
+    """Sign changes along u, exact zeros skipped; with divisor, u is first
     divided by it in place. Each block counts its own on the worker pool
     (_sweep) and reports its first and last sign, and the blocks are joined
     in block order."""
     def block(lo, hi, scratch):
         part = u[lo:hi]
-        if scale is not None:
-            part /= scale
+        if divisor is not None:
+            part /= divisor
         neg = part < 0.0
         if not part.all():
             neg = neg[part != 0.0]
@@ -418,45 +444,43 @@ def _sign_changes(u, scale=None):
     return changes
 
 
-def _finish(u, t, h, work=None, count=False, level=None):
+def _finish(u, t, h, scale, work=None, count=False, level=None):
     """Set the columns of u, eigenvectors y of the symmetric form of the grid
-    (t, h), to y s in place, then M-normalise and sign-fix them, positive at
-    the first node above 1e-12 of the column's peak; return their
-    _flux_quotient values, taken in the sweep that unscales (work and level
-    as in _flux_quotient), and, with count, their _sign_changes, counted in
-    the sweep that normalises."""
+    (t, h) at scale, to y s in place, then M-normalise and sign-fix them,
+    positive at the first node above 1e-12 of the column's peak; return
+    their _flux_quotient values, taken in the sweep that unscales (work and
+    level as in _flux_quotient), and, with count, their _sign_changes,
+    counted in the sweep that normalises."""
     ray = np.empty(u.shape[1])
     changes = []
-    if work is None:
-        work = np.empty((2, len(u)))
     for j in range(u.shape[1]):
         uj = u[:, j]
-        ray[j], mass = _flux_quotient(uj, t, h, work, unscale=True, level=level)
+        ray[j], mass = _flux_quotient(uj, t, h, scale, work, unscale=True, level=level)
         floor = 1e-12 * max(uj.max(), -uj.min())
         first = 0 if abs(uj[0]) > floor else int(np.argmax(np.abs(uj) > floor))
-        scale = math.copysign(math.sqrt(mass), uj[first])
+        norm = math.copysign(math.sqrt(mass), uj[first])
         if count:
-            changes.append(_sign_changes(uj, scale))
+            changes.append(_sign_changes(uj, norm))
         else:
-            uj /= scale
+            uj /= norm
     return ray, changes
 
 
-def _solve_tridiagonal(t, h, k):
-    f, M, s, d, e = _scaled(t, h)
+def _solve_tridiagonal(t, h, scale, k):
+    f, M, s, d, e = _scaled(t, h, scale)
     try:
         u = eigh_tridiagonal(d, e, select="i", select_range=(0, k))[1]
     except np.linalg.LinAlgError as exc:  # stebz fails on forms near the float limits
         raise ConditioningError(f"tridiagonal bisection failed ({exc})") from exc
     if not np.isfinite(u).all():  # and stein, on slightly milder ones
         raise ConditioningError("tridiagonal eigenvectors are not finite (out of float range)")
-    return _finish(u, t, h, level=(f, M, s))[0], u
+    return _finish(u, t, h, scale, level=(f, M, s))[0], u
 
 
-def _direct(t, h, k):
+def _direct(t, h, scale, k):
     """lambda_0, lambda_1..lambda_k and the eigenvectors of lambda_1..lambda_k
-    (one column each) of the grid (t, h), solved directly."""
-    ray, u = _solve_tridiagonal(t, h, k)
+    (one column each) of the grid (t, h) at scale, solved directly."""
+    ray, u = _solve_tridiagonal(t, h, scale, k)
     return float(ray[0]), ray[1:], u[:, 1:]
 
 
@@ -507,7 +531,7 @@ def _inverse_iterate(work, y, shift):
         raise ConditioningError(f"inverse iteration is singular at shift {shift!r}")
     # the iterate is never rescaled: the estimate of a step is the ratio of
     # successive norms, each step divides it by about |lambda - shift|, which
-    # neumann_eigs's scale bounds, and the caller normalises it (_finish)
+    # the solve's scale (_scale) bounds, and the caller normalises it (_finish)
     norm = math.sqrt(y.dot(y))  # np.linalg.norm(y), without its dispatch
     gap = math.inf
     tol = _STEP_RTOL * abs(shift)
@@ -524,12 +548,12 @@ def _inverse_iterate(work, y, shift):
         f"inverse iteration at shift {shift!r} did not converge in {_MAX_STEPS} steps")
 
 
-def _shifted_rows(t, h, work, y, shift, level=None):
-    """Write the bands dl, dd, du of the symmetric form of the level (t, h),
-    minus shift, into the rows of work, and scale y to y/s in place, per
-    block on the worker pool (_sweep); level, the flux, mass and symmetric
-    form (f, M, s, d, e) of a level of one block, is read instead. A block
-    writes only its own nodes and the cells that start in them."""
+def _shifted_rows(t, h, scale, work, y, shift, level=None):
+    """Write the bands dl, dd, du of the symmetric form of the level (t, h)
+    at scale, minus shift, into the rows of work, and scale y to y/s in
+    place, per block on the worker pool (_sweep); level, the flux, mass and
+    symmetric form (f, M, s, d, e) of a level of one block, is read instead.
+    A block writes only its own nodes and the cells that start in them."""
     nodes = len(t)
     dl, dd, du = work
     if level:
@@ -544,7 +568,7 @@ def _shifted_rows(t, h, work, y, shift, level=None):
         # s and d reach one node past the block, for the cell hi - 1, in the
         # scratch rows the assembly is done with; e goes straight to dl
         top = min(hi + 1, nodes)
-        s, d, e = _symmetric(*_block_level(t, h, lo, top, scratch), lo == 0, top == nodes,
+        s, d, e = _symmetric(*_block_level(t, h, scale, lo, top, scratch), lo == 0, top == nodes,
                              (scratch[0], scratch[2], dl[lo:top]))
         y[lo:hi] /= s[:hi - lo]
         du[lo:top - 1] = e
@@ -553,13 +577,13 @@ def _shifted_rows(t, h, work, y, shift, level=None):
     _sweep(block, nodes)
 
 
-def _refine(t, h, u, shifts):
+def _refine(t, h, scale, u, shifts):
     """Polish prolonged eigenvectors u of lambda_1..lambda_k (one column
-    each) in place on the level (t, h) by inverse iteration in the symmetric
-    form y = u/s, shifted by shifts, their eigenvalues on the coarser grid;
-    return their flux Rayleigh quotients. A level of one block has its
-    flux, mass and symmetric form formed once for all its sweeps; on a
-    larger one each sweep forms its blocks (_block_level).
+    each) in place on the level (t, h) at scale by inverse iteration in the
+    symmetric form y = u/s, shifted by shifts, their eigenvalues on the
+    coarser grid; return their flux Rayleigh quotients. A level of one block
+    has its flux, mass and symmetric form formed once for all its sweeps; on
+    a larger one each sweep forms its blocks (_block_level).
     ConditioningError when a pair does not converge, or when pair j does not
     change sign exactly j times (Sturm oscillation).
     """
@@ -567,13 +591,13 @@ def _refine(t, h, u, shifts):
     work = [np.empty(len(t)) for _ in range(3)]
     level = None
     if len(_blocks(len(t))) == 1:
-        f, M = _block_level(t, h, 0, len(t))
+        f, M = _block_level(t, h, scale, 0, len(t))
         level = (f, M) + _symmetric(f, M, True, True)
     for j, shift in enumerate(shifts):
         y = u[:, j]
-        _shifted_rows(t, h, work, y, shift, level)
+        _shifted_rows(t, h, scale, work, y, shift, level)
         _inverse_iterate(work, y, shift)
-    ray, changes = _finish(u, t, h, work[:2], count=True, level=level)
+    ray, changes = _finish(u, t, h, scale, work[:2], count=True, level=level)
     for j, count in enumerate(changes, 1):
         if count != j:
             raise ConditioningError(
@@ -581,10 +605,11 @@ def _refine(t, h, u, shifts):
     return ray
 
 
-def _eigenpairs(t, h, k):
+def _eigenpairs(t, h, scale, k):
     """lambda_0, the flux Rayleigh eigenvalues lambda_1..lambda_k and their
-    eigenvectors (one column each), and the half-grid eigenvalues when the
-    grid was refined from its half grid (None otherwise).
+    eigenvectors (one column each) of the grid (t, h) at scale, and the
+    half-grid eigenvalues when the grid was refined from its half grid (None
+    otherwise).
 
     A grid that _refines is reached in two refined levels from its base
     (_coarsest_cells, solved directly): the base pairs are prolonged straight
@@ -598,13 +623,13 @@ def _eigenpairs(t, h, k):
     exactly 0 on a refined level, whose lambda_0 vector is the constant.
     Every grid solved passes _support_checks, the grid itself first.
     """
-    _support_checks(h)
+    _support_checks(h, scale[1])
     n = len(t) - 1
     if not _refines(n, k):
-        return _direct(t, h, k) + (None,)
+        return _direct(t, h, scale, k) + (None,)
     have = n // _coarsest_cells(n, k)  # stride of the finest level solved
-    _support_checks(h[::have])
-    lam0, vals, v = _direct(t[::have], h[::have], k)
+    _support_checks(h[::have], scale[1])
+    lam0, vals, v = _direct(t[::have], h[::have], scale, k)
     goal = min(have // 2, 2)  # the half grid, then the grid
     while True:
         stride = have // goal
@@ -615,24 +640,26 @@ def _eigenpairs(t, h, k):
         if stride == 2:
             v = None  # a one-doubling level falls back to bisection, not to v
         if goal > 1:
-            _support_checks(hg)
+            _support_checks(hg, scale[1])
         half = vals
         try:
-            vals = _refine(tg, hg, u, half)
+            vals = _refine(tg, hg, scale, u, half)
             lam0 = 0.0
         except ConditioningError:
             if stride > 2:
                 goal = have // 2
                 continue
-            lam0, vals, u = _direct(tg, hg, k)
+            lam0, vals, u = _direct(tg, hg, scale, k)
         if goal == 1:
             return lam0, vals, u, half
         have, goal, v = goal, goal // 2, u
 
 
-def _backward_errors(t, h, u, lams):
+def _backward_errors(t, h, scale, u, lams):
     """||(T - lam) y||_inf / (||T||_inf ||y||_inf) per column, for T the
-    symmetric matrix of the level (t, h) and y = u/s its form of the column.
+    symmetric matrix of the level (t, h) at scale, lams its eigenvalues, and
+    y = u/s its form of the column. The ratio does not depend on the scale
+    of y, so u may be taken at any power of two (as scaled back, _spectrum).
     T is formed per block (_symmetric) with one halo node on each side, on
     the worker pool (_sweep), with the bits of the whole-grid form. The
     norms are maxima of the blocks' maxima, taken in block order."""
@@ -640,7 +667,7 @@ def _backward_errors(t, h, u, lams):
 
     def block(lo, hi, scratch):
         a, b = max(lo - 1, 0), min(hi + 1, nodes)
-        s, d, e = _symmetric(*_block_level(t, h, a, b, scratch), a == 0, b == nodes,
+        s, d, e = _symmetric(*_block_level(t, h, scale, a, b, scratch), a == 0, b == nodes,
                              (scratch[0], scratch[2], scratch[4]))
         m, own = b - a, slice(lo - a, hi - a)  # the block's rows in the halo
         # y and r take the rows of f and M, which the form is done with
@@ -673,64 +700,63 @@ def _backward_errors(t, h, u, lams):
     return np.array([rj / (tnorm * yj) for rj, yj in zip(rmax, ymax)])
 
 
-def _spectrum(t, h, k):
-    """SpectralResult of k pairs on the grid (t, h)."""
-    lam0, lams, funcs, half = _eigenpairs(t, h, k)
-    if half is None and has_half_grid(len(t) - 1):
-        half = _eigenpairs(t[::2], h[::2], k)[1]
-    return SpectralResult(
-        eigenvalues=lams,
-        eigenfunctions=funcs,
-        lam0=lam0,
-        half_eigenvalues=np.full(k, np.nan) if half is None else half,
-        _errors=functools.partial(_backward_errors, t, h, funcs, lams),
-    )
+def _scaled_back(x, e, D, out=None):
+    """x 2^e (_times_pow2, into out when given), or ParameterDomainError when
+    a value leaves the float range, which only e > 0 can make it do: the
+    spectrum on diameter D is of order 1/D^2."""
+    with np.errstate(over="ignore"):
+        x = _times_pow2(x, e, out)
+    if e > 0 and np.isinf(x).any():  # a NaN, as of a missing half grid, is no overflow
+        raise ParameterDomainError(
+            f"the spectrum on diameter {D:g} is not finite in float64: its "
+            "eigenvalues, of order 1/D^2, leave the float range")
+    return x
+
+
+def _spectrum(w, k):
+    """SpectralResult of k pairs on w, solved at the scale (p, q) of its grid
+    (_scale) and scaled back: the eigenvalues by 4^p, and the eigenvectors by
+    2^((p+q)/2) in place. Its backward errors are taken at that scale."""
+    t, h = w.grid.nodes, w.h
+    p, q = scale = _scale(t, h)
+    lam0, lams, funcs, half = _eigenpairs(t, h, scale, k)
+    if half is None:  # a grid solved directly: its half grid too, where it has one
+        half = (_eigenpairs(t[::2], h[::2], scale, k)[1] if has_half_grid(len(t) - 1)
+                else np.full(k, np.nan))
+    vals = _scaled_back(np.concatenate((lams, half, [lam0])), 2 * p, w.grid.D)
+    return SpectralResult(vals[:k], _scaled_back(funcs, (p + q) // 2, w.grid.D, funcs),
+                          float(vals[-1]), vals[k:-1],
+                          functools.partial(_backward_errors, t, h, scale, funcs, lams))
 
 
 def neumann_eigs(w: WeightedInterval, k=1) -> SpectralResult:
     """First k nonzero Neumann eigenpairs of -(h u')' = lambda h u on w."""
     if not 1 <= k <= MAX_PAIRS:
         raise ParameterDomainError(f"need 1 <= k <= {MAX_PAIRS}, got k = {k}")
-    t, h = w.grid.nodes, w.h
-    if len(t) * k > MAX_PAIR_NODES:
+    if (w.grid.n + 1) * k > MAX_PAIR_NODES:
         raise ParameterDomainError(
-            f"need (grid_n + 1) k <= {MAX_PAIR_NODES}, got {len(t)} nodes x k = {k}")
-    cells = _coarsest_cells(len(t) - 1, k)
+            f"need (grid_n + 1) k <= {MAX_PAIR_NODES}, got {w.grid.n + 1} nodes x k = {k}")
+    cells = _coarsest_cells(w.grid.n, k)
     if k > cells:
         raise ParameterDomainError(
             f"k = {k} exceeds the {cells} cells of the coarsest grid solved")
-    # diameter and peak density into [1/2, 1), the density's exponent made as
-    # even as p's (peak in [1/2, 2)): the scaling is exact
-    p, q = -math.frexp(t[-1])[1], -math.frexp(float(np.max(h)))[1]
-    q += (p + q) % 2
-    scaled = max(abs(p), abs(q)) > _EXACT_EXPONENT
-    if scaled:
-        t, h = np.ldexp(t, p), np.ldexp(h, q)
-    res = _spectrum(t, h, k)
-    if not scaled:
-        return res
-    with np.errstate(over="ignore"):
-        lams, half, lam0 = (np.ldexp(x, 2 * p) for x in
-                            (res.eigenvalues, res.half_eigenvalues, res.lam0))
-        funcs = np.ldexp(res.eigenfunctions, (p + q) // 2)
-    if any(np.isinf(x).any() for x in (lams, half, funcs)):
-        raise ParameterDomainError(
-            f"the spectrum on diameter {w.grid.D:g} is not finite in float64: its "
-            "eigenvalues, of order 1/D^2, leave the float range")
-    return SpectralResult(eigenvalues=lams, eigenfunctions=funcs, lam0=float(lam0),
-                          half_eigenvalues=half,
-                          _errors=lambda errors=res.residuals: errors)  # taken now, on the copies
+    return _spectrum(w, k)
 
 
 def rayleigh(w: WeightedInterval, u):
     """Flux Rayleigh quotient of u recentred to zero lumped-mass (M) mean: the
     quotient every eigenvalue of neumann_eigs is, so rayleigh(w, u) >=
     lambda_1 of the same grid. Without the recentring a constant component
-    would add mass and no energy, and min-max would fail."""
+    would add mass and no energy, and min-max would fail. It is taken at the
+    scale of the solve (_scale), with u brought to a peak in [1/2, 2) by the
+    same rule (the quotient does not depend on its scale), and scaled back."""
     t, h = w.grid.nodes, w.h
-    f, M = _assemble(t, h)
+    p, _ = scale = _scale(t, h)
+    f, M = _assemble(t, h, scale)
     u = np.asarray(u, dtype=float)
-    return _flux_quotient(u - float(np.sum(M * u)) / float(np.sum(M)), t, h, level=(f, M))[0]
+    u = _times_pow2(u, _scale(t, np.abs(u))[1], None)
+    ray = _flux_quotient(u - float(np.sum(M * u)) / float(np.sum(M)), t, h, scale, level=(f, M))[0]
+    return float(_scaled_back(np.float64(ray), 2 * p, w.grid.D))
 
 
 def deficit(w: WeightedInterval, u):

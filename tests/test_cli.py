@@ -69,13 +69,15 @@ def test_spectrum_tiny_diameter_is_solved(run_cli):
 def test_spectrum_underflowing_model_names_the_float_range(run_cli):
     # sin^{4.5}/omega underflows to 0 at every node below D ~ 1e-69 on 4096
     # cells; that used to exit 1 blaming the density ("identically zero").
-    # N = 3 still solves there
-    proc, out = run_cli("spectrum", "--model", "--dim", "5.5", "--diam", "1e-75")
-    assert proc.returncode == 1
-    err = proc.stderr.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
-    assert "float range" in err[0] and "identically zero" not in err[0]
-    assert not (out / "summary.json").exists()
+    # N = 3 still solves there. A subnormal diameter, whose scale 2^p is past
+    # 2^1023, is refused with the same one line naming the float range
+    for dim, diam in (("5.5", "1e-75"), ("2", "1e-310")):
+        proc, out = run_cli("spectrum", "--model", "--dim", dim, "--diam", diam, out=diam)
+        assert proc.returncode == 1, diam
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "float range" in err[0] and "identically zero" not in err[0]
+        assert not (out / "summary.json").exists()
     proc, out = run_cli("spectrum", "--model", "--dim", "3", "--diam", "1e-75", out="n3")
     assert proc.returncode == 0, proc.stderr
 

@@ -17,7 +17,8 @@ from obatalab.errors import (
     ParameterDomainError,
     UndefinedQuotientError,
 )
-from obatalab.measures import Grid, WeightedInterval, model_density, generate_cd_density
+from obatalab.measures import (Grid, WeightedInterval, generate_cd_density, load_density_csv,
+                               model_density)
 from obatalab.obata1d import loglog_fit, truncated_model
 from obatalab.spectral import (
     bochner_check,
@@ -216,17 +217,18 @@ def _block_ranges(nodes):
 
 @pytest.mark.parametrize("nodes", _BLOCK_EDGE_NODES)
 def test_block_level_matches_whole_grid_assembly(nodes):
-    # a refined level is (t, h): every reader forms f, M and the symmetric
-    # form per block from a slice with a one-node halo, and each value holds
-    # the bits of _assemble and _scaled over the whole grid, on uniform and
-    # nonuniform, contiguous and strided grids, at both grid ends, with the
-    # scratch rows a sweep reuses or without
+    # a refined level is (t, h) and its scale (p, q): every reader forms f, M
+    # and the symmetric form per block from a slice with a one-node halo, and
+    # each value holds the bits of _assemble and _scaled over the whole grid,
+    # which hold those of the whole-grid formulas on the copies t 2^p and
+    # h 2^q, on uniform and nonuniform, contiguous and strided grids, at both
+    # grid ends, with the scratch rows a sweep reuses or without
     blocks = spectral._blocks(nodes)
     assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(nodes))
     assert max(hi - lo for lo, hi in blocks) <= _B + 1
-    for t, h in _levels(nodes):
-        f, M, *form = spectral._scaled(t, h)
-        want_f, want_M = _whole_grid_assembly(t, h)
+    for (t, h), scale in zip(_levels(nodes), ((0, 0), (-2, 6), (3, -5))):
+        f, M, *form = spectral._scaled(t, h, scale)
+        want_f, want_M = _whole_grid_assembly(np.ldexp(t, scale[0]), np.ldexp(h, scale[1]))
         assert np.array_equal(_bits(f), _bits(want_f))
         assert np.array_equal(_bits(M), _bits(want_M))
         for got, want in zip(form, _whole_grid_form(f, M)):
@@ -237,7 +239,7 @@ def test_block_level_matches_whole_grid_assembly(nodes):
         for lo, hi in ranges:
             for rows in (None, scratch):
                 # the cells that touch the nodes lo..hi-1, and their masses
-                bf, bM = spectral._block_level(t, h, lo, hi, rows)
+                bf, bM = spectral._block_level(t, h, scale, lo, hi, rows)
                 assert np.array_equal(_bits(bf), _bits(f[max(lo - 1, 0):min(hi, nodes - 1)]))
                 assert np.array_equal(_bits(bM), _bits(M[lo:hi])), (lo, hi)
                 got = spectral._symmetric(bf, bM, lo == 0, hi == nodes)
@@ -250,7 +252,7 @@ def test_block_form_matches_whole_grid_form(nodes):
     # every block of the symmetric form, with or without its halo nodes,
     # holds the bits of the whole-grid form, and the blocks tile the grid
     t, h = _random_level(nodes)
-    f, M = spectral._assemble(t, h)
+    f, M = spectral._assemble(t, h, (0, 0))
     ref = _whole_grid_form(f, M)
     for got, want in zip(spectral._symmetric(f, M, True, True), ref):
         assert np.array_equal(_bits(got), _bits(want))
@@ -260,7 +262,7 @@ def test_block_form_matches_whole_grid_form(nodes):
     out = np.empty((3, _B + 2))
     for lo, hi in blocks:
         for a, b in ((lo, hi), (lo, min(hi + 1, nodes)), (max(lo - 1, 0), min(hi + 1, nodes))):
-            level = spectral._block_level(t, h, a, b)
+            level = spectral._block_level(t, h, (0, 0), a, b)
             s, d, e = spectral._symmetric(*level, a == 0, b == nodes, out)
             assert np.array_equal(_bits(s), _bits(ref[0][a:b])), (a, b)
             assert np.array_equal(_bits(d), _bits(ref[1][a:b])), (a, b)
@@ -298,15 +300,15 @@ def test_blocked_backward_errors_match_whole_grid(nodes):
     u[_B - 2:_B + 3, 1] = 0.0
     u[-4:, 2] = 0.0
     lams = rng.uniform(1.0, 100.0, 3)
-    got = spectral._backward_errors(t, h, u, lams)
-    want = _whole_grid_backward_errors(*spectral._assemble(t, h), u, lams)
+    got = spectral._backward_errors(t, h, (0, 0), u, lams)
+    want = _whole_grid_backward_errors(*spectral._assemble(t, h, (0, 0)), u, lams)
     assert np.array_equal(_bits(got), _bits(want))
     # the columns of a solve, and a perturbed eigenvalue
     w = model_density(3.0, Grid.uniform(math.pi, nodes - 1))
-    level = spectral._assemble(w.grid.nodes, w.h)
+    level = spectral._assemble(w.grid.nodes, w.h, (0, 0))
     res = neumann_eigs(w, k=3)
     for lam in (res.eigenvalues, res.eigenvalues * (1.0 + 1e-9)):
-        got = spectral._backward_errors(w.grid.nodes, w.h, res.eigenfunctions, lam)
+        got = spectral._backward_errors(w.grid.nodes, w.h, (0, 0), res.eigenfunctions, lam)
         want = _whole_grid_backward_errors(*level, res.eigenfunctions, lam)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -326,15 +328,30 @@ def test_one_block_grid_forms_each_level_once(monkeypatch):
 
 def test_backward_errors_are_taken_on_first_read(monkeypatch):
     # only spectrum reads residuals: a solve takes no backward errors, and
-    # the first read takes them once, with the bits of the blocked form
+    # the first read takes them once, at the solve's scale, on every grid.
+    # At D = 1e-75 (p = 249) they used to be taken at once, on whole-grid
+    # scaled copies; they keep the bits of those copies' backward errors, and
+    # at D = pi those of the blocked form of the grid as it is too (the ratio
+    # does not depend on the scale)
     calls = _count_calls(monkeypatch, "_backward_errors")
+    for D in (math.pi, 1e-75):
+        w = model_density(3.0, Grid.uniform(D, 4096))
+        calls.clear()
+        res = neumann_eigs(w, k=2)
+        assert calls == []
+        first = res.residuals
+        assert res.residuals is first and calls == [4097] and np.all(first <= 1e-13)
+        p, q = spectral._scale(w.grid.nodes, w.h)
+        copies = np.ldexp(w.grid.nodes, p), np.ldexp(w.h, q)
+        want = spectral._backward_errors(*copies, (0, 0),
+                                         np.ldexp(res.eigenfunctions, -(p + q) // 2),
+                                         np.ldexp(res.eigenvalues, -2 * p))
+        assert np.array_equal(_bits(first), _bits(want)), D
     w = model_density(3.0, Grid.uniform(math.pi, 4096))
     res = neumann_eigs(w, k=2)
-    assert calls == []
-    first = res.residuals
-    assert res.residuals is first and calls == [4097]
-    want = spectral._backward_errors(w.grid.nodes, w.h, res.eigenfunctions, res.eigenvalues)
-    assert np.array_equal(_bits(first), _bits(want))
+    want = spectral._backward_errors(w.grid.nodes, w.h, (0, 0), res.eigenfunctions,
+                                     res.eigenvalues)
+    assert np.array_equal(_bits(res.residuals), _bits(want))
 
 
 def test_blocked_sweeps_match_whole_grid():
@@ -344,7 +361,7 @@ def test_blocked_sweeps_match_whole_grid():
     nodes = 100003
     rng = np.random.default_rng(3)
     t, h = _random_level(nodes, seed=2)
-    f, M = spectral._assemble(t, h)
+    f, M = spectral._assemble(t, h, (0, 0))
     u = np.cos(np.linspace(0.0, 7.5 * math.pi, nodes)) + 1e-3 * rng.standard_normal(nodes)
     du = u[1:] - u[:-1]
     energy = f * du
@@ -352,7 +369,7 @@ def test_blocked_sweeps_match_whole_grid():
     sq = u * u
     sq *= M
     mass = float(np.sum(sq))
-    assert spectral._flux_quotient(u, t, h) == (float(np.sum(energy)) / mass, mass)
+    assert spectral._flux_quotient(u, t, h, (0, 0)) == (float(np.sum(energy)) / mass, mass)
     # unscaled in the same sweep: y = u/s is set to y s in place, bitwise
     # the whole-grid product, and the quotient is that of y s
     s = _whole_grid_form(f, M)[0]
@@ -364,7 +381,8 @@ def test_blocked_sweeps_match_whole_grid():
     sq = want_u * want_u
     sq *= M
     mass = float(np.sum(sq))
-    assert spectral._flux_quotient(y, t, h, unscale=True) == (float(np.sum(energy)) / mass, mass)
+    assert spectral._flux_quotient(y, t, h, (0, 0), unscale=True) == (
+        float(np.sum(energy)) / mass, mass)
     assert np.array_equal(_bits(y), _bits(want_u))
 
     def whole_grid_changes(v):
@@ -427,17 +445,29 @@ def test_zero_mass_end_node_raises():
 
 def test_support_check_midpoint_rounding_to_zero():
     # 0.5 (5e-324 + 0) rounds to 0: that interior cell has no mass, as when
-    # the check formed every midpoint; 0.5 (1e-323 + 0) = 5e-324 does not
+    # the check formed every midpoint; 0.5 (1e-323 + 0) = 5e-324 does not.
+    # The midpoints are judged at the scale 2^q _assemble forms them at: at
+    # q = -1, 1e-323 is 5e-324 and its cell has no mass, and at q = 1 the cell
+    # of 5e-324 has
     h = np.ones(65)
     h[30], h[31] = 5e-324, 0.0
     with pytest.raises(DisconnectedSupportError):
-        spectral._support_checks(h)
+        spectral._support_checks(h, 0)
+    spectral._support_checks(h, 1)
     h[30] = 1e-323
-    spectral._support_checks(h)
+    spectral._support_checks(h, 0)
+    with pytest.raises(DisconnectedSupportError):
+        spectral._support_checks(h, -1)
     h = np.ones(65)
     h[-2:] = (5e-324, 0.0)
     with pytest.raises(DegenerateDensityError, match="end cell"):
-        spectral._support_checks(h)
+        spectral._support_checks(h, 0)
+    # a density near the float max is judged at its scale, without overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectral._support_checks(np.full(65, 1.7e308), -1024)
+        with pytest.raises(DegenerateDensityError, match="end cell"):
+            spectral._support_checks(np.r_[1e-310, 1e-310, np.full(63, 1.7e308)], -1024)
 
 
 def test_tiny_diameter_is_rescaled_or_refused():
@@ -455,27 +485,68 @@ def test_tiny_diameter_is_rescaled_or_refused():
             res = neumann_eigs(model_density(2.0, Grid.uniform(D, 4096)), k=1)
             assert abs(res.eigenvalues[0] * D * D / ref - 1.0) <= 1e-12, D
             assert res.lam0 == 0.0 and res.residuals[0] <= 1e-14, D
-        for D in (2.8e-154, 1e-300):
-            with pytest.raises(ParameterDomainError, match="float range"):
-                neumann_eigs(model_density(2.0, Grid.uniform(D, 4096)), k=1)
+        for D in (2.8e-154, 1e-300, 1e-310):  # 1e-310 takes a scale 2^p past 2^1023
+            # 1023 cells have no half grid, whose eigenvalues are NaN
+            for n in (4096, 1023):
+                with pytest.raises(ParameterDomainError, match="float range"):
+                    neumann_eigs(model_density(2.0, Grid.uniform(D, n)), k=1)
 
 
 def test_scaled_copies_are_the_exact_scaling():
-    # nodes t 2^a and densities h 2^b scale the eigenvalues by 4^-a and the
-    # eigenvectors by 2^-(a+b)/2; a copy past the scale bound is solved on
-    # copies scaled back to diameter ~1, and every value is the exact ldexp
-    # of the direct solve's D = 1.5, with the same bits
+    # nodes t 2^a and densities h 2^b scale the eigenvalues and the Rayleigh
+    # quotient by 4^-a and the eigenvectors by 2^-(a+b)/2. Every grid is
+    # solved at its own power-of-two scale, near diameter and peak density
+    # 1, so each value of a copy is the exact ldexp of the D = 1.5 solve's,
+    # with the same bits: copies near that scale, copies inside |a|, |b| <= 64
+    # (once solved as they were), and copies far outside it
     w = model_density(3.0, Grid.uniform(1.5, 2048))
     direct = neumann_eigs(w, k=2)
+    ray = rayleigh(w, direct.eigenfunctions[:, 0])
     t = w.grid.nodes
-    for a, b in ((-70, 0), (0, 100), (-70, 100)):
+    for a, b in ((-3, 5), (0, -40), (-70, 0), (0, 100), (-70, 100), (-400, 0), (0, -1000),
+                 (-400, 900)):
         g = Grid(D=math.ldexp(w.grid.D, a), n=w.grid.n, nodes=np.ldexp(t, a))
-        res = neumann_eigs(WeightedInterval(grid=g, h=np.ldexp(w.h, b), N=w.N), k=2)
+        copy = WeightedInterval(grid=g, h=np.ldexp(w.h, b), N=w.N)
+        res = neumann_eigs(copy, k=2)
         for got, want, e in ((res.eigenvalues, direct.eigenvalues, -2 * a),
                              (res.half_eigenvalues, direct.half_eigenvalues, -2 * a),
                              (res.eigenfunctions, direct.eigenfunctions, -(a + b) // 2),
-                             (res.residuals, direct.residuals, 0)):
+                             (res.residuals, direct.residuals, 0),
+                             (rayleigh(copy, res.eigenfunctions[:, 0]), ray, -2 * a)):
             assert np.array_equal(_bits(got), _bits(np.ldexp(want, e))), (a, b)
+
+
+def test_density_near_the_float_max_is_solved_at_its_scale(tmp_path):
+    # h = 1e308 on 40 nodes: its midpoints 0.5 (h_i + h_{i+1}) overflow as
+    # they are, not at the scale 2^-1024 it is solved at, so it solves with
+    # no warning, as the constant density does (pi/3)^2 to O(dt^2)
+    csv = tmp_path / "big.csv"
+    csv.write_text("t,h\n" + "".join(f"{float(x)!r},1e308\n" for x in np.linspace(0.0, 3.0, 40)))
+    with pytest.warns(RuntimeWarning, match="overflow"):  # its total mass, formed as it is
+        w = load_density_csv(csv, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = neumann_eigs(w, k=1)
+        assert float(res.eigenvalues[0]) == pytest.approx(1.09602985064, abs=1e-11)
+        assert rayleigh(w, res.eigenfunctions[:, 0]) == pytest.approx(res.eigenvalues[0],
+                                                                    rel=1e-14)
+
+
+def test_rayleigh_takes_the_solve_scale():
+    # rayleigh assembled the grid as it is, so at D = 1e-120 the lumped mass
+    # of the N = 3 model summed to 0 and it raised ZeroDivisionError; at the
+    # solve's scale, with u brought to a peak near 1 (the quotient does not
+    # depend on its scale), it is lambda_1 to rounding at every D that
+    # neumann_eigs answers, and deficit with it
+    for D in (1e-100, 1e-120, 1e-150):
+        w = model_density(3.0, Grid.uniform(D, 4096))
+        res = neumann_eigs(w, k=1)
+        u = res.eigenfunctions[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rayleigh(w, u) * D * D == pytest.approx(20.1907214373852, rel=1e-13), D
+            assert rayleigh(w, u) == pytest.approx(res.eigenvalues[0], rel=1e-14), D
+            assert math.isfinite(deficit(w, u)), D
 
 
 def test_tiny_diameter_takes_one_bisection(monkeypatch):
@@ -532,10 +603,10 @@ def test_residual_is_backward_error_at_every_grid():
 def test_residual_flags_a_perturbed_eigenvalue():
     w = model_density(2.0, Grid.uniform(math.pi, 4096))
     t, h = w.grid.nodes, w.h
-    d, e = spectral._scaled(t, h)[3:]
-    ray, u = spectral._solve_tridiagonal(t, h, 1)
-    good = spectral._backward_errors(t, h, u[:, 1:], ray[1:])
-    bad = spectral._backward_errors(t, h, u[:, 1:], ray[1:] + 1e-6)
+    d, e = spectral._scaled(t, h, (0, 0))[3:]
+    ray, u = spectral._solve_tridiagonal(t, h, (0, 0), 1)
+    good = spectral._backward_errors(t, h, (0, 0), u[:, 1:], ray[1:])
+    bad = spectral._backward_errors(t, h, (0, 0), u[:, 1:], ray[1:] + 1e-6)
     tnorm = np.max(np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)])
     assert good[0] <= 1e-13
     assert bad[0] == pytest.approx(1e-6 / tnorm, rel=1e-3)
@@ -550,7 +621,8 @@ def test_seeded_richardson_grid_independent():
 
 
 def _direct_eigenvalues(w, k):
-    return spectral._solve_tridiagonal(w.grid.nodes, w.h, k)[0][1:]
+    # bisection on the grid as it is, not at its scale
+    return spectral._solve_tridiagonal(w.grid.nodes, w.h, (0, 0), k)[0][1:]
 
 
 def test_nested_matches_direct_solve():
@@ -562,7 +634,7 @@ def test_nested_matches_direct_solve():
     cases += [generate_cd_density(2.5, 4, Grid.uniform(2.9, n)) for n in (512, 4096, 8192)]
     for w in cases:
         res = neumann_eigs(w, k=2)
-        vals, vecs = spectral._solve_tridiagonal(w.grid.nodes, w.h, 2)
+        vals, vecs = spectral._solve_tridiagonal(w.grid.nodes, w.h, (0, 0), 2)
         assert np.max(np.abs(res.eigenvalues / vals[1:] - 1.0)) <= 1e-10
         assert np.max(np.abs(res.eigenfunctions - vecs[:, 1:])) <= 1e-8
         for j, lam in enumerate(res.eigenvalues):
@@ -834,12 +906,13 @@ def test_refine_rejects_wrong_index():
     # which the sign-change count catches
     t = Grid.uniform(1.0, 8192).nodes
     h = np.exp(t)
-    half, u_half = spectral._eigenpairs(t[::2], h[::2], 2)[1:3]
-    spectral._refine(t, h, spectral._prolong(t, u_half, 2), half)
+    scale = spectral._scale(t, h)
+    half, u_half = spectral._eigenpairs(t[::2], h[::2], scale, 2)[1:3]
+    spectral._refine(t, h, scale, spectral._prolong(t, u_half, 2), half)
     wrong = half.copy()
     wrong[0] = half[1]
     with pytest.raises(ConditioningError, match="pair 1 changes sign 2 times"):
-        spectral._refine(t, h, spectral._prolong(t, u_half, 2), wrong)
+        spectral._refine(t, h, scale, spectral._prolong(t, u_half, 2), wrong)
 
 
 def test_shooting_cross_check():

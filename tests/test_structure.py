@@ -9,13 +9,14 @@ exponents, and the per-ray c_q is taken from the ledger. Plots are drawn from
 the rows in memory: plotting reads no table back and fits nothing. The
 Neumann solve bisects in one place, the base and fallback solve of the
 nested refinement, and reaches a grid from its base in two refined levels,
-not by recursion. Its exact power-of-two scale is decided once, in
-neumann_eigs, before the one solve. The discrete Rayleigh quotient
-is written once, spectral._flux_quotient, and both the eigenvalues and
-rayleigh() take it. A refined level holds no arrays of its own: its flux and
-mass are formed per block from the nodes and densities, by the one assembly,
-spectral._assemble. CSV input, density files and ray samples alike, is
-parsed by one function, measures.read_csv, and every
+not by recursion. Every grid is solved at its exact power-of-two scale,
+whose exponents one helper takes, and which the one assembly applies as it
+forms fluxes and masses, so no grid is copied to reach it. The discrete
+Rayleigh quotient is written once, spectral._flux_quotient, and both the
+eigenvalues and rayleigh() take it. A refined level holds no arrays of its
+own: its flux and mass are formed per block from the nodes and densities, by
+the one assembly, spectral._assemble. CSV input, density files and ray
+samples alike, is parsed by one function, measures.read_csv, and every
 artifact is written by one, measures.replace_file. The Richardson
 step is written once, measures.extrapolate, and so are the rules 1 < N < inf
 and 0 < D <= pi, measures.require_dimension and measures.require_diameter,
@@ -343,25 +344,53 @@ def test_bisection_only_in_the_base_solve():
 
 
 def test_one_scale_decision_before_the_solve():
-    # neumann_eigs decides the exact power-of-two scale once, before it
-    # solves, and solves once: math.frexp and np.ldexp appear in spectral
-    # only there, it has no try and one _spectrum call, and spectral defines
-    # no exception class of its own for a retry to catch
+    # every grid is solved at its exact power-of-two scale, with no copy of
+    # its nodes or densities: math.frexp appears only in the exponent helper
+    # (spectral._scale), which neumann_eigs (through _spectrum) and rayleigh
+    # alike call, the scale is applied as the flux and mass are formed
+    # (_assemble, and _support_checks judging the midpoints _assemble forms)
+    # and scaled back only in _spectrum and rayleigh; np.ldexp is called only
+    # by the one power-of-two multiply, never on t or h, so no module takes
+    # a whole-grid copy of them. neumann_eigs has no try and one _spectrum
+    # call, and spectral defines no exception class of its own for a retry
+    # to catch
     from obatalab import spectral
 
     tree = ast.parse((SRC / "spectral.py").read_text())
-    fn = next(node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "neumann_eigs")
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
-    def scale_calls(root):
-        return [ast.unparse(node) for node in ast.walk(root) if isinstance(node, ast.Attribute)
-                and ast.unparse(node) in ("math.frexp", "np.ldexp")]
+    def uses(root, name):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Attribute)
+                and ast.unparse(node) == name]
 
-    assert set(scale_calls(fn)) == {"math.frexp", "np.ldexp"}
-    assert scale_calls(tree) == scale_calls(fn)
+    # the end samples of _support_checks are scaled one by one, with math.ldexp
+    for name, owner in (("math.frexp", "_scale"), ("math.ldexp", "_support_checks")):
+        assert uses(fns[owner], name) and len(uses(tree, name)) == len(uses(fns[owner], name))
+
+    def callers(name):
+        return sorted(fn for fn, node in fns.items()
+                      if any(isinstance(call, ast.Call) and getattr(call.func, "id", "") == name
+                             for call in ast.walk(node)))
+
+    assert callers("_scale") == ["_spectrum", "rayleigh"]
+    assert callers("_times_pow2") == ["_assemble", "_scaled_back", "_support_checks", "rayleigh"]
+    assert callers("_scaled_back") == ["_spectrum", "rayleigh"]
+    ldexp = [(path.stem, node) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.ldexp"]
+    assert ldexp and all(ast.unparse(node.args[0]) == "x" for _, node in ldexp)
+    assert [module for module, _ in ldexp] == ["spectral"]
+    assert len(ldexp) == len([node for node in ast.walk(fns["_times_pow2"])
+                              if isinstance(node, ast.Call)
+                              and ast.unparse(node.func) == "np.ldexp"])
+    for path in sorted(SRC.glob("*.py")):
+        assert not re.search(r"np\.ldexp\((t|h|nodes|w\.h|w\.grid\.nodes)\b",
+                             path.read_text()), path
+    fn = fns["neumann_eigs"]
     assert [node for node in ast.walk(fn) if isinstance(node, ast.Try)] == []
     assert len([node for node in ast.walk(fn) if isinstance(node, ast.Call)
                 and getattr(node.func, "id", "") == "_spectrum"]) == 1
+    assert not hasattr(spectral, "_EXACT_EXPONENT")
     classes = [getattr(spectral, node.name) for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
     assert len(classes) >= 5
